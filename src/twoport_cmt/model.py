@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_RATE_FIELDS = ("gamma_r", "gamma_nr", "gamma_m", "omega_rabi")
+_INF = math.inf
 
 
 class DegenerateResponseError(ArithmeticError):
@@ -33,12 +33,12 @@ class ModelParams:
     delta_m: float = 0.0
 
     def __post_init__(self):
-        if not self.omega0 > 0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        for name in _RATE_FIELDS:
-            v = getattr(self, name)
-            if v < 0:
-                raise ValueError(f"{name} must be >= 0 (passivity), got {v}")
+        # chained comparisons are False for NaN, so NaN is rejected as well
+        if not (0 < self.omega0 < _INF and 0 <= self.gamma_r < _INF
+                and 0 <= self.gamma_nr < _INF and 0 <= self.gamma_m < _INF
+                and 0 <= self.omega_rabi < _INF and -_INF < self.delta_m < _INF):
+            raise ValueError(f"need omega0 > 0, rates >= 0 (passivity) and "
+                             f"finite values, got {self}")
 
     @property
     def gamma_c(self) -> float:
@@ -63,8 +63,8 @@ class Background:
     theta_b: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.r_b <= 1.0:
-            raise ValueError(f"r_b must lie in [0, 1], got {self.r_b}")
+        if not (0.0 <= self.r_b <= 1.0 and -_INF < self.theta_b < _INF):
+            raise ValueError(f"need r_b in [0, 1] and a finite theta_b, got {self}")
 
     @property
     def t_b(self) -> float:
@@ -173,14 +173,16 @@ def steady_state_response(p, bg, omega, s_plus):
     s_minus = C s_plus + a |d>.
     """
     m = _response_matrix(p, omega)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    decoupled = p.omega_rabi == 0  # undriven matter, b = 0: only a can be singular
+    det = m[0, 0] * (1.0 if decoupled else m[1, 1]) - m[0, 1] * m[1, 0]
     if abs(det) < 1e-12 * _degeneracy_scale(p, omega):
         raise DegenerateResponseError(
             f"steady-state system singular at omega={omega} (real pole of a lossless model)"
         )
     d0 = bg.coupling(p.gamma_r)
     drive = d0 * (s_plus[0] + s_plus[1])
-    a, b = np.linalg.solve(m, np.array([drive, 0.0], dtype=complex))
+    a, b = ((drive / m[0, 0], 0j) if decoupled else
+            np.linalg.solve(m, np.array([drive, 0.0], dtype=complex)))
     s_out = bg.matrix() @ np.asarray(s_plus, dtype=complex) + a * np.array([d0, d0])
     return complex(a), complex(b), (complex(s_out[0]), complex(s_out[1]))
 
@@ -196,23 +198,25 @@ def det_s(p: ModelParams, omega: float) -> complex:
     """det S(omega) as the pole-zero ratio, up to the unimodular background
     phase factor e^{2 i theta_b} (r_b + i t_b)^2 which is stripped; |det_s|
     is the contract."""
-    pz = poles_zeros(p)
-    den = (omega - pz.poles[0]) * (omega - pz.poles[1])
-    if abs(den) < 1e-12 * _degeneracy_scale(p, omega):
+    val, bad = _det_s_grid(p, omega)
+    if bad:
         raise DegenerateResponseError(
             f"omega={omega} coincides with a real pole of a lossless model"
         )
-    return (omega - pz.zeros[0]) * (omega - pz.zeros[1]) / den
+    return complex(val)
 
 
 def _det_s_grid(p: ModelParams, omega: np.ndarray):
-    """Vectorized pole-zero ratio; returns (values, degenerate mask)."""
-    pz = poles_zeros(p)
+    """Vectorized pole-zero ratio; returns (values, degenerate mask). The
+    quadratics are kept as (w - c_cav)(w - c_mat) - Omega^2, the equation that
+    `poles_zeros` solves; with Omega = 0 the common matter factor is cancelled."""
     w = np.asarray(omega, dtype=float)
-    den = (w - pz.poles[0]) * (w - pz.poles[1])
+    mat = w - (p.omega_m + 1j * p.gamma_m) if p.omega_rabi else 1.0
+    num = (w - (p.omega0 + 1j * (p.gamma_nr - p.gamma_r))) * mat - p.omega_rabi**2
+    den = (w - (p.omega0 + 1j * p.gamma_c)) * mat - p.omega_rabi**2
     bad = np.abs(den) < 1e-12 * _degeneracy_scale(p, w)
     safe = np.where(bad, 1.0, den)
-    vals = (w - pz.zeros[0]) * (w - pz.zeros[1]) / safe
+    vals = num / safe
     vals = np.where(bad, np.nan + 0j, vals)
     return vals, bad
 

@@ -1,18 +1,24 @@
 """Parameter-space exploration: lineshape regimes, critical-coupling loci,
-and coherent-perfect-absorption frequencies."""
+and coherent-perfect-absorption frequencies.
+
+On the real axis |det S|^2 = A(u) / B(u) with u = omega - omega0, A = |N|^2
+and B = |D|^2 for the zero and pole quadratics N, D, so every extremum of
+|det S| is a real root of the polynomial F = A'B - AB' (degree <= 5).
+"""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .model import Background, ModelParams, _det_s_grid, poles_zeros, scattering_matrix
+from .model import Background, ModelParams, _det_s_grid, scattering_matrix
 from .twoport import joint_extrema
 
 _SWEEPABLE = ("gamma_r", "gamma_nr", "gamma_m", "omega_rabi")
 _PEAK_FLOOR = 1e-9  # minimum absorbance for a countable peak
+_NEWTON_STEPS = 40  # a simple root needs 2-3; a near-double one halves its error per step
 
 
 class WindowTooNarrowError(ValueError):
@@ -48,6 +54,12 @@ class CriticalLociMap:
     min_abs_dets: np.ndarray
 
 
+def _cells(p: ModelParams, n: int = 1, **sweep) -> SimpleNamespace:
+    """The fields of p as length-n arrays, the swept ones replaced."""
+    return SimpleNamespace(**{**{k: np.full(n, float(v))
+                                 for k, v in vars(p).items()}, **sweep})
+
+
 def scc_residual(p: ModelParams) -> float:
     """Strong-critical-coupling residual gamma_r - gamma_nr - gamma_m."""
     return p.gamma_r - p.gamma_nr - p.gamma_m
@@ -59,92 +71,106 @@ def wcc_residual(p: ModelParams) -> float:
 
 
 def default_window(p: ModelParams, pad: float = 1.0) -> tuple[float, float]:
-    span = max(3 * p.omega_rabi, 3 * p.gamma_c, 3 * p.gamma_m) + pad
+    span = np.maximum(np.maximum(3 * p.omega_rabi, 3 * (p.gamma_r + p.gamma_nr)),
+                      3 * p.gamma_m) + pad
     return (p.omega0 - span, p.omega0 + span)
 
 
-def _abs_dets_sq(p: ModelParams):
-    pz = poles_zeros(p)
-    z0, z1 = pz.zeros
-    p0, p1 = pz.poles
-
-    def f(w: float) -> float:
-        den = (w - p0) * (w - p1)
-        if den == 0:
-            return math.nan
-        return abs((w - z0) * (w - z1) / den) ** 2
-
-    return f
+def _matter_rate(c) -> np.ndarray:
+    # with Omega = 0 the matter factor is common to N and D: any gamma_m > 0
+    # keeps |N/D| and removes the 0/0 point of an undamped matter line
+    return np.where(c.omega_rabi == 0, 1.0, c.gamma_m)
 
 
-def _stationary_polish(p: ModelParams, x: float, lo: float, hi: float) -> float:
-    """Newton refinement of a stationary point of |det S|^2 on the real axis.
+def _stationary_poly(c) -> np.ndarray:
+    """Ascending coefficients, shape (n, 6), of G = E B' - E' B in u (in
+    omega instead of u the roots lose accuracy, to about 1e-5 meV).
 
-    Works on F = A'B - AB' with A = |numerator|^2, B = |denominator|^2 in
-    factored complex form; reaches machine precision where bounded
-    golden-section search stalls at sqrt(eps)*|x|, including exact real zeros.
+    B = (u^2 + g_c^2)((u - delta_m)^2 + gamma_m^2)
+        + 2 Omega^2 (g_c gamma_m - u (u - delta_m)) + Omega^4, and A is B with
+    g_c = gamma_r + gamma_nr replaced by gamma_nr - gamma_r, so B - A =
+    4 gamma_r E with E = gamma_nr ((u - delta_m)^2 + gamma_m^2) + Omega^2
+    gamma_m, and F = 4 gamma_r G. G is exactly zero where gamma_r = 0
+    (N = D) or the model is lossless (E = 0), of degree 3 where gamma_nr = 0.
     """
-    pz = poles_zeros(p)
-    z0, z1 = pz.zeros
-    p0, p1 = pz.poles
+    g_m, g_c, dm = _matter_rate(c), c.gamma_r + c.gamma_nr, c.delta_m
+    s, r2 = dm**2 + g_m**2, c.omega_rabi**2
+    # B = u^4 + b3 u^3 + b2 u^2 + b1 u + b0, E = e2 u^2 + e1 u + e0
+    b0, b1, b2, b3 = (g_c**2 * s + 2 * r2 * g_c * g_m + r2**2,
+                      2 * dm * (r2 - g_c**2), s + g_c**2 - 2 * r2, -2 * dm)
+    e0, e1, e2 = c.gamma_nr * s + r2 * g_m, -2 * c.gamma_nr * dm, c.gamma_nr
+    g = np.stack([e0 * b1 - e1 * b0, 2 * (e0 * b2 - e2 * b0),
+                  3 * e0 * b3 + e1 * b2 - e2 * b1, 4 * e0 + 2 * e1 * b3,
+                  3 * e1 + e2 * b3, 2 * e2], axis=-1)
+    g[c.gamma_r == 0] = 0.0
+    return g
 
-    for _ in range(60):
-        n = (x - z0) * (x - z1)
-        npr = (x - z0) + (x - z1)
-        d = (x - p0) * (x - p1)
-        dpr = (x - p0) + (x - p1)
-        A = abs(n) ** 2
-        B = abs(d) ** 2
-        Ap = 2.0 * (npr * n.conjugate()).real
-        Bp = 2.0 * (dpr * d.conjugate()).real
-        App = 4.0 * n.real + 2.0 * abs(npr) ** 2
-        Bpp = 4.0 * d.real + 2.0 * abs(dpr) ** 2
-        F = Ap * B - A * Bp
-        Fp = App * B - A * Bpp
-        if Fp == 0.0:
+
+def _roots(g: np.ndarray) -> np.ndarray:
+    """NaN-padded roots of each row of ascending coefficients: one eigvals
+    call per trimmed degree. Real roots have an imaginary part of exactly 0."""
+    n, m = g.shape
+    out = np.full((n, m - 1), complex(math.nan, math.nan))
+    nonzero = g != 0
+    deg = np.where(nonzero.any(axis=1),
+                   m - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    for d in np.unique(deg[deg > 0]):
+        rows = np.flatnonzero(deg == d)
+        comp = np.zeros((rows.size, d, d))
+        comp[:, 1:, :-1] = np.eye(d - 1)
+        comp[:, :, -1] = -g[rows, :d] / g[rows, d:d + 1]
+        out[rows, :d] = np.linalg.eigvals(comp)
+    return out
+
+
+def _factored(c, u: np.ndarray):
+    """N(u), D(u), D'(u) and the matter factor, cells along axis 0."""
+    g_r, g_nr, r2 = c.gamma_r[:, None], c.gamma_nr[:, None], c.omega_rabi[:, None] ** 2
+    matter = 1j * (u - c.delta_m[:, None]) + _matter_rate(c)[:, None]
+    cav = 1j * u + (g_r + g_nr)
+    return ((1j * u + (g_nr - g_r)) * matter + r2, cav * matter + r2,
+            1j * (cav + matter), matter)
+
+
+def _stationary_value(c, u: np.ndarray):
+    """(G, G') of one cell at the points u from the factored D and E, which
+    keep their accuracy where the expanded terms of G cancel (near a narrow
+    matter line); G' = E B'' - E'' B, as the E' B' terms cancel."""
+    _, d, dd, matter = (x[0] for x in _factored(c, u[None, :]))
+    e = c.gamma_nr * np.abs(matter) ** 2 + c.omega_rabi**2 * c.gamma_m
+    b = np.abs(d) ** 2
+    db = 2 * (dd * np.conj(d)).real
+    ddb = 2 * np.abs(dd) ** 2 - 4 * d.real  # D'' = -2
+    return (e * db - 2 * c.gamma_nr * (u - c.delta_m) * b,
+            e * ddb - 2 * c.gamma_nr * b)
+
+
+def _min_abs_dets(c, u_lo: np.ndarray, u_hi: np.ndarray) -> np.ndarray:
+    """Minimum of |det S| over [u_lo, u_hi] per cell: the smallest value at
+    the window ends and at the clipped real parts of the roots of G."""
+    lo, hi = u_lo[:, None], u_hi[:, None]
+    u = np.clip(_roots(_stationary_poly(c)).real, lo, hi)
+    n, d, _, _ = _factored(
+        c, np.concatenate([lo, hi, np.where(np.isnan(u), lo, u)], axis=1))
+    return np.fmin.reduce(np.abs(n / d), axis=1)
+
+
+def _minima(p: ModelParams, window, tol: float):
+    """Interior local minima of |det S|, (omega, |det S|) ascending: the real
+    roots of G in the open window with G' > 0, Newton-polished to tol."""
+    c = _cells(p)
+    r = _roots(_stationary_poly(c))[0]
+    u = r.real[r.imag == 0]
+    u = u[_stationary_value(c, u)[1] > 0]
+    for _ in range(_NEWTON_STEPS):
+        step = np.divide(*_stationary_value(c, u))
+        u = u - step
+        if not np.any(np.abs(step) > tol):
             break
-        x_new = min(max(x - F / Fp, lo), hi)
-        if abs(x_new - x) < 1e-15 * max(1.0, abs(x)):
-            x = x_new
-            break
-        x = x_new
-    return x
-
-
-def _refine_extrema(f, grid: np.ndarray, vals: np.ndarray, xatol: float,
-                    polish=None):
-    """Strict interior 3-point minima of vals, refined by bounded 1-D search.
-
-    Minima closer than three grid spacings are merged, keeping the deeper one.
-    Returns a list of (x, f(x)) sorted by x.
-    """
-    spacing = grid[1] - grid[0]
-    found = []
-    for i in range(1, len(grid) - 1):
-        if np.isnan(vals[i - 1]) or np.isnan(vals[i]) or np.isnan(vals[i + 1]):
-            continue
-        if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
-            res = minimize_scalar(
-                f, bounds=(grid[i - 1], grid[i + 1]), method="bounded",
-                options={"xatol": xatol},
-            )
-            x = float(res.x)
-            fx = float(res.fun)
-            if polish is not None:
-                xp = polish(x, grid[i - 1], grid[i + 1])
-                fp = f(xp)
-                if fp <= fx:
-                    x, fx = xp, fp
-            found.append((x, fx))
-    found.sort()
-    merged: list[tuple[float, float]] = []
-    for x, fx in found:
-        if merged and x - merged[-1][0] < 3 * spacing:
-            if fx < merged[-1][1]:
-                merged[-1] = (x, fx)
-        else:
-            merged.append((x, fx))
-    return merged
+    lo, hi = window
+    u = np.sort(u[(lo - p.omega0 < u) & (u < hi - p.omega0)])
+    n, d, _, _ = _factored(c, u[None, :])
+    return p.omega0 + u, np.abs(n / d)[0]
 
 
 def classify_regime(p: ModelParams, window=None, n_grid: int = 1001,
@@ -152,7 +178,7 @@ def classify_regime(p: ModelParams, window=None, n_grid: int = 1001,
     """Count the absorbance peaks of B(omega) and report the critical residuals.
 
     The window must cover omega0 +/- max(3 Omega, 3 gamma_c, 3 gamma_m) and a
-    strict maximum on the boundary raises WindowTooNarrowError.
+    strict maximum on its n_grid-point boundary scan raises WindowTooNarrowError.
     """
     if n_grid < 501:
         raise ValueError("n_grid must be >= 501")
@@ -164,36 +190,28 @@ def classify_regime(p: ModelParams, window=None, n_grid: int = 1001,
         raise ValueError(
             f"window {window} must cover ({lo_req}, {hi_req})"
         )
-    grid = np.linspace(lo, hi, n_grid)
-    fsq = _abs_dets_sq(p)
-    vals = np.array([fsq(w) for w in grid])
-    b_vals = 1.0 - vals
+    dets, _ = _det_s_grid(p, np.linspace(lo, hi, n_grid))
+    b_vals = 1.0 - np.abs(dets) ** 2
     rising_lo = b_vals[0] > b_vals[1] and b_vals[0] > _PEAK_FLOOR
     rising_hi = b_vals[-1] > b_vals[-2] and b_vals[-1] > _PEAK_FLOOR
     if rising_lo or rising_hi:
         raise WindowTooNarrowError(
             "B(omega) has a maximum on the window boundary; widen the window"
         )
-    # maxima of B are exactly the minima of |det S|^2; an absorbance floor
-    # rejects float-noise wiggles of a flat (decoupled, B = 0) spectrum
-    polish = lambda x, a, b: _stationary_polish(p, x, a, b)
-    peaks = _refine_extrema(fsq, grid, vals, xatol=1e-10 * max(1.0, abs(hi)),
-                            polish=polish)
-    positions = tuple(x for x, fx in peaks if 1.0 - fx > _PEAK_FLOOR)
-    cpa = tuple(
-        pt.omega for pt in find_cpa(p, window=window) if pt.dets_min < cpa_tol
-    )
+    # maxima of B are exactly the minima of |det S|; an absorbance floor
+    # rejects the minima of a nearly flat (B ~ 0) spectrum
+    omega, dets_min = _minima(p, window, tol=1e-10)
+    positions = tuple(omega[1.0 - dets_min**2 > _PEAK_FLOOR].tolist())
     return RegimeReport(
         n_peaks=len(positions),
         peak_positions=positions,
         scc_residual=scc_residual(p),
         wcc_residual=wcc_residual(p),
-        cpa_frequencies=cpa,
+        cpa_frequencies=tuple(omega[dets_min < cpa_tol].tolist()),
     )
 
 
-def find_cpa(p: ModelParams, window=None, tol: float = 1e-10,
-             n_grid: int = 2001) -> list[CpaPoint]:
+def find_cpa(p: ModelParams, window=None, tol: float = 1e-10) -> list[CpaPoint]:
     """Local minima of |det S| on the real axis, refined to tol.
 
     Every interior local minimum is reported together with the input
@@ -202,48 +220,28 @@ def find_cpa(p: ModelParams, window=None, tol: float = 1e-10,
     """
     if window is None:
         window = default_window(p)
-    lo, hi = window
-    grid = np.linspace(lo, hi, n_grid)
-    fsq = _abs_dets_sq(p)
-    vals = np.array([fsq(w) for w in grid])
-    minima = _refine_extrema(fsq, grid, vals, xatol=tol,
-                             polish=lambda x, a, b: _stationary_polish(p, x, a, b))
     bg = Background()
     points = []
-    for x, fx in minima:
-        ext = joint_extrema(scattering_matrix(p, bg, x))
-        points.append(CpaPoint(omega=x, dets_min=math.sqrt(max(fx, 0.0)),
+    for x, dmin in zip(*_minima(p, window, tol)):
+        ext = joint_extrema(scattering_matrix(p, bg, float(x)))
+        points.append(CpaPoint(omega=float(x), dets_min=float(dmin),
                                phi_star=ext.phi_max))
     return points
 
 
-def min_abs_dets(p: ModelParams, window=None, n_grid: int = 801) -> float:
-    """Numerically minimized |det S| over real frequency."""
-    if window is None:
-        window = default_window(p)
-    lo, hi = window
-    grid = np.linspace(lo, hi, n_grid)
-    dets, bad = _det_s_grid(p, grid)
-    vals = np.abs(dets) ** 2
-    vals[bad] = np.nan
-    if np.all(np.isnan(vals)):
-        return math.nan
-    fsq = _abs_dets_sq(p)
-    best = float(np.nanmin(vals))
-    refined = _refine_extrema(fsq, grid, vals,
-                              xatol=1e-10 * max(1.0, abs(hi)),
-                              polish=lambda x, a, b: _stationary_polish(p, x, a, b))
-    for x, fx in refined:
-        best = min(best, fx)
-    return math.sqrt(max(best, 0.0))
+def min_abs_dets(p: ModelParams, window=None) -> float:
+    """Minimum of |det S| over a real frequency window (default window)."""
+    lo, hi = default_window(p) if window is None else window
+    return float(_min_abs_dets(_cells(p), np.array([lo - p.omega0]),
+                               np.array([hi - p.omega0]))[0])
 
 
 def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
-                  y_values, n_grid: int = 801) -> CriticalLociMap:
+                  y_values) -> CriticalLociMap:
     """Residuals and minimized |det S| over a 2-D sweep of two rates.
 
-    Grid points are evaluated independently and assembled in row-major order
-    (y outer, x inner).
+    All grid points are solved together in row-major order (y outer,
+    x inner), each over its own default window.
     """
     for name in (x_param, y_param):
         if name not in _SWEEPABLE:
@@ -252,20 +250,16 @@ def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
         raise ValueError("sweep axes must differ")
     xs = np.asarray(x_values, dtype=float)
     ys = np.asarray(y_values, dtype=float)
-    if np.any(xs < 0) or np.any(ys < 0):
-        raise ValueError("sweep axes must be non-negative")
-    scc = np.empty((ys.size, xs.size))
-    wcc = np.empty_like(scc)
-    mds = np.empty_like(scc)
-    for j, yv in enumerate(ys):
-        for i, xv in enumerate(xs):
-            p = replace(base, **{x_param: float(xv), y_param: float(yv)})
-            scc[j, i] = scc_residual(p)
-            wcc[j, i] = wcc_residual(p)
-            mds[j, i] = min_abs_dets(p, n_grid=n_grid)
+    if not np.all((0 <= np.r_[xs, ys]) & (np.r_[xs, ys] < math.inf)):
+        raise ValueError("sweep axes must be finite and non-negative")
+    yy, xx = np.meshgrid(ys, xs, indexing="ij")
+    c = _cells(base, yy.size, **{x_param: xx.ravel(), y_param: yy.ravel()})
+    lo, hi = default_window(c)
     return CriticalLociMap(
         x_param=x_param, y_param=y_param, x_values=xs, y_values=ys,
-        scc_residual=scc, wcc_residual=wcc, min_abs_dets=mds,
+        scc_residual=scc_residual(c).reshape(yy.shape),
+        wcc_residual=wcc_residual(c).reshape(yy.shape),
+        min_abs_dets=_min_abs_dets(c, lo - c.omega0, hi - c.omega0).reshape(yy.shape),
     )
 
 

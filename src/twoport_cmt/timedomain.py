@@ -30,8 +30,9 @@ class DriveSpec:
     amp2: float = 1.0
 
     def __post_init__(self):
-        if self.amp1 < 0 or self.amp2 < 0:
-            raise ValueError("drive amplitudes must be >= 0")
+        if not (-math.inf < self.omega < math.inf and -math.inf < self.phi < math.inf
+                and 0 <= self.amp1 < math.inf and 0 <= self.amp2 < math.inf):
+            raise ValueError(f"drive needs finite values, amplitudes >= 0: {self}")
 
 
 @dataclass

@@ -119,6 +119,13 @@ class TestConfigHandling:
         assert run(tmp_path, monkeypatch,
                    ["spectrum", "--gamma-r", "-1.0"]) == EXIT_CONFIG
 
+    def test_nan_rate_rejected(self, tmp_path, monkeypatch):
+        out = tmp_path / "s.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["spectrum", "--gamma-r", "nan", "--output", str(out)]) \
+            == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestNumericalExit:
     def test_degenerate_grid_point(self, tmp_path, monkeypatch, capsys):
@@ -184,6 +191,27 @@ class TestPhaseDiagram:
             assert scc == pytest.approx(y - x, abs=1e-12)
             if x == y:  # strong locus: gamma_m = gamma_r, gamma_nr = 0
                 assert mds < 1e-8
+
+    def test_decoupled_cell(self, tmp_path, monkeypatch):
+        # at gamma_m = Omega = 0 the matter pole and zero cancel: one
+        # Lorentzian dip at omega0 of depth |gamma_nr - gamma_r| / gamma_c
+        out = tmp_path / "pd.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"gamma_r": 3.0, "gamma_nr": 1.5},
+            "phase_diagram": {"x_param": "gamma_m", "x_min": 0.0,
+                              "x_max": 10.0, "x_n": 3,
+                              "y_param": "omega_rabi", "y_min": 0.0,
+                              "y_max": 10.0, "y_n": 3}}))
+        code = run(tmp_path, monkeypatch,
+                   ["phase-diagram", "--config", str(cfg),
+                    "--output", str(out)])
+        assert code == EXIT_OK
+        _, rows = read_csv(out)
+        x, y, n_peaks, _, _, mds = rows[0]
+        assert float(x) == 0.0 and float(y) == 0.0
+        assert int(n_peaks) == 1
+        assert float(mds) == pytest.approx(1.5 / 4.5, abs=1e-12)
 
     def test_bad_axis_is_config_error(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -33,6 +33,10 @@ class TestModelParams:
     @pytest.mark.parametrize("kwargs", [
         dict(omega0=-1.0), dict(omega0=0.0), dict(gamma_r=-0.1),
         dict(gamma_nr=-0.1), dict(gamma_m=-1e-3), dict(omega_rabi=-2.0),
+        dict(omega0=math.inf), dict(omega0=math.nan), dict(gamma_r=math.nan),
+        dict(gamma_nr=math.inf), dict(gamma_m=math.nan),
+        dict(omega_rabi=math.inf), dict(delta_m=math.nan),
+        dict(delta_m=-math.inf),
     ])
     def test_rejects_invalid(self, kwargs):
         base = dict(omega0=100.0, gamma_r=1.0, gamma_nr=1.0, gamma_m=1.0,
@@ -60,6 +64,14 @@ class TestBackground:
     def test_rejects_bad_reflectivity(self):
         with pytest.raises(ValueError):
             Background(r_b=1.2)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(r_b=math.nan), dict(r_b=math.inf), dict(theta_b=math.nan),
+        dict(theta_b=-math.inf),
+    ])
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            Background(**kwargs)
 
 
 class TestSteadyState:

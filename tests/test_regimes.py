@@ -11,6 +11,7 @@ from twoport_cmt import (
     critical_loci,
     find_cpa,
     min_abs_dets,
+    poles_zeros,
 )
 from twoport_cmt.regimes import count_peaks, default_window, scc_residual, wcc_residual
 from conftest import random_passive_params
@@ -142,7 +143,7 @@ class TestCriticalLoci:
         # keep gamma_m < Omega so the spectral zeros stay on the real axis
         xs = np.linspace(1.0, 7.0, 5)
         ys = np.linspace(1.0, 7.0, 5)
-        m = critical_loci(base, "gamma_m", xs, "gamma_r", ys, n_grid=401)
+        m = critical_loci(base, "gamma_m", xs, "gamma_r", ys)
         assert m.min_abs_dets.shape == (5, 5)
         for k in range(5):
             # gamma_r = gamma_m with gamma_nr = 0 is the strong locus
@@ -154,7 +155,7 @@ class TestCriticalLoci:
     def test_weak_locus_matched_rates(self):
         base = ModelParams(124.5, 3.0, 0.0, 5.0, 0.0)
         xs = np.linspace(0.5, 4.5, 5)
-        m = critical_loci(base, "gamma_nr", xs, "gamma_r", xs, n_grid=401)
+        m = critical_loci(base, "gamma_nr", xs, "gamma_r", xs)
         for k in range(5):
             assert m.wcc_residual[k, k] == pytest.approx(0.0, abs=1e-12)
             assert m.min_abs_dets[k, k] < 1e-8
@@ -186,3 +187,85 @@ class TestCountPeaks:
             assert count_peaks(p, n_grid=4001) == rep.n_peaks
             checked += 1
         assert checked > 15
+
+
+def _abs_dets(p, w):
+    """|det S| at the frequencies w from the poles and zeros."""
+    pz = poles_zeros(p)
+    return np.abs((w - pz.zeros[0]) * (w - pz.zeros[1])
+                  / ((w - pz.poles[0]) * (w - pz.poles[1])))
+
+
+def _grid_minima(p, n=200001):
+    """Dense-grid scan of |det S| over the default window: the grid, its
+    values, and the indices of strict interior local minima."""
+    w = np.linspace(*default_window(p), n)
+    vals = _abs_dets(p, w)
+    idx = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])) + 1
+    return w, vals, idx
+
+
+class TestClosedFormVsGrid:
+    """The closed-form stationary points against a dense grid scan."""
+
+    def _check(self, p):
+        w, vals, idx = _grid_minima(p)
+        pts = find_cpa(p)
+        assert len(pts) == idx.size
+        for pt, i in zip(pts, idx):
+            assert w[i - 1] < pt.omega < w[i + 1]
+            assert pt.dets_min <= vals[i] + 1e-12
+        assert min_abs_dets(p) <= vals.min() + 1e-12
+        assert min_abs_dets(p) == pytest.approx(
+            min([vals[0], vals[-1]] + [pt.dets_min for pt in pts]), abs=1e-12)
+
+    def test_random_detuned(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            p = random_passive_params(rng, rate_lo=0.3)
+            self._check(ModelParams(p.omega0, p.gamma_r, p.gamma_nr,
+                                    p.gamma_m, p.omega_rabi,
+                                    delta_m=float(rng.uniform(-5.0, 5.0))))
+
+    def test_no_internal_cavity_loss(self):
+        # gamma_nr = 0 drops the degree of the stationary polynomial to 3
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            p = random_passive_params(rng, rate_lo=0.3)
+            self._check(ModelParams(p.omega0, p.gamma_r, 0.0, p.gamma_m,
+                                    p.omega_rabi, delta_m=1.3))
+
+    def test_exceptional_point(self):
+        # Omega 0.3% above the pole exceptional point |g_c - g_m| / 2
+        p = ModelParams(91.3154829449834, 4.195793913665508,
+                        3.0594197833593917, 0.7642327028424322,
+                        3.2570772924342926)
+        self._check(p)
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(124.5, 0.0, 2.0, 5.0, 8.0, delta_m=1.0),  # gamma_r = 0
+        ModelParams(124.5, 3.0, 0.0, 0.0, 8.0, delta_m=1.0),  # lossless
+        ModelParams(124.5, 0.0, 0.0, 0.0, 8.0),  # lossless, uncoupled ports
+    ])
+    def test_unit_determinant(self, p):
+        # |det S| = 1 on the whole real axis: no stationary points at all
+        assert find_cpa(p) == []
+        assert min_abs_dets(p) == pytest.approx(1.0, abs=1e-12)
+
+    def test_flat_minimum(self):
+        # |det S|^2 has a relative curvature of only 2.4e-5 / meV^2 at omega0
+        p = ModelParams(124.5, 0.6226529276393951, 5.478615128253235,
+                        5.571158038603096, 3.2244856975138823)
+        self._check(p)
+        assert any(abs(pt.omega - 124.5) < 1e-9 for pt in find_cpa(p))
+
+    def test_narrow_matter_line(self):
+        # an undamped matter line with a weak coupling: a dip of |det S| about
+        # 1e-4 meV wide, where the expanded coefficients of F lose ~1e-5 meV
+        p = ModelParams(119.93695867252858, 3.8517224010315054,
+                        4.650822892368995, 0.0, 0.023914756193348374,
+                        delta_m=4.668101618889471)
+        self._check(p)
+        for pt in find_cpa(p):
+            f = _abs_dets(p, pt.omega + np.array([-1e-7, 0.0, 1e-7]))
+            assert f[1] <= min(f[0], f[2])

@@ -38,6 +38,16 @@ class TestSetupHelpers:
             settling_time(p)
 
 
+class TestDriveSpec:
+    @pytest.mark.parametrize("kwargs", [
+        dict(omega=math.nan), dict(omega=math.inf), dict(phi=math.nan),
+        dict(amp1=math.nan), dict(amp2=math.inf), dict(amp1=-1.0),
+    ])
+    def test_rejects_invalid(self, kwargs):
+        with pytest.raises(ValueError):
+            DriveSpec(**{"omega": 120.0, **kwargs})
+
+
 class TestIntegrate:
     def test_free_decay_matches_modal_solution(self, default_bg):
         # no drive: da/dt etc. is linear; compare against expm of the 2x2
