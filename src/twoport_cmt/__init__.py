@@ -15,6 +15,7 @@ from .model import (
     SpectrumTable,
     det_s,
     poles_zeros,
+    s_elements,
     scattering_matrix,
     single_beam_spectrum,
     steady_state_response,

@@ -9,6 +9,7 @@ metadata file, never into the data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,11 +20,10 @@ import numpy as np
 
 from . import fitting, regimes, timedomain
 from .model import (Background, DegenerateResponseError, ModelParams,
-                    scattering_matrix, single_beam_spectrum)
+                    s_elements, scattering_matrix, single_beam_spectrum)
 from .regimes import WindowTooNarrowError
 from .timedomain import DriveSpec, SteadyStateNotConvergedError
-from .twoport import (dets_from_observables, joint_absorbance, joint_extrema,
-                      delta_psi, wrap_phase, PhaseUndefinedError)
+from .twoport import dets_from_observables, joint_absorbance
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "TWOPORT_CMT_OUTDIR"
@@ -65,6 +65,40 @@ DEFAULT_CONFIG = {
 }
 
 
+_FLOAT = {"type": float}
+_INT = {"type": int}
+_WORDS = {"nargs": "+"}
+# flag -> (config path, argparse keywords); the argparse dest is the flag
+# name with dashes turned into underscores
+COMMON_FLAGS = {
+    "--output": ("output.path", {"help": "output file path"}),
+    "--format": ("output.format", {"choices": ["csv", "json"]}),
+    "--seed": ("seed", _INT),
+    **{f"--{name.replace('_', '-')}": (f"model.{name}", _FLOAT)
+       for name in DEFAULT_CONFIG["model"]},
+    "--r-b": ("background.r_b", _FLOAT),
+    "--theta-b": ("background.theta_b", _FLOAT),
+    "--grid-min": ("grid.min", _FLOAT),
+    "--grid-max": ("grid.max", _FLOAT),
+    "--grid-n": ("grid.n", _INT),
+}
+COMMAND_FLAGS = {
+    "sweep-phase": {"--omega": ("sweep_phase.omega", _FLOAT),
+                    "--n-phi": ("sweep_phase.n_phi", _INT)},
+    "joint": {"--n-phi": ("joint.n_phi", _INT)},
+    "cpa": {"--tol": ("cpa.tol", _FLOAT)},
+    "oracle-check": {"--n-samples": ("oracle_check.n_samples", _INT)},
+    "synth": {"--kinds": ("synth.kinds", _WORDS),
+              "--noise-sigma": ("synth.noise_sigma", _FLOAT)},
+    "fit": {"--data": ("fit.data", {}), "--free": ("fit.free", _WORDS)},
+}
+
+
+def _command_flags(command: str) -> dict:
+    """Every flag the subcommand takes besides --config, in --help order."""
+    return {**COMMON_FLAGS, **COMMAND_FLAGS.get(command, {})}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -95,28 +129,15 @@ def load_config(args) -> dict:
         if user.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError("unsupported schema_version")
         cfg = _merge(cfg, user)
-    overrides = {}
-    for name in ("omega0", "gamma_r", "gamma_nr", "gamma_m", "omega_rabi",
-                 "delta_m"):
-        v = getattr(args, name, None)
+    overrides: dict = {}
+    for flag, (path, _) in _command_flags(args.command).items():
+        v = getattr(args, flag[2:].replace("-", "_"))
         if v is not None:
-            overrides.setdefault("model", {})[name] = v
-    for name in ("r_b", "theta_b"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides.setdefault("background", {})[name] = v
-    if getattr(args, "grid_min", None) is not None:
-        overrides.setdefault("grid", {})["min"] = args.grid_min
-    if getattr(args, "grid_max", None) is not None:
-        overrides.setdefault("grid", {})["max"] = args.grid_max
-    if getattr(args, "grid_n", None) is not None:
-        overrides.setdefault("grid", {})["n"] = args.grid_n
-    if getattr(args, "output", None) is not None:
-        overrides.setdefault("output", {})["path"] = args.output
-    if getattr(args, "format", None) is not None:
-        overrides.setdefault("output", {})["format"] = args.format
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+            *parents, key = path.split(".")
+            node = overrides
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[key] = v
     return _merge(cfg, overrides)
 
 
@@ -208,38 +229,35 @@ def cmd_sweep_phase(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _fit_sinusoid(phis: np.ndarray, vals: np.ndarray):
-    """Least-squares fit of A + B sin(phi + c); returns (A, B, c)."""
-    design = np.column_stack([np.ones_like(phis), np.sin(phis), np.cos(phis)])
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    a0, ps, pc = coef
-    return float(a0), float(math.hypot(ps, pc)), float(math.atan2(pc, ps))
-
-
 def cmd_joint(cfg: dict) -> int:
     p = _build_model(cfg)
     bg = _build_background(cfg)
     grid = _build_grid(cfg)
     n_phi = int(cfg["joint"]["n_phi"])
+    if n_phi < 3:  # a sinusoid A + B sin(phi + c) needs three samples
+        raise ConfigError(f"joint.n_phi must be >= 3, got {n_phi}")
+    s11, s12, s22, bad = s_elements(p, bg, grid)
+    if bad.any():
+        raise DegenerateResponseError(
+            f"S undefined at omega={grid[bad][0]} (real pole of a lossless model)")
+    R1, R2, T = np.abs(s11) ** 2, np.abs(s22) ** 2, np.abs(s12) ** 2
+    a_avg = 0.5 * ((1.0 - R1 - T) + (1.0 - R2 - T))
+    a_mod = np.abs(np.conj(s11) * s12 + np.conj(s12) * s22)
+    # the output dephasing is undefined where a magnitude vanishes
+    defined = np.minimum(np.minimum(np.abs(s11), np.abs(s22)), np.abs(s12)) >= 1e-9
+    dpsi = np.where(defined, fitting.model_values(p, bg, grid, "dpsi"), math.nan)
+    # the same dephasing measured instead: the phase offset of the two output
+    # intensities A + B sin(phi + c) over the input dephasing phi, fitted for
+    # every (port, omega) column at once
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
-    rows = []
-    for w in grid:
-        S = scattering_matrix(p, bg, float(w))
-        ext = joint_extrema(S)
-        abs_det = abs(S.det())
-        try:
-            dpsi = delta_psi(S)
-        except PhaseUndefinedError:
-            rows.append((w, ext.a_min, ext.a_max, ext.a_avg, math.nan,
-                         abs_det, math.nan))
-            continue
-        out = np.array([joint_absorbance(S, phi)[1:] for phi in phis])
-        _, _, c1 = _fit_sinusoid(phis, out[:, 0])
-        _, _, c2 = _fit_sinusoid(phis, out[:, 1])
-        dpsi_fit = wrap_phase(c2 - c1)
-        recon = dets_from_observables(abs(S.s12) ** 2, abs(S.s11) ** 2,
-                                      abs(S.s22) ** 2, dpsi_fit)
-        rows.append((w, ext.a_min, ext.a_max, ext.a_avg, dpsi, abs_det, recon))
+    e = np.exp(1j * phis)[:, None]
+    outs = np.abs(np.concatenate([s11 + s12 * e, s12 + s22 * e], axis=1)) ** 2
+    design = np.column_stack([np.ones_like(phis), np.sin(phis), np.cos(phis)])
+    (_, ps, pc), *_ = np.linalg.lstsq(design, outs, rcond=None)
+    c1, c2 = np.split(np.arctan2(pc, ps), 2)
+    recon = np.where(defined, dets_from_observables(T, R1, R2, c2 - c1), math.nan)
+    rows = zip(grid, a_avg - a_mod, a_avg + a_mod, a_avg, dpsi,
+               np.abs(s11 * s22 - s12 * s12), recon)
     write_output(cfg, "joint", HEADERS["joint"], rows)
     return EXIT_OK
 
@@ -338,6 +356,11 @@ def cmd_fit(cfg: dict) -> int:
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    if not (result.converged and math.isfinite(result.residual)):
+        print(f"numerical error: fit not converged after {result.n_iter} "
+              f"iterations (residual {result.residual}); {path} written",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -353,7 +376,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (do not modify it)."""
     parser = argparse.ArgumentParser(
         prog="twoport-cmt",
         description="Two-port coupled-oscillator scattering toolkit",
@@ -362,80 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--output", help="output file path")
-        sp.add_argument("--format", choices=["csv", "json"])
-        sp.add_argument("--seed", type=int)
-        for pname in ("omega0", "gamma_r", "gamma_nr", "gamma_m",
-                      "omega_rabi", "delta_m"):
-            sp.add_argument(f"--{pname.replace('_', '-')}", dest=pname,
-                            type=float)
-        sp.add_argument("--r-b", dest="r_b", type=float)
-        sp.add_argument("--theta-b", dest="theta_b", type=float)
-        sp.add_argument("--grid-min", type=float)
-        sp.add_argument("--grid-max", type=float)
-        sp.add_argument("--grid-n", type=int)
-        if name == "sweep-phase":
-            sp.add_argument("--omega", type=float)
-            sp.add_argument("--n-phi", type=int)
-        if name == "joint":
-            sp.add_argument("--n-phi", type=int)
-        if name == "cpa":
-            sp.add_argument("--tol", type=float)
-        if name == "oracle-check":
-            sp.add_argument("--n-samples", type=int)
-        if name == "synth":
-            sp.add_argument("--kinds", nargs="+")
-            sp.add_argument("--noise-sigma", type=float)
-        if name == "fit":
-            sp.add_argument("--data")
-            sp.add_argument("--free", nargs="+")
+        for flag, (_, kwargs) in _command_flags(name).items():
+            sp.add_argument(flag, **kwargs)
     return parser
-
-
-def _apply_subcommand_flags(cfg: dict, args) -> dict:
-    over: dict = {}
-    if args.command == "sweep-phase":
-        blk = {}
-        if getattr(args, "omega", None) is not None:
-            blk["omega"] = args.omega
-        if getattr(args, "n_phi", None) is not None:
-            blk["n_phi"] = args.n_phi
-        if blk:
-            over["sweep_phase"] = blk
-    elif args.command == "joint":
-        if getattr(args, "n_phi", None) is not None:
-            over["joint"] = {"n_phi": args.n_phi}
-    elif args.command == "cpa":
-        if getattr(args, "tol", None) is not None:
-            over["cpa"] = {"tol": args.tol}
-    elif args.command == "oracle-check":
-        if getattr(args, "n_samples", None) is not None:
-            over["oracle_check"] = {"n_samples": args.n_samples}
-    elif args.command == "synth":
-        blk = {}
-        if getattr(args, "kinds", None) is not None:
-            blk["kinds"] = args.kinds
-        if getattr(args, "noise_sigma", None) is not None:
-            blk["noise_sigma"] = args.noise_sigma
-        if blk:
-            over["synth"] = blk
-    elif args.command == "fit":
-        blk = {}
-        if getattr(args, "data", None) is not None:
-            blk["data"] = args.data
-        if getattr(args, "free", None) is not None:
-            blk["free"] = args.free
-        if blk:
-            over["fit"] = blk
-    return _merge(cfg, over) if over else cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        cfg = _apply_subcommand_flags(cfg, args)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

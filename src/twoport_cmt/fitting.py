@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import Background, ModelParams, single_beam_spectrum
+from .model import Background, ModelParams, s_elements
 
 INTENSITY_KINDS = ("R1", "R2", "T", "A1", "A2", "A_joint_max", "A_joint_min")
 KINDS = INTENSITY_KINDS + ("dpsi",)
@@ -36,8 +36,9 @@ class SpectrumDataset:
         n = self.omega.size
         if not (len(self.kind) == self.value.size == self.sigma.size == n):
             raise ValueError("dataset columns must have equal length")
-        if not np.all(np.isfinite(self.omega)):
-            raise ValueError("omegas must be finite")
+        for name in ("omega", "value", "sigma"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"dataset {name} column must be finite")
         if np.any(self.sigma <= 0):
             raise ValueError("sigma must be > 0")
         for k in self.kind:
@@ -96,45 +97,24 @@ def _wrap_array(x: np.ndarray) -> np.ndarray:
 
 
 def model_values(p: ModelParams, bg: Background, omega, kind: str) -> np.ndarray:
-    """Model prediction of one observable kind on an energy grid."""
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    # single_beam_spectrum wants a strictly increasing grid; evaluate on the
-    # sorted unique frequencies and scatter back
-    uw, inv = np.unique(w, return_inverse=True)
-    if uw.size < 2:
-        uw = np.append(uw, uw[-1] + 1.0)
-    table = single_beam_spectrum(p, bg, uw)
-    if kind in ("R1", "R2", "T", "A1", "A2"):
-        out = getattr(table, kind)
-    elif kind == "A_joint_max":
-        out = 0.5 * (table.A1 + table.A2) + _a_mod_grid(p, bg, uw)
-    elif kind == "A_joint_min":
-        out = 0.5 * (table.A1 + table.A2) - _a_mod_grid(p, bg, uw)
-    elif kind == "dpsi":
-        out = _dpsi_grid(p, bg, uw)
-    else:
+    """Model prediction of one observable kind at the energies omega (any
+    order, repeats allowed)."""
+    if kind not in KINDS:
         raise ValueError(f"unknown observable kind {kind!r}")
-    return out[inv]
-
-
-def _s_elements(p: ModelParams, bg: Background, w: np.ndarray):
-    resp_c = 1j * (w - p.omega0) + p.gamma_c
-    resp_m = 1j * (w - p.omega_m) + p.gamma_m
-    den = resp_c * resp_m + p.omega_rabi**2
-    d0 = bg.coupling(p.gamma_r)
-    u = d0 * d0 * resp_m / den
-    C = bg.matrix()
-    return C[0, 0] + u, C[0, 1] + u, C[1, 1] + u
-
-
-def _a_mod_grid(p: ModelParams, bg: Background, w: np.ndarray) -> np.ndarray:
-    s11, s12, s22 = _s_elements(p, bg, w)
-    return np.abs(np.conj(s11) * s12 + np.conj(s12) * s22)
-
-
-def _dpsi_grid(p: ModelParams, bg: Background, w: np.ndarray) -> np.ndarray:
-    s11, s12, s22 = _s_elements(p, bg, w)
-    return _wrap_array(np.angle(s11) + np.angle(s22) - 2 * np.angle(s12))
+    s11, s12, s22, _ = s_elements(p, bg, np.atleast_1d(np.asarray(omega, dtype=float)))
+    if kind == "dpsi":
+        return _wrap_array(np.angle(s11) + np.angle(s22) - 2 * np.angle(s12))
+    R1 = np.abs(s11) ** 2
+    R2 = np.abs(s22) ** 2
+    T = np.abs(s12) ** 2
+    A1 = 1.0 - R1 - T
+    A2 = 1.0 - R2 - T
+    if kind in ("A_joint_max", "A_joint_min"):
+        # total output over the input dephasing is P0 + 2 Re(z e^{i phi})
+        a_mod = np.abs(np.conj(s11) * s12 + np.conj(s12) * s22)
+        a_avg = 0.5 * (A1 + A2)
+        return a_avg + a_mod if kind == "A_joint_max" else a_avg - a_mod
+    return {"R1": R1, "R2": R2, "T": T, "A1": A1, "A2": A2}[kind]
 
 
 def synth_dataset(p: ModelParams, bg: Background, grid, kinds,
@@ -275,14 +255,8 @@ def estimate_dets_curve(data: SpectrumDataset) -> DetsCurve:
     for w, k, v in zip(data.omega, data.kind, data.value):
         if k in needed:
             per_omega.setdefault(float(w), {})[k] = float(v)
-    omegas, dets, skipped = [], [], []
-    for w in sorted(per_omega):
-        row = per_omega[w]
-        if all(k in row for k in needed):
-            omegas.append(w)
-            dets.append(dets_from_observables(row["T"], row["R1"], row["R2"],
-                                              row["dpsi"]))
-        else:
-            skipped.append(w)
-    return DetsCurve(omega=np.array(omegas), abs_dets=np.array(dets),
+    omegas = sorted(w for w, row in per_omega.items() if len(row) == len(needed))
+    skipped = sorted(w for w, row in per_omega.items() if len(row) < len(needed))
+    cols = [np.array([per_omega[w][k] for w in omegas]) for k in ("T", "R1", "R2", "dpsi")]
+    return DetsCurve(omega=np.array(omegas), abs_dets=dets_from_observables(*cols),
                      skipped=tuple(skipped))

@@ -152,46 +152,67 @@ def poles_zeros(p: ModelParams) -> PoleZeroSet:
     )
 
 
-def _response_matrix(p: ModelParams, omega: float) -> np.ndarray:
-    return np.array(
-        [
-            [1j * (omega - p.omega0) + p.gamma_c, -1j * p.omega_rabi],
-            [-1j * p.omega_rabi, 1j * (omega - p.omega_m) + p.gamma_m],
-        ],
-        dtype=complex,
-    )
-
-
 def _degeneracy_scale(p: ModelParams, omega) -> float:
     return (1.0 + abs(omega - p.omega0) + p.gamma_c + p.gamma_m + p.omega_rabi) ** 2
+
+
+def _response(p: ModelParams, omega):
+    """Matter factor, response denominator resp_c * matter + Omega^2 and the
+    degenerate mask (real pole of a lossless model) at the frequencies omega.
+
+    The matter factor is resp_m = i(omega - omega_m) + gamma_m; with Omega = 0
+    the undriven matter drops out and it is 1, so an undamped matter line
+    does not make the cavity response degenerate.
+    """
+    w = np.asarray(omega, dtype=float)
+    matter = 1j * (w - p.omega_m) + p.gamma_m if p.omega_rabi else 1.0
+    den = (1j * (w - p.omega0) + p.gamma_c) * matter + p.omega_rabi**2
+    return matter, den, np.abs(den) < 1e-12 * _degeneracy_scale(p, w)
+
+
+def s_elements(p: ModelParams, bg: Background, omega):
+    """S(omega) = C + u(omega) [[1, 1], [1, 1]] with u = d0^2 matter / den,
+    broadcast over omega; returns (s11, s12 = s21, s22, degenerate).
+
+    Every S entry gets the same rank-1 increment u on top of the background
+    (temporal coupled-mode theory: Fan, Suh and Joannopoulos, JOSA A 20, 569
+    (2003)). Degenerate points hold NaN.
+    """
+    matter, den, bad = _response(p, omega)
+    d0 = bg.coupling(p.gamma_r)
+    u = np.where(bad, np.nan, d0 * d0 * matter / np.where(bad, 1.0, den))
+    C = bg.matrix()
+    return C[0, 0] + u, C[0, 1] + u, C[1, 1] + u, bad
 
 
 def steady_state_response(p, bg, omega, s_plus):
     """Steady-state (d/dt -> i omega) solution of the coupled equations.
 
     Returns (a, b, s_minus) for inputs s_plus = (s1+, s2+); the outputs are
-    s_minus = C s_plus + a |d>.
+    s_minus = C s_plus + a |d>. Eliminating b from the 2x2 system gives
+    a = drive matter / den and b = i Omega drive / den (see `_response`).
     """
-    m = _response_matrix(p, omega)
-    decoupled = p.omega_rabi == 0  # undriven matter, b = 0: only a can be singular
-    det = m[0, 0] * (1.0 if decoupled else m[1, 1]) - m[0, 1] * m[1, 0]
-    if abs(det) < 1e-12 * _degeneracy_scale(p, omega):
+    matter, den, bad = _response(p, omega)
+    if bad:
         raise DegenerateResponseError(
             f"steady-state system singular at omega={omega} (real pole of a lossless model)"
         )
     d0 = bg.coupling(p.gamma_r)
     drive = d0 * (s_plus[0] + s_plus[1])
-    a, b = ((drive / m[0, 0], 0j) if decoupled else
-            np.linalg.solve(m, np.array([drive, 0.0], dtype=complex)))
+    a = drive * matter / den
+    b = 1j * p.omega_rabi * drive / den
     s_out = bg.matrix() @ np.asarray(s_plus, dtype=complex) + a * np.array([d0, d0])
     return complex(a), complex(b), (complex(s_out[0]), complex(s_out[1]))
 
 
 def scattering_matrix(p: ModelParams, bg: Background, omega: float) -> SMatrix2:
-    """S(omega) built column-wise from the steady-state linear solve."""
-    _, _, col1 = steady_state_response(p, bg, omega, (1.0, 0.0))
-    _, _, col2 = steady_state_response(p, bg, omega, (0.0, 1.0))
-    return SMatrix2(col1[0], col2[0], col1[1], col2[1])
+    """S(omega) at one frequency, from `s_elements`."""
+    s11, s12, s22, bad = s_elements(p, bg, omega)
+    if bad:
+        raise DegenerateResponseError(
+            f"S undefined at omega={omega} (real pole of a lossless model)"
+        )
+    return SMatrix2(complex(s11), complex(s12), complex(s12), complex(s22))
 
 
 def det_s(p: ModelParams, omega: float) -> complex:
@@ -209,16 +230,14 @@ def det_s(p: ModelParams, omega: float) -> complex:
 def _det_s_grid(p: ModelParams, omega: np.ndarray):
     """Vectorized pole-zero ratio; returns (values, degenerate mask). The
     quadratics are kept as (w - c_cav)(w - c_mat) - Omega^2, the equation that
-    `poles_zeros` solves; with Omega = 0 the common matter factor is cancelled."""
+    `poles_zeros` solves; with Omega = 0 the common matter factor is cancelled.
+    The mask is `_response`'s."""
     w = np.asarray(omega, dtype=float)
+    _, _, bad = _response(p, w)
     mat = w - (p.omega_m + 1j * p.gamma_m) if p.omega_rabi else 1.0
     num = (w - (p.omega0 + 1j * (p.gamma_nr - p.gamma_r))) * mat - p.omega_rabi**2
     den = (w - (p.omega0 + 1j * p.gamma_c)) * mat - p.omega_rabi**2
-    bad = np.abs(den) < 1e-12 * _degeneracy_scale(p, w)
-    safe = np.where(bad, 1.0, den)
-    vals = num / safe
-    vals = np.where(bad, np.nan + 0j, vals)
-    return vals, bad
+    return np.where(bad, np.nan + 0j, num / np.where(bad, 1.0, den)), bad
 
 
 def single_beam_spectrum(p: ModelParams, bg: Background, grid) -> SpectrumTable:
@@ -233,28 +252,12 @@ def single_beam_spectrum(p: ModelParams, bg: Background, grid) -> SpectrumTable:
     if not np.all(np.diff(w) > 0):
         raise ValueError("grid must be strictly increasing")
 
-    resp_c = 1j * (w - p.omega0) + p.gamma_c
-    resp_m = 1j * (w - p.omega_m) + p.gamma_m
-    den = resp_c * resp_m + p.omega_rabi**2
-    bad_resp = np.abs(den) < 1e-12 * _degeneracy_scale(p, w)
-    safe = np.where(bad_resp, 1.0, den)
-    d0 = bg.coupling(p.gamma_r)
-    # cavity amplitude for unit input on either port; every S entry gets the
-    # same rank-1 increment d0^2 resp_m / den on top of the background
-    u = d0 * d0 * resp_m / safe
-    C = bg.matrix()
-    s11 = C[0, 0] + u
-    s22 = C[1, 1] + u
-    s12 = C[0, 1] + u
-
-    dets, bad_pz = _det_s_grid(p, w)
-    bad = bad_resp | bad_pz
+    s11, s12, s22, bad = s_elements(p, bg, w)
     R1 = np.abs(s11) ** 2
     R2 = np.abs(s22) ** 2
     T = np.abs(s12) ** 2
-    abs_dets = np.abs(dets)
-    for arr in (R1, R2, T, abs_dets):
-        arr[bad] = np.nan
+    # |det S| from the pole-zero ratio, independent of the S entries
+    abs_dets = np.abs(_det_s_grid(p, w)[0])
     A1 = 1.0 - R1 - T
     A2 = 1.0 - R2 - T
     B = 1.0 - abs_dets**2

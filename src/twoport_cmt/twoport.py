@@ -10,6 +10,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import SMatrix2
 
 _RECIPROCITY_TOL = 1e-9
@@ -134,13 +136,14 @@ def delta_psi(S: SMatrix2) -> float:
     return wrap_phase(d.psi1 + d.psi2 - math.pi)
 
 
-def dets_from_observables(T: float, R1: float, R2: float, dpsi: float) -> float:
-    """|det S| = |T - e^{i dpsi} sqrt(R1 R2)| from intensity observables."""
-    vals = {"T": T, "R1": R1, "R2": R2}
+def dets_from_observables(T, R1, R2, dpsi):
+    """|det S| = |T - e^{i dpsi} sqrt(R1 R2)| from intensity observables;
+    broadcasts over numpy arrays. T, R1 and R2 must lie in [0, 1] up to
+    1e-12 of float noise, which is clamped away."""
+    vals = {"T": np.asarray(T), "R1": np.asarray(R1), "R2": np.asarray(R2)}
     for name, v in vals.items():
-        if not -1e-12 <= v <= 1.0 + 1e-12:
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")
-    T = min(max(T, 0.0), 1.0)
-    R1 = min(max(R1, 0.0), 1.0)
-    R2 = min(max(R2, 0.0), 1.0)
-    return abs(T - cmath.exp(1j * dpsi) * math.sqrt(R1 * R2))
+        outside = ~((-1e-12 <= v) & (v <= 1.0 + 1e-12))  # NaN is outside too
+        if outside.any():
+            raise ValueError(f"{name} must lie in [0, 1], got {v[outside].flat[0]}")
+    T, R1, R2 = (np.clip(v, 0.0, 1.0) for v in vals.values())
+    return np.abs(T - np.exp(1j * dpsi) * np.sqrt(R1 * R2))

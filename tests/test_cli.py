@@ -1,4 +1,6 @@
 """CLI end-to-end: configs, outputs, determinism, exit codes."""
+import argparse
+import cmath
 import csv
 import json
 import math
@@ -6,7 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from twoport_cmt.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, HEADERS, main
+from twoport_cmt import fitting
+from twoport_cmt.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, HEADERS,
+                             build_parser, load_config, main)
 
 
 def run(tmp_path, monkeypatch, argv, outdir=None):
@@ -126,6 +130,94 @@ class TestConfigHandling:
             == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_finite_dataset_rejected(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.csv"
+        data.write_text("omega_meV,kind,value,sigma\n"
+                        "120,R1,0.5,0.01\n121,R1,nan,0.01\n122,R1,0.4,0.01\n")
+        out = tmp_path / "fit.json"
+        assert run(tmp_path, monkeypatch,
+                   ["fit", "--data", str(data), "--output", str(out)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+
+
+COMMON_FLAGS = [
+    "--config", "--output", "--format", "--seed", "--omega0", "--gamma-r",
+    "--gamma-nr", "--gamma-m", "--omega-rabi", "--delta-m", "--r-b",
+    "--theta-b", "--grid-min", "--grid-max", "--grid-n",
+]
+EXTRA_FLAGS = {
+    "spectrum": [],
+    "sweep-phase": ["--omega", "--n-phi"],
+    "joint": ["--n-phi"],
+    "phase-diagram": [],
+    "cpa": ["--tol"],
+    "oracle-check": ["--n-samples"],
+    "synth": ["--kinds", "--noise-sigma"],
+    "fit": ["--data", "--free"],
+}
+# flag -> (argv values, config path, parsed value)
+FLAG_TARGETS = {
+    "--output": (["o.csv"], ("output", "path"), "o.csv"),
+    "--format": (["json"], ("output", "format"), "json"),
+    "--seed": (["7"], ("seed",), 7),
+    "--omega0": (["120.5"], ("model", "omega0"), 120.5),
+    "--gamma-r": (["1.5"], ("model", "gamma_r"), 1.5),
+    "--gamma-nr": (["0.5"], ("model", "gamma_nr"), 0.5),
+    "--gamma-m": (["2.5"], ("model", "gamma_m"), 2.5),
+    "--omega-rabi": (["6.5"], ("model", "omega_rabi"), 6.5),
+    "--delta-m": (["-1.5"], ("model", "delta_m"), -1.5),
+    "--r-b": (["0.5"], ("background", "r_b"), 0.5),
+    "--theta-b": (["0.25"], ("background", "theta_b"), 0.25),
+    "--grid-min": (["100.5"], ("grid", "min"), 100.5),
+    "--grid-max": (["150.5"], ("grid", "max"), 150.5),
+    "--grid-n": (["11"], ("grid", "n"), 11),
+    ("sweep-phase", "--omega"): (["117.5"], ("sweep_phase", "omega"), 117.5),
+    ("sweep-phase", "--n-phi"): (["16"], ("sweep_phase", "n_phi"), 16),
+    ("joint", "--n-phi"): (["16"], ("joint", "n_phi"), 16),
+    ("cpa", "--tol"): (["1e-8"], ("cpa", "tol"), 1e-8),
+    ("oracle-check", "--n-samples"): (["3"], ("oracle_check", "n_samples"), 3),
+    ("synth", "--kinds"): (["R1", "T"], ("synth", "kinds"), ["R1", "T"]),
+    ("synth", "--noise-sigma"): (["0.01"], ("synth", "noise_sigma"), 0.01),
+    ("fit", "--data"): (["d.csv"], ("fit", "data"), "d.csv"),
+    ("fit", "--free"): (["omega0", "gamma_m"], ("fit", "free"),
+                        ["omega0", "gamma_m"]),
+}
+
+
+class TestFlagTable:
+    @staticmethod
+    def _subparsers():
+        action = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_accepted_flags(self):
+        subs = self._subparsers()
+        assert list(subs) == list(EXTRA_FLAGS)
+        for command, extra in EXTRA_FLAGS.items():
+            got = [opt for a in subs[command]._actions for opt in a.option_strings
+                   if opt not in ("-h", "--help")]
+            assert got == COMMON_FLAGS + extra, command
+
+    def test_flag_reaches_config_path(self):
+        for command, extra in EXTRA_FLAGS.items():
+            base = load_config(build_parser().parse_args([command]))
+            for flag in COMMON_FLAGS[1:] + extra:
+                values, path, want = FLAG_TARGETS.get((command, flag),
+                                                      FLAG_TARGETS.get(flag))
+                cfg = load_config(build_parser().parse_args([command, flag, *values]))
+                # the flag sets its own config path and nothing else
+                expected = json.loads(json.dumps(base))
+                node = expected
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = want
+                assert cfg == expected, (command, flag)
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
 
 class TestNumericalExit:
     def test_degenerate_grid_point(self, tmp_path, monkeypatch, capsys):
@@ -138,6 +230,25 @@ class TestNumericalExit:
                     "--grid-n", "3"])
         assert code == EXIT_NUMERICAL
         assert "DegenerateResponseError" in capsys.readouterr().err
+
+    def test_non_converged_fit(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["synth", "--output", str(data), "--grid-n", "21"]) == EXIT_OK
+        real_fit = fitting.fit_params
+
+        def stalled(*args, **kwargs):
+            res = real_fit(*args, **kwargs)
+            return fitting.FitResult(res.params, res.background, res.residual,
+                                     res.n_iter, False, res.param_sigma)
+
+        monkeypatch.setattr(fitting, "fit_params", stalled)
+        result = tmp_path / "fit.json"
+        code = run(tmp_path, monkeypatch,
+                   ["fit", "--data", str(data), "--output", str(result)])
+        assert code == EXIT_NUMERICAL
+        assert json.loads(result.read_text())["converged"] is False
+        assert "not converged" in capsys.readouterr().err
 
 
 class TestSweepPhase:
@@ -168,6 +279,61 @@ class TestJoint:
             direct = float(r[5])
             recon = float(r[6])
             assert recon == pytest.approx(direct, abs=1e-9)
+
+    def test_columns_match_scalar_reference(self, tmp_path, monkeypatch):
+        # per-frequency reference: the model-agnostic 2x2 analysis of S
+        from twoport_cmt import (Background, ModelParams, delta_psi,
+                                 joint_extrema, scattering_matrix)
+        out = tmp_path / "joint.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["joint", "--output", str(out), "--grid-n", "41",
+                    "--gamma-nr", "0.5", "--delta-m", "1.5", "--r-b", "0.7",
+                    "--theta-b", "0.4"]) == EXIT_OK
+        _, rows = read_csv(out)
+        p = ModelParams(124.5, 3.0, 0.5, 5.0, 8.0, delta_m=1.5)
+        bg = Background(0.7, 0.4)
+        for r in rows:
+            w, a_min, a_max, a_avg, dpsi, dets, _ = map(float, r)
+            S = scattering_matrix(p, bg, w)
+            ext = joint_extrema(S)
+            assert (a_min, a_max, a_avg) == pytest.approx(
+                (ext.a_min, ext.a_max, ext.a_avg), abs=1e-12)
+            assert abs(cmath.exp(1j * dpsi) - cmath.exp(1j * delta_psi(S))) < 1e-12
+            assert dets == pytest.approx(abs(S.det()), abs=1e-12)
+
+    @pytest.mark.parametrize("n_phi", ["0", "2"])
+    def test_too_few_phases_rejected(self, tmp_path, monkeypatch, n_phi):
+        out = tmp_path / "joint.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["joint", "--output", str(out), "--n-phi", n_phi]) \
+            == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_undefined_dephasing(self, tmp_path, monkeypatch):
+        # gamma_r = 0 leaves S = C with tau = 0: no output dephasing exists
+        out = tmp_path / "joint.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["joint", "--output", str(out), "--gamma-r", "0",
+                    "--grid-n", "5"]) == EXIT_OK
+        _, rows = read_csv(out)
+        for r in rows:
+            assert math.isnan(float(r[4])) and math.isnan(float(r[6]))
+            assert float(r[5]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_undamped_decoupled_matter(self, tmp_path, monkeypatch):
+        # Omega = gamma_m = 0 puts an undriven, undamped matter line on the
+        # grid point 124.5; S is defined there, |det S| = |g_nr - g_r| / g_c
+        out = tmp_path / "joint.csv"
+        code = run(tmp_path, monkeypatch,
+                   ["joint", "--output", str(out), "--omega0", "124.5",
+                    "--gamma-r", "3", "--gamma-nr", "1", "--gamma-m", "0",
+                    "--omega-rabi", "0", "--grid-min", "120",
+                    "--grid-max", "129", "--grid-n", "3"])
+        assert code == EXIT_OK
+        _, rows = read_csv(out)
+        assert float(rows[1][0]) == 124.5
+        assert float(rows[1][5]) == pytest.approx(0.5, abs=1e-12)
+        assert float(rows[1][6]) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestPhaseDiagram:

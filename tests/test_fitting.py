@@ -100,6 +100,16 @@ class TestSynthDataset:
             SpectrumDataset(np.array([1.0]), ("R1",), np.array([0.5]),
                             np.array([0.0]))
 
+    @pytest.mark.parametrize("column,bad", [
+        ("value", math.nan), ("value", math.inf), ("sigma", math.nan),
+        ("sigma", math.inf),
+    ])
+    def test_rejects_non_finite(self, column, bad):
+        cols = {"value": np.array([0.5, 0.5]), "sigma": np.array([0.1, 0.1])}
+        cols[column][1] = bad
+        with pytest.raises(ValueError):
+            SpectrumDataset(np.array([1.0, 2.0]), ("R1", "dpsi"), **cols)
+
 
 class TestFitParams:
     def test_noiseless_recovery(self, headline_params, default_bg):

@@ -13,6 +13,7 @@ from twoport_cmt import (
     ModelParams,
     det_s,
     poles_zeros,
+    s_elements,
     scattering_matrix,
     single_beam_spectrum,
     steady_state_response,
@@ -150,6 +151,42 @@ class TestScatteringMatrix:
             abs(det_s(headline_params, w)), abs=1e-10)
 
 
+class TestSElements:
+    def test_matches_linear_solve(self):
+        # independent route: the 2x2 coupled-mode system solved per frequency
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            p = random_passive_params(rng, rate_lo=0.1)
+            bg = Background(float(rng.uniform(0, 1)), float(rng.uniform(-3, 3)))
+            w = p.omega0 + rng.uniform(-20, 20, size=(3, 4))
+            s11, s12, s22, bad = s_elements(p, bg, w)
+            assert s11.shape == s12.shape == s22.shape == bad.shape == w.shape
+            assert not bad.any()
+            d0 = bg.coupling(p.gamma_r)
+            for idx in np.ndindex(w.shape):
+                m = np.array([[1j * (w[idx] - p.omega0) + p.gamma_c, -1j * p.omega_rabi],
+                              [-1j * p.omega_rabi, 1j * (w[idx] - p.omega_m) + p.gamma_m]])
+                # unit input on either port drives the cavity with d0
+                a = np.linalg.solve(m, np.array([d0, 0.0]))[0]
+                want = bg.matrix() + a * d0  # s_minus = C s_plus + a (d0, d0)
+                got = np.array([[s11[idx], s12[idx]], [s12[idx], s22[idx]]])
+                assert np.abs(got - want).max() < 1e-12
+
+    def test_scalar_frequency(self, headline_params, default_bg):
+        s11, s12, s22, bad = s_elements(headline_params, default_bg, 117.65)
+        S = scattering_matrix(headline_params, default_bg, 117.65)
+        assert (complex(s11), complex(s12), complex(s22)) == (S.s11, S.s12, S.s22)
+        assert not bad
+
+    def test_degenerate_point_is_nan(self, default_bg):
+        p = ModelParams(100.0, 0.0, 0.0, 0.0, 8.0)
+        s11, s12, s22, bad = s_elements(p, default_bg, np.array([90.0, 108.0]))
+        assert bad.tolist() == [False, True]
+        assert all(np.isnan(s[1]) and np.isfinite(s[0]) for s in (s11, s12, s22))
+        with pytest.raises(DegenerateResponseError):
+            scattering_matrix(p, default_bg, 108.0)
+
+
 class TestPolesZeros:
     def test_lossless_rabi_doublet(self):
         p = ModelParams(100.0, 0.0, 0.0, 0.0, 8.0)
@@ -274,6 +311,17 @@ class TestSingleBeamSpectrum:
         assert bool(t.degenerate[1])
         assert np.isnan(t.B[1])
         assert not t.degenerate[0] and not t.degenerate[2]
+
+    def test_undamped_decoupled_matter_row(self, default_bg):
+        # Omega = 0: the undriven matter line at omega_m = omega0 drops out
+        # of S, so the row is defined, with R1 = (gamma_nr / gamma_c)^2
+        p = ModelParams(124.5, 3.0, 1.0, 0.0, 0.0)
+        t = single_beam_spectrum(p, default_bg, [120.0, 124.5, 129.0])
+        assert not t.degenerate.any()
+        assert t.R1[1] == pytest.approx(1 / 16, abs=1e-15)
+        assert t.abs_dets[1] == pytest.approx(0.5, abs=1e-15)  # |g_nr - g_r| / g_c
+        S = scattering_matrix(p, default_bg, 124.5)
+        assert abs(S.det()) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestInvariantProperties:

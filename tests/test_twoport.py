@@ -170,6 +170,24 @@ class TestDetsFromObservables:
         # values a hair outside [0, 1] from float noise are accepted
         assert dets_from_observables(-1e-14, 0.0, 0.0, 0.0) == 0.0
 
+    def test_broadcasts_over_arrays(self):
+        rng = np.random.default_rng(71)
+        mats = [random_reciprocal_smatrix(rng, mag_lo=0.1) for _ in range(12)]
+        T, R1, R2 = (np.array([abs(getattr(S, k)) ** 2 for S in mats]).reshape(3, 4)
+                     for k in ("s12", "s11", "s22"))
+        dpsi = np.array([delta_psi(S) for S in mats]).reshape(3, 4)
+        got = dets_from_observables(T, R1, R2, dpsi)
+        assert got.shape == (3, 4)
+        want = [dets_from_observables(*args) for args in
+                zip(T.flat, R1.flat, R2.flat, dpsi.flat)]
+        assert np.abs(got.ravel() - want).max() < 1e-15
+
+    @pytest.mark.parametrize("bad", [1.2, -0.2, math.nan])
+    def test_validates_array_entries(self, bad):
+        R1 = np.array([0.1, bad, 0.3])
+        with pytest.raises(ValueError):
+            dets_from_observables(np.full(3, 0.2), R1, np.full(3, 0.2), np.zeros(3))
+
     def test_model_round_trip(self):
         p = ModelParams(124.5, 3.0, 0.0, 5.0, 8.0)
         bg = Background(0.8, 0.4)
