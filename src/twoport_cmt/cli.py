@@ -240,12 +240,11 @@ def cmd_joint(cfg: dict) -> int:
     if bad.any():
         raise DegenerateResponseError(
             f"S undefined at omega={grid[bad][0]} (real pole of a lossless model)")
-    R1, R2, T = np.abs(s11) ** 2, np.abs(s22) ** 2, np.abs(s12) ** 2
-    a_avg = 0.5 * ((1.0 - R1 - T) + (1.0 - R2 - T))
-    a_mod = np.abs(np.conj(s11) * s12 + np.conj(s12) * s22)
+    R1, R2, T, a_min, a_max, dpsi = (
+        fitting.observable(s11, s12, s22, kind)
+        for kind in ("R1", "R2", "T", "A_joint_min", "A_joint_max", "dpsi"))
     # the output dephasing is undefined where a magnitude vanishes
     defined = np.minimum(np.minimum(np.abs(s11), np.abs(s22)), np.abs(s12)) >= 1e-9
-    dpsi = np.where(defined, fitting.model_values(p, bg, grid, "dpsi"), math.nan)
     # the same dephasing measured instead: the phase offset of the two output
     # intensities A + B sin(phi + c) over the input dephasing phi, fitted for
     # every (port, omega) column at once
@@ -256,8 +255,9 @@ def cmd_joint(cfg: dict) -> int:
     (_, ps, pc), *_ = np.linalg.lstsq(design, outs, rcond=None)
     c1, c2 = np.split(np.arctan2(pc, ps), 2)
     recon = np.where(defined, dets_from_observables(T, R1, R2, c2 - c1), math.nan)
-    rows = zip(grid, a_avg - a_mod, a_avg + a_mod, a_avg, dpsi,
-               np.abs(s11 * s22 - s12 * s12), recon)
+    rows = zip(grid, a_min, a_max, 0.5 * (a_min + a_max),
+               np.where(defined, dpsi, math.nan), np.abs(s11 * s22 - s12 * s12),
+               recon)
     write_output(cfg, "joint", HEADERS["joint"], rows)
     return EXIT_OK
 
@@ -272,15 +272,10 @@ def cmd_phase_diagram(cfg: dict) -> int:
                                      block["y_param"], ys)
     except ValueError as exc:
         raise ConfigError(f"phase_diagram: {exc}")
-    rows = []
-    from dataclasses import replace
-    for j, yv in enumerate(ys):
-        for i, xv in enumerate(xs):
-            pt = replace(p, **{block["x_param"]: float(xv),
-                               block["y_param"]: float(yv)})
-            rows.append((xv, yv, regimes.count_peaks(pt),
-                         loci.scc_residual[j, i], loci.wcc_residual[j, i],
-                         loci.min_abs_dets[j, i]))
+    yy, xx = np.meshgrid(ys, xs, indexing="ij")
+    rows = zip(xx.ravel(), yy.ravel(), loci.n_peaks.ravel(),
+               loci.scc_residual.ravel(), loci.wcc_residual.ravel(),
+               loci.min_abs_dets.ravel())
     write_output(cfg, "phase-diagram", HEADERS["phase-diagram"], rows)
     return EXIT_OK
 

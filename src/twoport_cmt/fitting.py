@@ -99,9 +99,14 @@ def _wrap_array(x: np.ndarray) -> np.ndarray:
 def model_values(p: ModelParams, bg: Background, omega, kind: str) -> np.ndarray:
     """Model prediction of one observable kind at the energies omega (any
     order, repeats allowed)."""
+    s11, s12, s22, _ = s_elements(p, bg, np.atleast_1d(np.asarray(omega, dtype=float)))
+    return observable(s11, s12, s22, kind)
+
+
+def observable(s11, s12, s22, kind: str) -> np.ndarray:
+    """One observable kind from the S elements (s12 = s21)."""
     if kind not in KINDS:
         raise ValueError(f"unknown observable kind {kind!r}")
-    s11, s12, s22, _ = s_elements(p, bg, np.atleast_1d(np.asarray(omega, dtype=float)))
     if kind == "dpsi":
         return _wrap_array(np.angle(s11) + np.angle(s22) - 2 * np.angle(s12))
     R1 = np.abs(s11) ** 2
@@ -191,9 +196,10 @@ def fit_params(data: SpectrumDataset, init: ModelParams,
         if name not in FITTABLE:
             raise ValueError(f"unknown fit parameter {name!r}")
     bg = background if background is not None else Background()
-    groups: dict[str, np.ndarray] = {}
-    for k in set(data.kind):
-        groups[k] = np.array([i for i, kk in enumerate(data.kind) if kk == k])
+    # kinds in first-seen order, not a set's (which follows PYTHONHASHSEED),
+    # so chi^2 adds its per-kind sums in the same order in every process
+    kinds = np.array(data.kind)
+    groups = {k: np.flatnonzero(kinds == k) for k in dict.fromkeys(data.kind)}
     if not free:
         return FitResult(params=init, background=bg,
                          residual=_chi2(init, bg, data, groups),

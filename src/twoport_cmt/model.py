@@ -152,22 +152,24 @@ def poles_zeros(p: ModelParams) -> PoleZeroSet:
     )
 
 
-def _degeneracy_scale(p: ModelParams, omega) -> float:
-    return (1.0 + abs(omega - p.omega0) + p.gamma_c + p.gamma_m + p.omega_rabi) ** 2
+def _matter_rate(p):
+    """gamma_m, or 1 where Omega = 0: matter is then common to N and D, so the
+    rate leaves S and |N/D| unchanged, and an undriven line is never degenerate."""
+    return np.where(p.omega_rabi == 0, 1.0, p.gamma_m)
 
 
-def _response(p: ModelParams, omega):
-    """Matter factor, response denominator resp_c * matter + Omega^2 and the
-    degenerate mask (real pole of a lossless model) at the frequencies omega.
-
-    The matter factor is resp_m = i(omega - omega_m) + gamma_m; with Omega = 0
-    the undriven matter drops out and it is 1, so an undamped matter line
-    does not make the cavity response degenerate.
-    """
-    w = np.asarray(omega, dtype=float)
-    matter = 1j * (w - p.omega_m) + p.gamma_m if p.omega_rabi else 1.0
-    den = (1j * (w - p.omega0) + p.gamma_c) * matter + p.omega_rabi**2
-    return matter, den, np.abs(den) < 1e-12 * _degeneracy_scale(p, w)
+def _response(p, u):
+    """Matter factor, pole quadratic D = (i u + gamma_c) matter + Omega^2 and
+    degenerate mask (real pole of a lossless model) at u = omega - omega0,
+    with matter = i (u - delta_m) + `_matter_rate`. The zero quadratic is
+    N = D - 2 gamma_r matter. p is a `ModelParams` or a batch of models
+    whose fields broadcast against u."""
+    u = np.asarray(u, dtype=float)
+    g_c = p.gamma_r + p.gamma_nr
+    matter = 1j * (u - p.delta_m) + _matter_rate(p)
+    den = (1j * u + g_c) * matter + p.omega_rabi**2
+    scale = (1.0 + np.abs(u) + g_c + p.gamma_m + p.omega_rabi) ** 2
+    return matter, den, np.abs(den) < 1e-12 * scale
 
 
 def s_elements(p: ModelParams, bg: Background, omega):
@@ -178,7 +180,7 @@ def s_elements(p: ModelParams, bg: Background, omega):
     (temporal coupled-mode theory: Fan, Suh and Joannopoulos, JOSA A 20, 569
     (2003)). Degenerate points hold NaN.
     """
-    matter, den, bad = _response(p, omega)
+    matter, den, bad = _response(p, np.asarray(omega, dtype=float) - p.omega0)
     d0 = bg.coupling(p.gamma_r)
     u = np.where(bad, np.nan, d0 * d0 * matter / np.where(bad, 1.0, den))
     C = bg.matrix()
@@ -192,7 +194,7 @@ def steady_state_response(p, bg, omega, s_plus):
     s_minus = C s_plus + a |d>. Eliminating b from the 2x2 system gives
     a = drive matter / den and b = i Omega drive / den (see `_response`).
     """
-    matter, den, bad = _response(p, omega)
+    matter, den, bad = _response(p, omega - p.omega0)
     if bad:
         raise DegenerateResponseError(
             f"steady-state system singular at omega={omega} (real pole of a lossless model)"
@@ -227,16 +229,11 @@ def det_s(p: ModelParams, omega: float) -> complex:
     return complex(val)
 
 
-def _det_s_grid(p: ModelParams, omega: np.ndarray):
-    """Vectorized pole-zero ratio; returns (values, degenerate mask). The
-    quadratics are kept as (w - c_cav)(w - c_mat) - Omega^2, the equation that
-    `poles_zeros` solves; with Omega = 0 the common matter factor is cancelled.
-    The mask is `_response`'s."""
-    w = np.asarray(omega, dtype=float)
-    _, _, bad = _response(p, w)
-    mat = w - (p.omega_m + 1j * p.gamma_m) if p.omega_rabi else 1.0
-    num = (w - (p.omega0 + 1j * (p.gamma_nr - p.gamma_r))) * mat - p.omega_rabi**2
-    den = (w - (p.omega0 + 1j * p.gamma_c)) * mat - p.omega_rabi**2
+def _det_s_grid(p: ModelParams, omega):
+    """Vectorized pole-zero ratio N/D from `_response`; returns (values,
+    degenerate mask), NaN at degenerate points."""
+    matter, den, bad = _response(p, np.asarray(omega, dtype=float) - p.omega0)
+    num = den - 2 * p.gamma_r * matter
     return np.where(bad, np.nan + 0j, num / np.where(bad, 1.0, den)), bad
 
 

@@ -4,6 +4,7 @@ and coherent-perfect-absorption frequencies.
 On the real axis |det S|^2 = A(u) / B(u) with u = omega - omega0, A = |N|^2
 and B = |D|^2 for the zero and pole quadratics N, D, so every extremum of
 |det S| is a real root of the polynomial F = A'B - AB' (degree <= 5).
+N, D and the Omega = 0 rule come from `model._response`.
 """
 from __future__ import annotations
 
@@ -13,12 +14,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import Background, ModelParams, _det_s_grid, scattering_matrix
+from .model import (Background, ModelParams, _det_s_grid, _matter_rate,
+                    _response, scattering_matrix)
 from .twoport import joint_extrema
 
 _SWEEPABLE = ("gamma_r", "gamma_nr", "gamma_m", "omega_rabi")
 _PEAK_FLOOR = 1e-9  # minimum absorbance for a countable peak
+_PEAK_GRID = 601  # points of the `count_peaks` grid, also in every `critical_loci` cell
 _NEWTON_STEPS = 40  # a simple root needs 2-3; a near-double one halves its error per step
+_SCAN_CELLS = 16  # cells per block of the peak scan: small blocks stay in cache
 
 
 class WindowTooNarrowError(ValueError):
@@ -52,10 +56,12 @@ class CriticalLociMap:
     scc_residual: np.ndarray
     wcc_residual: np.ndarray
     min_abs_dets: np.ndarray
+    n_peaks: np.ndarray
 
 
 def _cells(p: ModelParams, n: int = 1, **sweep) -> SimpleNamespace:
-    """The fields of p as length-n arrays, the swept ones replaced."""
+    """The fields of p as length-n arrays, the swept ones replaced: a batch
+    of models along the last axis, for `_response` and `_det_s_grid`."""
     return SimpleNamespace(**{**{k: np.full(n, float(v))
                                  for k, v in vars(p).items()}, **sweep})
 
@@ -74,12 +80,6 @@ def default_window(p: ModelParams, pad: float = 1.0) -> tuple[float, float]:
     span = np.maximum(np.maximum(3 * p.omega_rabi, 3 * (p.gamma_r + p.gamma_nr)),
                       3 * p.gamma_m) + pad
     return (p.omega0 - span, p.omega0 + span)
-
-
-def _matter_rate(c) -> np.ndarray:
-    # with Omega = 0 the matter factor is common to N and D: any gamma_m > 0
-    # keeps |N/D| and removes the 0/0 point of an undamped matter line
-    return np.where(c.omega_rabi == 0, 1.0, c.gamma_m)
 
 
 def _stationary_poly(c) -> np.ndarray:
@@ -123,81 +123,72 @@ def _roots(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factored(c, u: np.ndarray):
-    """N(u), D(u), D'(u) and the matter factor, cells along axis 0."""
-    g_r, g_nr, r2 = c.gamma_r[:, None], c.gamma_nr[:, None], c.omega_rabi[:, None] ** 2
-    matter = 1j * (u - c.delta_m[:, None]) + _matter_rate(c)[:, None]
-    cav = 1j * u + (g_r + g_nr)
-    return ((1j * u + (g_nr - g_r)) * matter + r2, cav * matter + r2,
-            1j * (cav + matter), matter)
-
-
-def _stationary_value(c, u: np.ndarray):
-    """(G, G') of one cell at the points u from the factored D and E, which
+def _stationary_value(p, u: np.ndarray):
+    """(G, G') of one model at the points u from the factored D and E, which
     keep their accuracy where the expanded terms of G cancel (near a narrow
     matter line); G' = E B'' - E'' B, as the E' B' terms cancel."""
-    _, d, dd, matter = (x[0] for x in _factored(c, u[None, :]))
-    e = c.gamma_nr * np.abs(matter) ** 2 + c.omega_rabi**2 * c.gamma_m
+    matter, d, _ = _response(p, u)
+    dd = 1j * (1j * u + p.gamma_r + p.gamma_nr + matter)  # D'
+    e = p.gamma_nr * np.abs(matter) ** 2 + p.omega_rabi**2 * p.gamma_m
     b = np.abs(d) ** 2
     db = 2 * (dd * np.conj(d)).real
     ddb = 2 * np.abs(dd) ** 2 - 4 * d.real  # D'' = -2
-    return (e * db - 2 * c.gamma_nr * (u - c.delta_m) * b,
-            e * ddb - 2 * c.gamma_nr * b)
+    return (e * db - 2 * p.gamma_nr * (u - p.delta_m) * b,
+            e * ddb - 2 * p.gamma_nr * b)
 
 
-def _min_abs_dets(c, u_lo: np.ndarray, u_hi: np.ndarray) -> np.ndarray:
-    """Minimum of |det S| over [u_lo, u_hi] per cell: the smallest value at
-    the window ends and at the clipped real parts of the roots of G."""
-    lo, hi = u_lo[:, None], u_hi[:, None]
-    u = np.clip(_roots(_stationary_poly(c)).real, lo, hi)
-    n, d, _, _ = _factored(
-        c, np.concatenate([lo, hi, np.where(np.isnan(u), lo, u)], axis=1))
-    return np.fmin.reduce(np.abs(n / d), axis=1)
+def _min_abs_dets(c, lo, hi) -> np.ndarray:
+    """Minimum of |det S| over [lo, hi] per cell (cells along the last axis):
+    the smallest value at the window ends and at the clipped real parts of
+    the roots of G."""
+    w = np.clip(c.omega0 + _roots(_stationary_poly(c)).real.T, lo, hi)
+    w = np.vstack([lo, hi, np.where(np.isnan(w), lo, w)])
+    return np.fmin.reduce(np.abs(_det_s_grid(c, w)[0]), axis=0)
 
 
 def _minima(p: ModelParams, window, tol: float):
-    """Interior local minima of |det S|, (omega, |det S|) ascending: the real
-    roots of G in the open window with G' > 0, Newton-polished to tol."""
-    c = _cells(p)
-    r = _roots(_stationary_poly(c))[0]
-    u = r.real[r.imag == 0]
-    u = u[_stationary_value(c, u)[1] > 0]
+    """Interior local minima of |det S|, (omega, |det S|) ascending: Newton
+    on G from the real part of every root of G, keeping the points in the
+    open window where it converged to tol with G' > 0. A near-multiple real
+    root can come out of `_roots` as a complex pair, hence all seeds."""
+    r = _roots(_stationary_poly(_cells(p)))[0].real
+    u = r[~np.isnan(r)]
     for _ in range(_NEWTON_STEPS):
-        step = np.divide(*_stationary_value(c, u))
+        g, dg = _stationary_value(p, u)
+        step = np.divide(g, dg, out=np.zeros_like(g), where=dg != 0)
         u = u - step
         if not np.any(np.abs(step) > tol):
             break
     lo, hi = window
-    u = np.sort(u[(lo - p.omega0 < u) & (u < hi - p.omega0)])
-    n, d, _, _ = _factored(c, u[None, :])
-    return p.omega0 + u, np.abs(n / d)[0]
+    u = np.sort(u[(np.abs(step) <= tol) & (dg > 0)
+                  & (lo - p.omega0 < u) & (u < hi - p.omega0)])
+    u = u[np.diff(u, prepend=-np.inf) > tol]  # seeds that found the same root
+    omega = p.omega0 + u
+    return omega, np.abs(_det_s_grid(p, omega)[0])
 
 
-def classify_regime(p: ModelParams, window=None, n_grid: int = 1001,
+def classify_regime(p: ModelParams, window=None,
                     cpa_tol: float = 1e-6) -> RegimeReport:
     """Count the absorbance peaks of B(omega) and report the critical residuals.
 
-    The window must cover omega0 +/- max(3 Omega, 3 gamma_c, 3 gamma_m) and a
-    strict maximum on its n_grid-point boundary scan raises WindowTooNarrowError.
+    The window must cover omega0 +/- max(3 Omega, 3 gamma_c, 3 gamma_m). If
+    B, above the peak floor, falls from a window end into the window, that
+    end is a maximum of B and WindowTooNarrowError is raised.
     """
-    if n_grid < 501:
-        raise ValueError("n_grid must be >= 501")
     lo_req, hi_req = default_window(p, pad=0.0)
     if window is None:
         window = default_window(p)
     lo, hi = window
     if lo > lo_req or hi < hi_req:
-        raise ValueError(
-            f"window {window} must cover ({lo_req}, {hi_req})"
-        )
-    dets, _ = _det_s_grid(p, np.linspace(lo, hi, n_grid))
-    b_vals = 1.0 - np.abs(dets) ** 2
-    rising_lo = b_vals[0] > b_vals[1] and b_vals[0] > _PEAK_FLOOR
-    rising_hi = b_vals[-1] > b_vals[-2] and b_vals[-1] > _PEAK_FLOOR
-    if rising_lo or rising_hi:
+        raise ValueError(f"window {window} must cover ({lo_req}, {hi_req})")
+    # |det S|^2 rises where G > 0 (F = 4 gamma_r G): B peaks on the boundary
+    # if it falls into the window at lo or rises out of it at hi
+    ends = np.array([lo, hi])
+    b_lo, b_hi = 1.0 - np.abs(_det_s_grid(p, ends)[0]) ** 2
+    g_lo, g_hi = _stationary_value(p, ends - p.omega0)[0]
+    if (b_lo > _PEAK_FLOOR and g_lo > 0) or (b_hi > _PEAK_FLOOR and g_hi < 0):
         raise WindowTooNarrowError(
-            "B(omega) has a maximum on the window boundary; widen the window"
-        )
+            "B(omega) has a maximum on the window boundary; widen the window")
     # maxima of B are exactly the minima of |det S|; an absorbance floor
     # rejects the minima of a nearly flat (B ~ 0) spectrum
     omega, dets_min = _minima(p, window, tol=1e-10)
@@ -232,13 +223,13 @@ def find_cpa(p: ModelParams, window=None, tol: float = 1e-10) -> list[CpaPoint]:
 def min_abs_dets(p: ModelParams, window=None) -> float:
     """Minimum of |det S| over a real frequency window (default window)."""
     lo, hi = default_window(p) if window is None else window
-    return float(_min_abs_dets(_cells(p), np.array([lo - p.omega0]),
-                               np.array([hi - p.omega0]))[0])
+    return float(_min_abs_dets(_cells(p), np.array([lo]), np.array([hi]))[0])
 
 
 def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
                   y_values) -> CriticalLociMap:
-    """Residuals and minimized |det S| over a 2-D sweep of two rates.
+    """Residuals, minimized |det S| and `count_peaks` over a 2-D sweep of
+    two rates.
 
     All grid points are solved together in row-major order (y outer,
     x inner), each over its own default window.
@@ -255,21 +246,31 @@ def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
     c = _cells(base, yy.size, **{x_param: xx.ravel(), y_param: yy.ravel()})
     lo, hi = default_window(c)
+    n_peaks = np.zeros(yy.size, dtype=int)
+    for i in range(0, yy.size, _SCAN_CELLS):
+        s = slice(i, i + _SCAN_CELLS)
+        block = SimpleNamespace(**{k: v[s] for k, v in vars(c).items()})
+        n_peaks[s] = _peak_counts(block, lo[s], hi[s])
     return CriticalLociMap(
         x_param=x_param, y_param=y_param, x_values=xs, y_values=ys,
         scc_residual=scc_residual(c).reshape(yy.shape),
         wcc_residual=wcc_residual(c).reshape(yy.shape),
-        min_abs_dets=_min_abs_dets(c, lo - c.omega0, hi - c.omega0).reshape(yy.shape),
+        min_abs_dets=_min_abs_dets(c, lo, hi).reshape(yy.shape),
+        n_peaks=n_peaks.reshape(yy.shape),
     )
 
 
-def count_peaks(p: ModelParams, window=None, n_grid: int = 601) -> int:
-    """Quick strict-maxima count of B(omega) without refinement (sweep helper)."""
-    if window is None:
-        window = default_window(p)
-    grid = np.linspace(window[0], window[1], n_grid)
-    dets, bad = _det_s_grid(p, grid)
-    b = 1.0 - np.abs(dets) ** 2
-    b[bad] = -np.inf
+def _peak_counts(c, lo, hi, n_grid: int = _PEAK_GRID) -> np.ndarray:
+    """Strict interior maxima above _PEAK_FLOOR of B(omega) on the n_grid-point
+    grid over [lo, hi] of each model (models along the last axis)."""
+    dets, bad = _det_s_grid(c, np.linspace(lo, hi, n_grid))
+    b = np.where(bad, -np.inf, 1.0 - np.abs(dets) ** 2)
     interior = (b[1:-1] > b[:-2]) & (b[1:-1] > b[2:]) & (b[1:-1] > _PEAK_FLOOR)
-    return int(np.count_nonzero(interior))
+    return np.count_nonzero(interior, axis=0)
+
+
+def count_peaks(p: ModelParams, window=None, n_grid: int = _PEAK_GRID) -> int:
+    """Quick strict-maxima count of B(omega) without refinement: the one-model
+    case of the scan `critical_loci` runs over a sweep."""
+    lo, hi = default_window(p) if window is None else window
+    return int(_peak_counts(p, lo, hi, n_grid))

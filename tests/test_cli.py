@@ -4,11 +4,16 @@ import cmath
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twoport_cmt import fitting
+import twoport_cmt
+from twoport_cmt import ModelParams, critical_loci, fitting
 from twoport_cmt.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, HEADERS,
                              build_parser, load_config, main)
 
@@ -379,6 +384,25 @@ class TestPhaseDiagram:
         assert int(n_peaks) == 1
         assert float(mds) == pytest.approx(1.5 / 4.5, abs=1e-12)
 
+    def test_n_peaks_column_is_loci_map(self, tmp_path, monkeypatch):
+        out = tmp_path / "pd.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"gamma_nr": 0.7, "delta_m": 2.5},
+            "phase_diagram": {"x_param": "omega_rabi", "x_min": 0.0,
+                              "x_max": 9.0, "x_n": 7, "y_param": "gamma_r",
+                              "y_min": 0.0, "y_max": 6.0, "y_n": 5}}))
+        code = run(tmp_path, monkeypatch,
+                   ["phase-diagram", "--config", str(cfg),
+                    "--output", str(out)])
+        assert code == EXIT_OK
+        _, rows = read_csv(out)
+        m = critical_loci(ModelParams(124.5, 3.0, 0.7, 5.0, 8.0, delta_m=2.5),
+                          "omega_rabi", np.linspace(0.0, 9.0, 7),
+                          "gamma_r", np.linspace(0.0, 6.0, 5))
+        assert [int(r[2]) for r in rows] == m.n_peaks.ravel().tolist()
+        assert len(set(m.n_peaks.ravel().tolist())) > 1
+
     def test_bad_axis_is_config_error(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"phase_diagram": {"x_param": "omega0"}}))
@@ -462,6 +486,28 @@ class TestSynthAndFit:
                 ["synth", "--output", str(path), "--seed", "9",
                  "--grid-n", "21"])
         assert a.read_text() == b.read_text()
+
+    def test_fit_json_independent_of_hash_seed(self, tmp_path):
+        # the chi^2 sums over kinds must not follow the order of a set
+        env = {k: v for k, v in os.environ.items() if k != "TWOPORT_CMT_OUTDIR"}
+        env["PYTHONPATH"] = str(Path(twoport_cmt.__file__).resolve().parents[1])
+
+        def cli(cwd, hash_seed, *argv):
+            subprocess.run([sys.executable, "-m", "twoport_cmt.cli", *argv],
+                           cwd=cwd, check=True,
+                           env={**env, "PYTHONHASHSEED": str(hash_seed)})
+
+        data = tmp_path / "data.csv"
+        cli(tmp_path, 0, "synth", "--output", str(data), "--kinds", "R1",
+            "T", "A1", "dpsi", "--seed", "4", "--grid-n", "61")
+        docs = []
+        for hash_seed in (0, 3):
+            cwd = tmp_path / f"hash{hash_seed}"
+            cwd.mkdir()
+            cli(cwd, hash_seed, "fit", "--data", str(data), "--output",
+                "fit.json", "--omega0", "123", "--gamma-r", "2.5")
+            docs.append((cwd / "fit.json").read_bytes())
+        assert docs[0] == docs[1]
 
     def test_fit_requires_data(self, tmp_path, monkeypatch):
         assert run(tmp_path, monkeypatch, ["fit"]) == EXIT_CONFIG

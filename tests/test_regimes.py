@@ -13,6 +13,7 @@ from twoport_cmt import (
     min_abs_dets,
     poles_zeros,
 )
+from twoport_cmt import regimes
 from twoport_cmt.regimes import count_peaks, default_window, scc_residual, wcc_residual
 from conftest import random_passive_params
 
@@ -67,9 +68,16 @@ class TestClassifyRegime:
         with pytest.raises(ValueError):
             classify_regime(headline_params, window=(120.0, 129.0))
 
-    def test_rejects_coarse_grid(self, headline_params):
-        with pytest.raises(ValueError):
-            classify_regime(headline_params, n_grid=101)
+    def test_peak_just_inside_window(self):
+        # the lower peak sits 0.016 meV inside the default window, less than
+        # one step of a 1001-point boundary scan
+        p = ModelParams(131.05115664719375, 2.939119266610353,
+                        5.035778938360985, 7.459583643880323,
+                        7.4511024713616605, delta_m=-24.919475297492674)
+        lo, hi = default_window(p)
+        rep = classify_regime(p)
+        assert rep.n_peaks == 2
+        assert lo < rep.peak_positions[0] < lo + (hi - lo) / 1000
 
     def test_boundary_peak_raises(self):
         # strongly detuned matter oscillator pushes a peak past the window
@@ -160,6 +168,33 @@ class TestCriticalLoci:
             assert m.wcc_residual[k, k] == pytest.approx(0.0, abs=1e-12)
             assert m.min_abs_dets[k, k] < 1e-8
 
+    @pytest.mark.parametrize("x_param, y_param, base", [
+        ("gamma_m", "omega_rabi", ModelParams(124.5, 3.0, 1.5, 5.0, 8.0)),
+        ("gamma_r", "gamma_nr", ModelParams(124.5, 3.0, 1.5, 0.0, 8.0)),
+        ("gamma_r", "gamma_m", ModelParams(124.5, 3.0, 0.0, 5.0, 8.0, delta_m=3.0)),
+        ("omega_rabi", "gamma_nr", ModelParams(124.5, 2.0, 1.5, 0.5, 8.0, delta_m=-4.0)),
+    ])
+    def test_n_peaks_is_count_peaks(self, x_param, y_param, base):
+        # random axes plus 0, so the sweeps hold gamma_r = 0, lossless and
+        # gamma_m = Omega = 0 cells
+        rng = np.random.default_rng(31)
+        xs = np.r_[0.0, rng.uniform(0.0, 10.0, 5)]
+        ys = np.r_[0.0, rng.uniform(0.0, 10.0, 4)]
+        m = critical_loci(base, x_param, xs, y_param, ys)
+        assert m.n_peaks.shape == (ys.size, xs.size)
+        for j, y in enumerate(ys):
+            for i, x in enumerate(xs):
+                cell = ModelParams(**{**vars(base), x_param: x, y_param: y})
+                assert m.n_peaks[j, i] == count_peaks(cell)
+
+    def test_n_peaks_across_scan_blocks(self, monkeypatch):
+        base = ModelParams(124.5, 3.0, 0.5, 5.0, 8.0, delta_m=1.0)
+        xs, ys = np.linspace(0.0, 10.0, 6), np.linspace(0.0, 10.0, 5)
+        whole = critical_loci(base, "gamma_m", xs, "omega_rabi", ys).n_peaks
+        monkeypatch.setattr(regimes, "_SCAN_CELLS", 7)
+        blocks = critical_loci(base, "gamma_m", xs, "omega_rabi", ys).n_peaks
+        assert np.array_equal(blocks, whole)
+
     def test_rejects_bad_axes(self, headline_params):
         with pytest.raises(ValueError):
             critical_loci(headline_params, "omega0", [1.0], "gamma_r", [1.0])
@@ -181,7 +216,7 @@ class TestCountPeaks:
         for _ in range(30):
             p = random_passive_params(rng, rate_lo=0.3, rate_hi=6.0)
             try:
-                rep = classify_regime(p, n_grid=2001)
+                rep = classify_regime(p)
             except WindowTooNarrowError:
                 continue
             assert count_peaks(p, n_grid=4001) == rep.n_peaks
@@ -203,6 +238,13 @@ def _grid_minima(p, n=200001):
     vals = _abs_dets(p, w)
     idx = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])) + 1
     return w, vals, idx
+
+
+def _assert_local_minima(p):
+    """Every CPA point is a minimum of |det S| at the 1e-7 meV scale."""
+    for pt in find_cpa(p):
+        f = _abs_dets(p, pt.omega + np.array([-1e-7, 0.0, 1e-7]))
+        assert f[1] <= min(f[0], f[2])
 
 
 class TestClosedFormVsGrid:
@@ -259,6 +301,22 @@ class TestClosedFormVsGrid:
         self._check(p)
         assert any(abs(pt.omega - 124.5) < 1e-9 for pt in find_cpa(p))
 
+    @pytest.mark.parametrize("p", [
+        # a real root of G that the eigenvalue solve returns as a complex pair
+        ModelParams(87.43096357283395, 7.952683685835153, 3.9415942571801383,
+                    0.0, 0.006414136182677751, delta_m=-4.400025136398975),
+        ModelParams(145.28380941401093, 8.893918100156652, 7.905148671348126,
+                    0.0, 0.0003166090978708569, delta_m=-2.54640008938802),
+        # roots of G about 1e-4 meV off near a weakly damped line, from which
+        # Newton does not settle: there is no minimum there
+        ModelParams(99.94093806321439, 1.3412907512792005, 5.120153820260779,
+                    0.00032636436706759555, 0.00010968345472077481,
+                    delta_m=-2.010214843244956),
+    ])
+    def test_newton_seeds(self, p):
+        self._check(p)
+        _assert_local_minima(p)
+
     def test_narrow_matter_line(self):
         # an undamped matter line with a weak coupling: a dip of |det S| about
         # 1e-4 meV wide, where the expanded coefficients of F lose ~1e-5 meV
@@ -266,6 +324,4 @@ class TestClosedFormVsGrid:
                         4.650822892368995, 0.0, 0.023914756193348374,
                         delta_m=4.668101618889471)
         self._check(p)
-        for pt in find_cpa(p):
-            f = _abs_dets(p, pt.omega + np.array([-1e-7, 0.0, 1e-7]))
-            assert f[1] <= min(f[0], f[2])
+        _assert_local_minima(p)
