@@ -177,31 +177,36 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _meta(cfg: dict, command: str, **extra) -> dict:
+    """Provenance: the `.meta.json` sidecar, or the `meta` of a JSON output."""
+    return {"schema_version": SCHEMA_VERSION, "command": command,
+            "config": cfg, **extra}
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def write_output(cfg: dict, command: str, header: list[str], rows,
-                 extra_meta: dict | None = None) -> str:
+                 **extra_meta) -> str:
     path = _resolve_output(cfg["output"]["path"])
     fmt = cfg["output"]["format"]
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
-    meta = {"schema_version": SCHEMA_VERSION, "command": command,
-            "config": cfg}
-    if extra_meta:
-        meta.update(extra_meta)
+    meta = _meta(cfg, command, **extra_meta)
     if fmt == "csv":
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
-        with open(path + ".meta.json", "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(path + ".meta.json", meta)
     else:
-        doc = {"meta": meta, "columns": header,
-               "rows": [[v if isinstance(v, str) else float(v) for v in row]
-                        for row in rows]}
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(path, {
+            "meta": meta, "columns": header,
+            "rows": [[v if isinstance(v, str) else float(v) for v in row]
+                     for row in rows]})
     return path
 
 
@@ -284,8 +289,7 @@ def cmd_cpa(cfg: dict) -> int:
     p = _build_model(cfg)
     pts = regimes.find_cpa(p, tol=float(cfg["cpa"]["tol"]))
     rows = [(pt.omega, pt.dets_min, pt.phi_star) for pt in pts]
-    write_output(cfg, "cpa", HEADERS["cpa"], rows,
-                 extra_meta={"empty_result": not rows})
+    write_output(cfg, "cpa", HEADERS["cpa"], rows, empty_result=not rows)
     return EXIT_OK
 
 
@@ -338,19 +342,15 @@ def cmd_fit(cfg: dict) -> int:
     except ValueError as exc:
         raise ConfigError(f"fit: {exc}")
     path = _resolve_output(cfg["output"]["path"])
-    doc = {
-        "meta": {"schema_version": SCHEMA_VERSION, "command": "fit",
-                 "config": cfg},
+    _write_json(path, {
+        "meta": _meta(cfg, "fit"),
         "params": asdict(result.params),
         "background": asdict(result.background),
         "residual": result.residual,
         "n_iter": result.n_iter,
         "converged": result.converged,
         "param_sigma": result.param_sigma,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
     if not (result.converged and math.isfinite(result.residual)):
         print(f"numerical error: fit not converged after {result.n_iter} "
               f"iterations (residual {result.residual}); {path} written",

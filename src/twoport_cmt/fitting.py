@@ -14,12 +14,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .model import Background, ModelParams, s_elements
+from .twoport import dets_from_observables
 
 INTENSITY_KINDS = ("R1", "R2", "T", "A1", "A2", "A_joint_max", "A_joint_min")
 KINDS = INTENSITY_KINDS + ("dpsi",)
 RATE_PARAMS = ("gamma_r", "gamma_nr", "gamma_m", "omega_rabi")
 FITTABLE = ("omega0",) + RATE_PARAMS + ("delta_m",)
 _RATE_FLOOR = 1e-8
+_MAX_ITER = 20000  # Nelder-Mead iteration and evaluation cap
 
 
 @dataclass(frozen=True)
@@ -187,8 +189,7 @@ def _chi2(p: ModelParams, bg: Background, data: SpectrumDataset,
 
 def fit_params(data: SpectrumDataset, init: ModelParams,
                free=("omega0", "gamma_r", "gamma_m", "omega_rabi"),
-               background: Background | None = None,
-               max_iter: int = 20000) -> FitResult:
+               background: Background | None = None) -> FitResult:
     """Weighted least squares via Nelder-Mead simplex with positive rates
     enforced through log-parametrization.  Frozen parameters pass through
     bit-identical."""
@@ -223,7 +224,7 @@ def fit_params(data: SpectrumDataset, init: ModelParams,
     fatol = 1e-12 * max(1.0, float(objective(x0)))
     res = minimize(objective, x0, method="Nelder-Mead",
                    options={"xatol": 1e-8, "fatol": fatol,
-                            "maxiter": max_iter, "maxfev": max_iter})
+                            "maxiter": _MAX_ITER, "maxfev": _MAX_ITER})
     best = _unpack(res.x, free, init)
     sigma = _curvature_sigma(best, bg, data, groups, free)
     return FitResult(params=best, background=bg, residual=float(res.fun),
@@ -254,8 +255,6 @@ def estimate_dets_curve(data: SpectrumDataset) -> DetsCurve:
 
     Frequencies lacking any of the four observables are skipped and reported.
     """
-    from .twoport import dets_from_observables
-
     needed = ("R1", "R2", "T", "dpsi")
     per_omega: dict[float, dict[str, float]] = {}
     for w, k, v in zip(data.omega, data.kind, data.value):

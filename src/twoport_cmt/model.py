@@ -90,11 +90,6 @@ class SMatrix2:
     s21: complex
     s22: complex
 
-    @classmethod
-    def from_array(cls, arr) -> "SMatrix2":
-        arr = np.asarray(arr, dtype=complex)
-        return cls(arr[0, 0], arr[0, 1], arr[1, 0], arr[1, 1])
-
     def as_array(self) -> np.ndarray:
         return np.array([[self.s11, self.s12], [self.s21, self.s22]], dtype=complex)
 

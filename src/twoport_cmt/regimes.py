@@ -20,6 +20,7 @@ from .twoport import joint_extrema
 
 _SWEEPABLE = ("gamma_r", "gamma_nr", "gamma_m", "omega_rabi")
 _PEAK_FLOOR = 1e-9  # minimum absorbance for a countable peak
+_CPA_TOL = 1e-6  # |det S| below which `classify_regime` reports a CPA frequency
 _PEAK_GRID = 601  # points of the `count_peaks` grid, also in every `critical_loci` cell
 _NEWTON_STEPS = 40  # a simple root needs 2-3; a near-double one halves its error per step
 _SCAN_CELLS = 16  # cells per block of the peak scan: small blocks stay in cache
@@ -150,25 +151,27 @@ def _minima(p: ModelParams, window, tol: float):
     """Interior local minima of |det S|, (omega, |det S|) ascending: Newton
     on G from the real part of every root of G, keeping the points in the
     open window where it converged to tol with G' > 0. A near-multiple real
-    root can come out of `_roots` as a complex pair, hence all seeds."""
+    root can come out of `_roots` as a complex pair, hence all seeds; a seed
+    whose step stops shrinking short of tol (it cycles) is dropped."""
     r = _roots(_stationary_poly(_cells(p)))[0].real
     u = r[~np.isnan(r)]
+    size = np.full(u.shape, np.inf)
     for _ in range(_NEWTON_STEPS):
         g, dg = _stationary_value(p, u)
         step = np.divide(g, dg, out=np.zeros_like(g), where=dg != 0)
-        u = u - step
-        if not np.any(np.abs(step) > tol):
+        keep = (np.abs(step) <= tol) | (np.abs(step) < size)
+        u, size, dg = (u - step)[keep], np.abs(step)[keep], dg[keep]
+        if not np.any(size > tol):
             break
     lo, hi = window
-    u = np.sort(u[(np.abs(step) <= tol) & (dg > 0)
+    u = np.sort(u[(size <= tol) & (dg > 0)
                   & (lo - p.omega0 < u) & (u < hi - p.omega0)])
     u = u[np.diff(u, prepend=-np.inf) > tol]  # seeds that found the same root
     omega = p.omega0 + u
     return omega, np.abs(_det_s_grid(p, omega)[0])
 
 
-def classify_regime(p: ModelParams, window=None,
-                    cpa_tol: float = 1e-6) -> RegimeReport:
+def classify_regime(p: ModelParams, window=None) -> RegimeReport:
     """Count the absorbance peaks of B(omega) and report the critical residuals.
 
     The window must cover omega0 +/- max(3 Omega, 3 gamma_c, 3 gamma_m). If
@@ -198,7 +201,7 @@ def classify_regime(p: ModelParams, window=None,
         peak_positions=positions,
         scc_residual=scc_residual(p),
         wcc_residual=wcc_residual(p),
-        cpa_frequencies=tuple(omega[dets_min < cpa_tol].tolist()),
+        cpa_frequencies=tuple(omega[dets_min < _CPA_TOL].tolist()),
     )
 
 

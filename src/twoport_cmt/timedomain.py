@@ -15,6 +15,11 @@ import numpy as np
 
 from .model import Background, ModelParams, poles_zeros
 
+_SETTLING_FACTOR = 20.0  # horizon in units of the slowest decay time 1 / Im(pole)
+_STEP = 0.04  # suggested step, in units of 1 / the largest frequency scale
+_STEP_GUARD = 0.05  # coarsest step `integrate` accepts, in the same units
+_DRIFT_TOL = 1e-6  # largest demodulated drift over the tail
+
 
 class SteadyStateNotConvergedError(RuntimeError):
     """Transient not decayed within the demodulation window."""
@@ -40,8 +45,6 @@ class Trajectory:
     times: np.ndarray
     a_t: np.ndarray
     b_t: np.ndarray
-    out1_t: np.ndarray
-    out2_t: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -51,18 +54,22 @@ class OracleResult:
     a_joint: float
 
 
+def _frequency_scale(p: ModelParams, drive: DriveSpec) -> float:
+    """Largest frequency or rate of the driven equations, in meV."""
+    return max(p.omega0, abs(p.omega_m), abs(drive.omega),
+               p.gamma_c, p.gamma_m, p.omega_rabi)
+
+
 def suggested_time_step(p: ModelParams, drive: DriveSpec) -> float:
-    scale = max(p.omega0, abs(p.omega_m), abs(drive.omega),
-                p.gamma_c, p.gamma_m, p.omega_rabi)
-    return 0.04 / scale
+    return _STEP / _frequency_scale(p, drive)
 
 
-def settling_time(p: ModelParams, factor: float = 20.0) -> float:
+def settling_time(p: ModelParams) -> float:
     """Integration horizon based on the slowest modal decay rate Im(pole)."""
     ims = [z.imag for z in poles_zeros(p).poles if z.imag > 1e-12]
     if not ims:
         raise ValueError("no positive damping rate; steady state undefined")
-    return factor / min(ims)
+    return _SETTLING_FACTOR / min(ims)
 
 
 def integrate(p: ModelParams, bg: Background, drive: DriveSpec,
@@ -74,8 +81,7 @@ def integrate(p: ModelParams, bg: Background, drive: DriveSpec,
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
-    guard = 0.05 / max(p.omega0, abs(p.omega_m), abs(drive.omega),
-                       p.gamma_c, p.gamma_m, p.omega_rabi)
+    guard = _STEP_GUARD / _frequency_scale(p, drive)
     if dt > guard * (1 + 1e-9):
         raise ValueError(f"dt={dt} too coarse; need dt <= {guard:.3e}")
     if p.gamma_c == 0 and p.gamma_m == 0 and (drive.amp1 > 0 or drive.amp2 > 0):
@@ -83,13 +89,12 @@ def integrate(p: ModelParams, bg: Background, drive: DriveSpec,
                       "and the steady state is undefined", RuntimeWarning)
 
     n = int(math.ceil(t_end / dt - 1e-9))
-    w = drive.omega
     maa = 1j * p.omega0 - p.gamma_c
     mbb = 1j * p.omega_m - p.gamma_m
     mc = 1j * p.omega_rabi
     d0 = bg.coupling(p.gamma_r)
     f0 = d0 * (drive.amp1 + drive.amp2 * cmath.exp(1j * drive.phi))
-    eh = cmath.exp(1j * w * dt / 2)
+    eh = cmath.exp(1j * drive.omega * dt / 2)
     ef = eh * eh
 
     a = complex(a0)
@@ -123,21 +128,11 @@ def integrate(p: ModelParams, bg: Background, drive: DriveSpec,
         ph = ph_f
     a_arr[n] = a
     b_arr[n] = b
-
-    times = dt * np.arange(n + 1)
-    C = bg.matrix()
-    osc = np.exp(1j * w * times)
-    s1p = drive.amp1 * osc
-    s2p = drive.amp2 * cmath.exp(1j * drive.phi) * osc
-    # both ports couple with the same amplitude d0
-    s1m = C[0, 0] * s1p + C[0, 1] * s2p + d0 * a_arr
-    s2m = C[1, 0] * s1p + C[1, 1] * s2p + d0 * a_arr
-    return Trajectory(times=times, a_t=a_arr, b_t=b_arr,
-                      out1_t=np.abs(s1m) ** 2, out2_t=np.abs(s2m) ** 2)
+    return Trajectory(times=dt * np.arange(n + 1), a_t=a_arr, b_t=b_arr)
 
 
 def _demodulated_tail(p: ModelParams, bg: Background, drive: DriveSpec,
-                      traj: Trajectory, drift_tol: float = 1e-6):
+                      traj: Trajectory):
     """Complex steady-state outputs from the final 20% of the trajectory.
 
     A least-squares linear drift fit converts transient contamination into an
@@ -160,23 +155,19 @@ def _demodulated_tail(p: ModelParams, bg: Background, drive: DriveSpec,
         mean = z.mean()
         slope = np.dot(tc, z - mean) / np.dot(tc, tc)
         drift = abs(slope) * span
-        if drift > drift_tol:
+        if drift > _DRIFT_TOL:
             raise SteadyStateNotConvergedError(
-                f"demodulated drift {drift:.2e} exceeds {drift_tol:.0e}; "
+                f"demodulated drift {drift:.2e} exceeds {_DRIFT_TOL:.0e}; "
                 "increase t_end")
         results.append(complex(mean))
     return results[0], results[1]
 
 
-def oracle_scattering(p: ModelParams, bg: Background, drive: DriveSpec,
-                      t_end: float | None = None,
-                      dt: float | None = None) -> OracleResult:
-    """Steady-state port outputs and joint absorbance from the time domain."""
-    if t_end is None:
-        t_end = settling_time(p)
-    if dt is None:
-        dt = suggested_time_step(p, drive)
-    traj = integrate(p, bg, drive, t_end, dt)
+def oracle_scattering(p: ModelParams, bg: Background,
+                      drive: DriveSpec) -> OracleResult:
+    """Steady-state port outputs and joint absorbance from the time domain,
+    integrated to `settling_time` with `suggested_time_step`."""
+    traj = integrate(p, bg, drive, settling_time(p), suggested_time_step(p, drive))
     s1m, s2m = _demodulated_tail(p, bg, drive, traj)
     out1 = abs(s1m) ** 2
     out2 = abs(s2m) ** 2

@@ -44,4 +44,4 @@ def random_reciprocal_smatrix(rng: np.random.Generator, *, passive=True,
     if passive:
         smax = np.linalg.svd(m, compute_uv=False)[0]
         m = m * (rng.uniform(0.3, 0.999) / smax)
-    return SMatrix2.from_array(m)
+    return SMatrix2(m[0, 0], m[0, 1], m[1, 0], m[1, 1])

@@ -325,3 +325,18 @@ class TestClosedFormVsGrid:
                         delta_m=4.668101618889471)
         self._check(p)
         _assert_local_minima(p)
+
+    def test_cycling_seed_dropped(self, monkeypatch):
+        # one seed from a complex root of G cycles without converging; it is
+        # dropped instead of holding the other seeds for every Newton step
+        p = ModelParams(127.75224400074109, 5.09278047156697,
+                        4.403369666715883, 4.36513776004366,
+                        2.2932760200855773, delta_m=24.676931866948557)
+        calls = []
+        value = regimes._stationary_value
+        monkeypatch.setattr(regimes, "_stationary_value",
+                            lambda p, u: calls.append(1) or value(p, u))
+        assert len(find_cpa(p)) == 1
+        assert len(calls) < regimes._NEWTON_STEPS
+        self._check(p)
+        _assert_local_minima(p)

@@ -24,6 +24,24 @@ class TestSetupHelpers:
         dt = suggested_time_step(headline_params, d)
         assert dt == pytest.approx(0.04 / 130.0)
 
+    @pytest.mark.parametrize("p, omega, scale", [
+        (ModelParams(100.0, 1.0, 0.5, 2.0, 3.0, delta_m=-10.0), 50.0, 100.0),  # omega0
+        (ModelParams(10.0, 1.0, 0.5, 2.0, 3.0, delta_m=-200.0), 50.0, 190.0),  # |omega_m|
+        (ModelParams(100.0, 1.0, 0.5, 2.0, 3.0), -300.0, 300.0),  # |drive omega|
+        (ModelParams(100.0, 150.0, 50.0, 2.0, 3.0), 100.0, 200.0),  # gamma_c
+        (ModelParams(100.0, 1.0, 0.5, 250.0, 3.0), 100.0, 250.0),  # gamma_m
+        (ModelParams(100.0, 1.0, 0.5, 2.0, 400.0), 100.0, 400.0),  # omega_rabi
+    ])
+    def test_step_and_guard_share_scale(self, p, omega, scale, default_bg):
+        # suggested step 0.04 / scale, guard 0.05 / scale = 1.25 x the step
+        drive = DriveSpec(omega=omega)
+        dt = suggested_time_step(p, drive)
+        assert dt == pytest.approx(0.04 / scale, rel=1e-15)
+        traj = integrate(p, default_bg, drive, 4 * dt, 1.25 * dt)
+        assert traj.a_t.size == traj.b_t.size == traj.times.size
+        with pytest.raises(ValueError, match="too coarse"):
+            integrate(p, default_bg, drive, 4 * dt, 1.3 * dt)
+
     def test_settling_time_uses_slowest_pole(self, headline_params):
         # headline poles both decay at Im = (gamma_c + gamma_m) / 2 = 4
         assert settling_time(headline_params) == pytest.approx(20.0 / 4.0)
