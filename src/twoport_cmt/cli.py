@@ -20,10 +20,11 @@ import numpy as np
 
 from . import fitting, regimes, timedomain
 from .model import (Background, DegenerateResponseError, ModelParams,
-                    s_elements, scattering_matrix, single_beam_spectrum)
+                    _defined_elements, single_beam_spectrum)
 from .regimes import WindowTooNarrowError
 from .timedomain import DriveSpec, SteadyStateNotConvergedError
-from .twoport import dets_from_observables, joint_absorbance
+from .twoport import (dephasing_defined, dets_from_observables,
+                      output_dephasing, two_beam_extrema, two_beam_outputs)
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "TWOPORT_CMT_OUTDIR"
@@ -162,6 +163,19 @@ def _build_grid(cfg: dict) -> np.ndarray:
     return np.linspace(g["min"], g["max"], int(g["n"]))
 
 
+def _number(cfg: dict, path: str, low: float = -math.inf, *,
+            strict: bool = False):
+    """The finite number at the config path `section.key`, at least low
+    (above it when strict); comparisons with NaN are False, so NaN fails."""
+    section, key = path.split(".")
+    v = cfg[section][key]
+    if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and (low < v if strict else low <= v) and abs(v) < math.inf):
+        bound = f" {'>' if strict else '>='} {low}" if low > -math.inf else ""
+        raise ConfigError(f"{path} must be a finite number{bound}, got {v!r}")
+    return v
+
+
 def _resolve_output(path: str) -> str:
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(path):
@@ -223,13 +237,11 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_sweep_phase(cfg: dict) -> int:
     p = _build_model(cfg)
     bg = _build_background(cfg)
-    block = cfg["sweep_phase"]
-    S = scattering_matrix(p, bg, float(block["omega"]))
-    phis = np.linspace(0.0, 2 * math.pi, int(block["n_phi"]), endpoint=False)
-    rows = []
-    for phi in phis:
-        a, out1, out2 = joint_absorbance(S, phi)
-        rows.append((phi, out1, out2, a))
+    omega = float(_number(cfg, "sweep_phase.omega"))
+    n_phi = int(_number(cfg, "sweep_phase.n_phi", 1))
+    phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
+    a, out1, out2 = two_beam_outputs(*_defined_elements(p, bg, omega), phis)
+    rows = zip(phis, out1, out2, a)
     write_output(cfg, "sweep-phase", HEADERS["sweep-phase"], rows)
     return EXIT_OK
 
@@ -238,31 +250,24 @@ def cmd_joint(cfg: dict) -> int:
     p = _build_model(cfg)
     bg = _build_background(cfg)
     grid = _build_grid(cfg)
-    n_phi = int(cfg["joint"]["n_phi"])
-    if n_phi < 3:  # a sinusoid A + B sin(phi + c) needs three samples
-        raise ConfigError(f"joint.n_phi must be >= 3, got {n_phi}")
-    s11, s12, s22, bad = s_elements(p, bg, grid)
-    if bad.any():
-        raise DegenerateResponseError(
-            f"S undefined at omega={grid[bad][0]} (real pole of a lossless model)")
-    R1, R2, T, a_min, a_max, dpsi = (
-        fitting.observable(s11, s12, s22, kind)
-        for kind in ("R1", "R2", "T", "A_joint_min", "A_joint_max", "dpsi"))
-    # the output dephasing is undefined where a magnitude vanishes
-    defined = np.minimum(np.minimum(np.abs(s11), np.abs(s22)), np.abs(s12)) >= 1e-9
+    # a sinusoid A + B sin(phi + c) needs three samples
+    n_phi = int(_number(cfg, "joint.n_phi", 3))
+    s11, s12, s22 = _defined_elements(p, bg, grid)
+    ext = two_beam_extrema(s11, s12, s22)
+    defined = dephasing_defined(s11, s12, s22)
     # the same dephasing measured instead: the phase offset of the two output
     # intensities A + B sin(phi + c) over the input dephasing phi, fitted for
     # every (port, omega) column at once
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
-    e = np.exp(1j * phis)[:, None]
-    outs = np.abs(np.concatenate([s11 + s12 * e, s12 + s22 * e], axis=1)) ** 2
+    _, out1, out2 = two_beam_outputs(s11, s12, s22, phis[:, None])
     design = np.column_stack([np.ones_like(phis), np.sin(phis), np.cos(phis)])
-    (_, ps, pc), *_ = np.linalg.lstsq(design, outs, rcond=None)
+    (_, ps, pc), *_ = np.linalg.lstsq(design, np.hstack([out1, out2]), rcond=None)
     c1, c2 = np.split(np.arctan2(pc, ps), 2)
-    recon = np.where(defined, dets_from_observables(T, R1, R2, c2 - c1), math.nan)
-    rows = zip(grid, a_min, a_max, 0.5 * (a_min + a_max),
-               np.where(defined, dpsi, math.nan), np.abs(s11 * s22 - s12 * s12),
-               recon)
+    recon = dets_from_observables(np.abs(s12) ** 2, np.abs(s11) ** 2,
+                                  np.abs(s22) ** 2, c2 - c1)
+    rows = zip(grid, ext.a_min, ext.a_max, ext.a_avg,
+               np.where(defined, output_dephasing(s11, s12, s22), math.nan),
+               np.abs(s11 * s22 - s12 * s12), np.where(defined, recon, math.nan))
     write_output(cfg, "joint", HEADERS["joint"], rows)
     return EXIT_OK
 
@@ -270,8 +275,10 @@ def cmd_joint(cfg: dict) -> int:
 def cmd_phase_diagram(cfg: dict) -> int:
     p = _build_model(cfg)
     block = cfg["phase_diagram"]
-    xs = np.linspace(block["x_min"], block["x_max"], int(block["x_n"]))
-    ys = np.linspace(block["y_min"], block["y_max"], int(block["y_n"]))
+    xs = np.linspace(block["x_min"], block["x_max"],
+                     int(_number(cfg, "phase_diagram.x_n", 1)))
+    ys = np.linspace(block["y_min"], block["y_max"],
+                     int(_number(cfg, "phase_diagram.y_n", 1)))
     try:
         loci = regimes.critical_loci(p, block["x_param"], xs,
                                      block["y_param"], ys)
@@ -287,7 +294,7 @@ def cmd_phase_diagram(cfg: dict) -> int:
 
 def cmd_cpa(cfg: dict) -> int:
     p = _build_model(cfg)
-    pts = regimes.find_cpa(p, tol=float(cfg["cpa"]["tol"]))
+    pts = regimes.find_cpa(p, tol=float(_number(cfg, "cpa.tol", 0, strict=True)))
     rows = [(pt.omega, pt.dets_min, pt.phi_star) for pt in pts]
     write_output(cfg, "cpa", HEADERS["cpa"], rows, empty_result=not rows)
     return EXIT_OK
@@ -296,17 +303,16 @@ def cmd_cpa(cfg: dict) -> int:
 def cmd_oracle_check(cfg: dict) -> int:
     p = _build_model(cfg)
     bg = _build_background(cfg)
-    g = cfg["grid"]
+    grid = _build_grid(cfg)  # drives are drawn over its range
+    n = int(_number(cfg, "oracle_check.n_samples", 1))
     rng = np.random.default_rng(int(cfg["seed"]))
-    n = int(cfg["oracle_check"]["n_samples"])
-    rows = []
-    for _ in range(n):
-        w = float(rng.uniform(g["min"], g["max"]))
-        phi = float(rng.uniform(-math.pi, math.pi))
-        closed = joint_absorbance(scattering_matrix(p, bg, w), phi)[0]
-        oracle = timedomain.oracle_scattering(p, bg, DriveSpec(omega=w, phi=phi))
-        rows.append((w, phi, closed, oracle.a_joint,
-                     abs(closed - oracle.a_joint)))
+    # one (omega, phi) pair per drive, omega drawn first
+    ws, phis = rng.uniform([grid[0], -math.pi], [grid[-1], math.pi], (n, 2)).T
+    closed = two_beam_outputs(*_defined_elements(p, bg, ws), phis)[0]
+    oracle = np.array([
+        timedomain.oracle_scattering(p, bg, DriveSpec(omega=w, phi=phi)).a_joint
+        for w, phi in zip(ws.tolist(), phis.tolist())])
+    rows = zip(ws, phis, closed, oracle, np.abs(closed - oracle))
     write_output(cfg, "oracle-check", HEADERS["oracle-check"], rows)
     return EXIT_OK
 
@@ -319,8 +325,9 @@ def cmd_synth(cfg: dict) -> int:
     for kind in block["kinds"]:
         if kind not in fitting.KINDS:
             raise ConfigError(f"synth.kinds: unknown kind {kind!r}")
-    ds = fitting.synth_dataset(p, bg, grid, block["kinds"],
-                               float(block["noise_sigma"]), int(cfg["seed"]))
+    sigma = float(_number(cfg, "synth.noise_sigma", 0))
+    ds = fitting.synth_dataset(p, bg, grid, block["kinds"], sigma,
+                               int(cfg["seed"]))
     rows = list(zip(ds.omega, ds.kind, ds.value, ds.sigma))
     write_output(cfg, "synth", HEADERS["synth"], rows)
     return EXIT_OK

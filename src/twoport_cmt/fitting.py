@@ -14,10 +14,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .model import Background, ModelParams, s_elements
-from .twoport import dets_from_observables
+from .twoport import (INTENSITY_KINDS, KINDS, dets_from_observables,
+                      observable, wrap_phase)
 
-INTENSITY_KINDS = ("R1", "R2", "T", "A1", "A2", "A_joint_max", "A_joint_min")
-KINDS = INTENSITY_KINDS + ("dpsi",)
 RATE_PARAMS = ("gamma_r", "gamma_nr", "gamma_m", "omega_rabi")
 FITTABLE = ("omega0",) + RATE_PARAMS + ("delta_m",)
 _RATE_FLOOR = 1e-8
@@ -94,34 +93,11 @@ class DetsCurve:
     skipped: tuple[float, ...]
 
 
-def _wrap_array(x: np.ndarray) -> np.ndarray:
-    return np.angle(np.exp(1j * x))
-
-
 def model_values(p: ModelParams, bg: Background, omega, kind: str) -> np.ndarray:
     """Model prediction of one observable kind at the energies omega (any
     order, repeats allowed)."""
-    s11, s12, s22, _ = s_elements(p, bg, np.atleast_1d(np.asarray(omega, dtype=float)))
-    return observable(s11, s12, s22, kind)
-
-
-def observable(s11, s12, s22, kind: str) -> np.ndarray:
-    """One observable kind from the S elements (s12 = s21)."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown observable kind {kind!r}")
-    if kind == "dpsi":
-        return _wrap_array(np.angle(s11) + np.angle(s22) - 2 * np.angle(s12))
-    R1 = np.abs(s11) ** 2
-    R2 = np.abs(s22) ** 2
-    T = np.abs(s12) ** 2
-    A1 = 1.0 - R1 - T
-    A2 = 1.0 - R2 - T
-    if kind in ("A_joint_max", "A_joint_min"):
-        # total output over the input dephasing is P0 + 2 Re(z e^{i phi})
-        a_mod = np.abs(np.conj(s11) * s12 + np.conj(s12) * s22)
-        a_avg = 0.5 * (A1 + A2)
-        return a_avg + a_mod if kind == "A_joint_max" else a_avg - a_mod
-    return {"R1": R1, "R2": R2, "T": T, "A1": A1, "A2": A2}[kind]
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    return observable(*s_elements(p, bg, w)[:3], kind)
 
 
 def synth_dataset(p: ModelParams, bg: Background, grid, kinds,
@@ -142,7 +118,7 @@ def synth_dataset(p: ModelParams, bg: Background, grid, kinds,
         if kind in INTENSITY_KINDS:
             noisy = np.clip(noisy, 0.0, 1.0)
         else:
-            noisy = _wrap_array(noisy)
+            noisy = wrap_phase(noisy)
         omegas.append(w)
         names.extend([kind] * w.size)
         values.append(noisy)
@@ -182,7 +158,7 @@ def _chi2(p: ModelParams, bg: Background, data: SpectrumDataset,
         pred = model_values(p, bg, data.omega[idx], kind)
         resid = data.value[idx] - pred
         if kind == "dpsi":
-            resid = _wrap_array(resid)
+            resid = wrap_phase(resid)
         total += float(np.sum((resid / data.sigma[idx]) ** 2))
     return total
 

@@ -202,13 +202,19 @@ def steady_state_response(p, bg, omega, s_plus):
     return complex(a), complex(b), (complex(s_out[0]), complex(s_out[1]))
 
 
+def _defined_elements(p: ModelParams, bg: Background, omega):
+    """(s11, s12, s22) of `s_elements`, raising at a degenerate point."""
+    s11, s12, s22, bad = s_elements(p, bg, omega)
+    if np.any(bad):
+        raise DegenerateResponseError(
+            f"S undefined at omega={np.asarray(omega)[bad].flat[0]} "
+            f"(real pole of a lossless model)")
+    return s11, s12, s22
+
+
 def scattering_matrix(p: ModelParams, bg: Background, omega: float) -> SMatrix2:
     """S(omega) at one frequency, from `s_elements`."""
-    s11, s12, s22, bad = s_elements(p, bg, omega)
-    if bad:
-        raise DegenerateResponseError(
-            f"S undefined at omega={omega} (real pole of a lossless model)"
-        )
+    s11, s12, s22 = _defined_elements(p, bg, omega)
     return SMatrix2(complex(s11), complex(s12), complex(s12), complex(s22))
 
 

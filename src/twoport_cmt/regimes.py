@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model import (Background, ModelParams, _det_s_grid, _matter_rate,
-                    _response, scattering_matrix)
-from .twoport import joint_extrema
+                    _response, s_elements)
+from .twoport import two_beam_extrema
 
 _SWEEPABLE = ("gamma_r", "gamma_nr", "gamma_m", "omega_rabi")
 _PEAK_FLOOR = 1e-9  # minimum absorbance for a countable peak
@@ -152,18 +152,22 @@ def _minima(p: ModelParams, window, tol: float):
     on G from the real part of every root of G, keeping the points in the
     open window where it converged to tol with G' > 0. A near-multiple real
     root can come out of `_roots` as a complex pair, hence all seeds; a seed
-    whose step stops shrinking short of tol (it cycles) is dropped."""
+    whose step stops shrinking short of tol (it cycles), or that is thrown
+    further than the window span from omega0 (far out, Newton on the
+    degree-5 G only creeps back), is dropped."""
+    lo, hi = window
     r = _roots(_stationary_poly(_cells(p)))[0].real
     u = r[~np.isnan(r)]
     size = np.full(u.shape, np.inf)
     for _ in range(_NEWTON_STEPS):
         g, dg = _stationary_value(p, u)
         step = np.divide(g, dg, out=np.zeros_like(g), where=dg != 0)
-        keep = (np.abs(step) <= tol) | (np.abs(step) < size)
-        u, size, dg = (u - step)[keep], np.abs(step)[keep], dg[keep]
+        u = u - step
+        keep = (((np.abs(step) <= tol) | (np.abs(step) < size))
+                & (np.abs(u) <= hi - lo))
+        u, size, dg = u[keep], np.abs(step)[keep], dg[keep]
         if not np.any(size > tol):
             break
-    lo, hi = window
     u = np.sort(u[(size <= tol) & (dg > 0)
                   & (lo - p.omega0 < u) & (u < hi - p.omega0)])
     u = u[np.diff(u, prepend=-np.inf) > tol]  # seeds that found the same root
@@ -214,13 +218,10 @@ def find_cpa(p: ModelParams, window=None, tol: float = 1e-10) -> list[CpaPoint]:
     """
     if window is None:
         window = default_window(p)
-    bg = Background()
-    points = []
-    for x, dmin in zip(*_minima(p, window, tol)):
-        ext = joint_extrema(scattering_matrix(p, bg, float(x)))
-        points.append(CpaPoint(omega=float(x), dets_min=float(dmin),
-                               phi_star=ext.phi_max))
-    return points
+    omega, dets_min = _minima(p, window, tol)
+    phi_star = two_beam_extrema(*s_elements(p, Background(), omega)[:3]).phi_max
+    return [CpaPoint(omega=float(x), dets_min=float(d), phi_star=float(f))
+            for x, d, f in zip(omega, dets_min, phi_star)]
 
 
 def min_abs_dets(p: ModelParams, window=None) -> float:

@@ -18,6 +18,12 @@ from twoport_cmt.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, HEADERS,
                              build_parser, load_config, main)
 
 
+# a detuned, lossy model behind a partly transmitting, phased background
+ALT_MODEL = ["--gamma-nr", "0.5", "--delta-m", "1.5", "--r-b", "0.7",
+             "--theta-b", "0.4"]
+ALT_PARAMS = ModelParams(124.5, 3.0, 0.5, 5.0, 8.0, delta_m=1.5)
+
+
 def run(tmp_path, monkeypatch, argv, outdir=None):
     if outdir is not None:
         monkeypatch.setenv("TWOPORT_CMT_OUTDIR", str(outdir))
@@ -134,6 +140,32 @@ class TestConfigHandling:
                    ["spectrum", "--gamma-r", "nan", "--output", str(out)]) \
             == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-phase", "--omega", "nan"],
+        ["sweep-phase", "--n-phi", "-1"],
+        ["sweep-phase", "--n-phi", "0"],
+        ["oracle-check", "--n-samples", "-2"],
+        ["oracle-check", "--n-samples", "0"],
+        ["oracle-check", "--grid-min", "nan"],
+        ["cpa", "--tol", "nan"],
+        ["cpa", "--tol", "-1"],
+        ["synth", "--noise-sigma", "nan"],
+        ["synth", "--noise-sigma", "-1"],
+        ["phase-diagram", {"phase_diagram": {"x_n": 0}}],
+        ["phase-diagram", {"phase_diagram": {"y_n": -1}}],
+    ], ids=lambda argv: " ".join(map(str, argv)))
+    def test_bad_command_value_rejected(self, tmp_path, monkeypatch, argv):
+        # a trailing dict is written as the --config file
+        if isinstance(argv[-1], dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(argv[-1]))
+            argv = [*argv[:-1], "--config", str(cfg)]
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert run(tmp_path, monkeypatch,
+                   [*argv, "--output", str(outdir / "out.csv")]) == EXIT_CONFIG
+        assert list(outdir.iterdir()) == []
 
     def test_non_finite_dataset_rejected(self, tmp_path, monkeypatch):
         data = tmp_path / "data.csv"
@@ -270,6 +302,21 @@ class TestSweepPhase:
         # headline at the absorbance peak: full modulation 0..~0.952
         assert a.max() == pytest.approx(0.952, abs=2e-3)
         assert a.min() == pytest.approx(0.0, abs=2e-3)
+
+    def test_rows_match_scalar_reference(self, tmp_path, monkeypatch):
+        from twoport_cmt import (Background, joint_absorbance,
+                                 scattering_matrix)
+        out = tmp_path / "ph.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["sweep-phase", "--output", str(out), "--omega", "121.3",
+                    "--n-phi", "24", *ALT_MODEL]) == EXIT_OK
+        _, rows = read_csv(out)
+        S = scattering_matrix(ALT_PARAMS, Background(0.7, 0.4), 121.3)
+        for k, r in enumerate(rows):
+            phi, out1, out2, a = map(float, r)
+            assert phi == pytest.approx(2 * math.pi * k / 24, abs=1e-15)
+            assert (a, out1, out2) == pytest.approx(
+                joint_absorbance(S, phi), abs=1e-12)
 
 
 class TestJoint:
@@ -452,6 +499,25 @@ class TestOracleCheck:
             assert float(r[4]) < 1e-6
             assert float(r[4]) == pytest.approx(
                 abs(float(r[2]) - float(r[3])), abs=1e-15)
+
+    def test_closed_column_matches_scalar_reference(self, tmp_path,
+                                                    monkeypatch):
+        from twoport_cmt import (Background, joint_absorbance,
+                                 scattering_matrix)
+        out = tmp_path / "oc.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["oracle-check", "--output", str(out), "--seed", "11",
+                    "--n-samples", "3", *ALT_MODEL]) == EXIT_OK
+        _, rows = read_csv(out)
+        # the drives are drawn as (omega, phi) pairs, omega first
+        rng = np.random.default_rng(11)
+        for r in rows:
+            w, phi, closed = map(float, r[:3])
+            assert w == rng.uniform(105.0, 145.0)
+            assert phi == rng.uniform(-math.pi, math.pi)
+            S = scattering_matrix(ALT_PARAMS, Background(0.7, 0.4), w)
+            assert closed == pytest.approx(joint_absorbance(S, phi)[0],
+                                           abs=1e-12)
 
 
 class TestSynthAndFit:

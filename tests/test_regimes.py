@@ -340,3 +340,20 @@ class TestClosedFormVsGrid:
         assert len(calls) < regimes._NEWTON_STEPS
         self._check(p)
         _assert_local_minima(p)
+
+    def test_far_thrown_seed_dropped(self, monkeypatch):
+        # two seeds jump to |u| ~ 1.5e5 meV, far beyond the window, and would
+        # creep back for every Newton step; they are dropped instead
+        p = ModelParams(101.23666918468, 4.650526392983738, 6.973563283752689,
+                        4.564056913313566, 4.1819011939177635,
+                        delta_m=-19.54093224922594)
+        calls = []
+        value = regimes._stationary_value
+        monkeypatch.setattr(regimes, "_stationary_value",
+                            lambda p, u: calls.append(1) or value(p, u))
+        pts = find_cpa(p)
+        assert len(calls) < regimes._NEWTON_STEPS
+        assert len(pts) == 1
+        assert pts[0].omega == pytest.approx(102.08743162623952, abs=1e-9)
+        self._check(p)
+        _assert_local_minima(p)

@@ -21,6 +21,9 @@ from twoport_cmt import (
     scattering_matrix,
     wrap_phase,
 )
+from twoport_cmt.twoport import (KINDS, dephasing_defined, observable,
+                                 output_dephasing, two_beam_extrema,
+                                 two_beam_outputs)
 from conftest import random_reciprocal_smatrix
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
@@ -196,3 +199,86 @@ class TestDetsFromObservables:
             got = dets_from_observables(abs(S.s12) ** 2, abs(S.s11) ** 2,
                                         abs(S.s22) ** 2, delta_psi(S))
             assert got == pytest.approx(abs(S.det()), abs=1e-10)
+
+
+def _elements(mats):
+    return tuple(np.array([getattr(S, k) for S in mats])
+                 for k in ("s11", "s12", "s22"))
+
+
+def _same_angle(a, b):
+    return abs(cmath.exp(1j * a) - cmath.exp(1j * b)) < 1e-15
+
+
+class TestArrayForms:
+    """The broadcasting forms, element by element against the SMatrix2 entry
+    points, on random reciprocal S plus the edge cases s12 = 0 (no
+    modulation, undefined dephasing) and s11 = 0."""
+
+    @pytest.fixture
+    def mats(self):
+        rng = np.random.default_rng(83)
+        return ([random_reciprocal_smatrix(rng) for _ in range(30)]
+                + [SMatrix2(0.5, 0.0, 0.0, 0.3j), SMatrix2(0.0, 0.6j, 0.6j, 0.2)])
+
+    def test_outputs_broadcast_over_s_and_phi(self, mats):
+        phis = np.linspace(-math.pi, math.pi, 9)
+        got = np.array(two_beam_outputs(*_elements(mats), phis[:, None]))
+        assert got.shape == (3, phis.size, len(mats))
+        for i, phi in enumerate(phis):
+            for j, S in enumerate(mats):
+                assert got[:, i, j] == pytest.approx(joint_absorbance(S, phi),
+                                                     abs=1e-15)
+
+    def test_extrema(self, mats):
+        ext = two_beam_extrema(*_elements(mats))
+        for j, S in enumerate(mats):
+            want = joint_extrema(S)
+            assert (ext.a_min[j], ext.a_max[j], ext.a_avg[j], ext.a_mod[j]) \
+                == pytest.approx((want.a_min, want.a_max, want.a_avg,
+                                  want.a_mod), abs=1e-15)
+            assert _same_angle(ext.phi_min[j], want.phi_min)
+            assert _same_angle(ext.phi_max[j], want.phi_max)
+        # s12 = 0: no modulation, and the phases fall back to 0 and pi
+        assert (ext.a_mod[-2], ext.phi_min[-2], ext.phi_max[-2]) \
+            == (0.0, 0.0, math.pi)
+
+    def test_dephasing_and_its_defined_rule(self, mats):
+        s = _elements(mats)
+        dpsi, defined = output_dephasing(*s), dephasing_defined(*s)
+        assert defined.tolist() == [True] * 30 + [False, False]
+        for j, S in enumerate(mats):
+            if defined[j]:
+                assert _same_angle(dpsi[j], delta_psi(S))
+            else:
+                with pytest.raises(PhaseUndefinedError):
+                    delta_psi(S)
+
+    def test_observable_kinds(self, mats):
+        s = _elements(mats)
+        for j, S in enumerate(mats):
+            R1, R2, T = abs(S.s11) ** 2, abs(S.s22) ** 2, abs(S.s12) ** 2
+            ext = joint_extrema(S)
+            want = {"R1": R1, "R2": R2, "T": T, "A1": 1 - R1 - T,
+                    "A2": 1 - R2 - T, "A_joint_max": ext.a_max,
+                    "A_joint_min": ext.a_min}
+            for kind, value in want.items():
+                assert observable(*s, kind)[j] == pytest.approx(value, abs=1e-15)
+            if j < 30:
+                assert _same_angle(observable(*s, "dpsi")[j], delta_psi(S))
+        assert set(want) | {"dpsi"} == set(KINDS)
+        with pytest.raises(ValueError):
+            observable(*s, "bogus")
+
+    def test_wrap_phase_broadcasts(self):
+        x = np.linspace(-50.0, 50.0, 201)
+        got = wrap_phase(x)
+        assert got.shape == x.shape
+        assert got.tolist() == [wrap_phase(float(v)) for v in x]
+
+    @pytest.mark.parametrize("entry", [
+        joint_extrema, delta_psi, lambda S: joint_absorbance(S, 0.3),
+    ])
+    def test_scalar_entry_points_need_reciprocity(self, entry):
+        with pytest.raises(NonReciprocalError):
+            entry(SMatrix2(0.1, 0.5, 0.4, 0.1))
