@@ -23,7 +23,7 @@ from .model import (Background, DegenerateResponseError, ModelParams,
                     _defined_elements, single_beam_spectrum)
 from .regimes import WindowTooNarrowError
 from .timedomain import DriveSpec, SteadyStateNotConvergedError
-from .twoport import (dephasing_defined, dets_from_observables,
+from .twoport import (dephasing_defined, dets_from_observables, observable,
                       output_dephasing, two_beam_extrema, two_beam_outputs)
 
 SCHEMA_VERSION = 1
@@ -263,8 +263,8 @@ def cmd_joint(cfg: dict) -> int:
     design = np.column_stack([np.ones_like(phis), np.sin(phis), np.cos(phis)])
     (_, ps, pc), *_ = np.linalg.lstsq(design, np.hstack([out1, out2]), rcond=None)
     c1, c2 = np.split(np.arctan2(pc, ps), 2)
-    recon = dets_from_observables(np.abs(s12) ** 2, np.abs(s11) ** 2,
-                                  np.abs(s22) ** 2, c2 - c1)
+    recon = dets_from_observables(
+        *(observable(s11, s12, s22, k) for k in ("T", "R1", "R2")), c2 - c1)
     rows = zip(grid, ext.a_min, ext.a_max, ext.a_avg,
                np.where(defined, output_dephasing(s11, s12, s22), math.nan),
                np.abs(s11 * s22 - s12 * s12), np.where(defined, recon, math.nan))

@@ -153,9 +153,10 @@ def _minima(p: ModelParams, window, tol: float):
     open window where it converged to tol with G' > 0. A near-multiple real
     root can come out of `_roots` as a complex pair, hence all seeds; a seed
     whose step stops shrinking short of tol (it cycles), or that is thrown
-    further than the window span from omega0 (far out, Newton on the
+    further than the window span from the window (far out, Newton on the
     degree-5 G only creeps back), is dropped."""
     lo, hi = window
+    mid, reach = 0.5 * (lo + hi) - p.omega0, 1.5 * (hi - lo)
     r = _roots(_stationary_poly(_cells(p)))[0].real
     u = r[~np.isnan(r)]
     size = np.full(u.shape, np.inf)
@@ -164,7 +165,7 @@ def _minima(p: ModelParams, window, tol: float):
         step = np.divide(g, dg, out=np.zeros_like(g), where=dg != 0)
         u = u - step
         keep = (((np.abs(step) <= tol) | (np.abs(step) < size))
-                & (np.abs(u) <= hi - lo))
+                & (np.abs(u - mid) <= reach))
         u, size, dg = u[keep], np.abs(step)[keep], dg[keep]
         if not np.any(size > tol):
             break

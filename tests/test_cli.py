@@ -303,9 +303,8 @@ class TestSweepPhase:
         assert a.max() == pytest.approx(0.952, abs=2e-3)
         assert a.min() == pytest.approx(0.0, abs=2e-3)
 
-    def test_rows_match_scalar_reference(self, tmp_path, monkeypatch):
-        from twoport_cmt import (Background, joint_absorbance,
-                                 scattering_matrix)
+    def test_rows_match_closed_form(self, tmp_path, monkeypatch):
+        from twoport_cmt import Background, scattering_matrix
         out = tmp_path / "ph.csv"
         assert run(tmp_path, monkeypatch,
                    ["sweep-phase", "--output", str(out), "--omega", "121.3",
@@ -315,8 +314,11 @@ class TestSweepPhase:
         for k, r in enumerate(rows):
             phi, out1, out2, a = map(float, r)
             assert phi == pytest.approx(2 * math.pi * k / 24, abs=1e-15)
+            e = cmath.exp(1j * phi)
+            want1 = abs(S.s11 + S.s12 * e) ** 2
+            want2 = abs(S.s21 + S.s22 * e) ** 2
             assert (a, out1, out2) == pytest.approx(
-                joint_absorbance(S, phi), abs=1e-12)
+                (1 - 0.5 * (want1 + want2), want1, want2), abs=1e-12)
 
 
 class TestJoint:
@@ -500,10 +502,8 @@ class TestOracleCheck:
             assert float(r[4]) == pytest.approx(
                 abs(float(r[2]) - float(r[3])), abs=1e-15)
 
-    def test_closed_column_matches_scalar_reference(self, tmp_path,
-                                                    monkeypatch):
-        from twoport_cmt import (Background, joint_absorbance,
-                                 scattering_matrix)
+    def test_closed_column_matches_closed_form(self, tmp_path, monkeypatch):
+        from twoport_cmt import Background, scattering_matrix
         out = tmp_path / "oc.csv"
         assert run(tmp_path, monkeypatch,
                    ["oracle-check", "--output", str(out), "--seed", "11",
@@ -516,8 +516,10 @@ class TestOracleCheck:
             assert w == rng.uniform(105.0, 145.0)
             assert phi == rng.uniform(-math.pi, math.pi)
             S = scattering_matrix(ALT_PARAMS, Background(0.7, 0.4), w)
-            assert closed == pytest.approx(joint_absorbance(S, phi)[0],
-                                           abs=1e-12)
+            e = cmath.exp(1j * phi)
+            assert closed == pytest.approx(
+                1 - 0.5 * (abs(S.s11 + S.s12 * e) ** 2
+                           + abs(S.s21 + S.s22 * e) ** 2), abs=1e-12)
 
 
 class TestSynthAndFit:

@@ -106,6 +106,15 @@ class TestFindCpa:
             # symmetric coupling: in-phase inputs absorb fully
             assert pt.phi_star == pytest.approx(0.0, abs=1e-9)
 
+    def test_off_centre_window(self):
+        # the window (128, 133) lies 3.5 to 8.5 meV above omega0; its zero at
+        # omega0 + sqrt(39) is further from omega0 than the window is wide
+        p = ModelParams(124.5, 5.0, 0.0, 5.0, 8.0)
+        pts = find_cpa(p, window=(128.0, 133.0))
+        assert len(pts) == 1
+        assert pts[0].omega == pytest.approx(124.5 + math.sqrt(39.0), abs=1e-9)
+        assert pts[0].dets_min < 1e-10
+
     def test_weak_critical_single_zero(self):
         p = ModelParams(124.5, 5.0, 1.0, 2.0, math.sqrt(8.0))
         pts = find_cpa(p, window=(104.5, 144.5))

@@ -206,14 +206,31 @@ def _elements(mats):
                  for k in ("s11", "s12", "s22"))
 
 
-def _same_angle(a, b):
-    return abs(cmath.exp(1j * a) - cmath.exp(1j * b)) < 1e-15
+def _same_angle(a, b, tol=1e-15):
+    return abs(cmath.exp(1j * a) - cmath.exp(1j * b)) < tol
+
+
+_PHIS = [2 * math.pi * k / 8 for k in range(8)]
+
+
+def _outputs(S, phi):
+    """|s_k^-|^2 for the input pair (1, e^{i phi}), written out in cmath."""
+    e = cmath.exp(1j * phi)
+    return abs(S.s11 + S.s12 * e) ** 2, abs(S.s21 + S.s22 * e) ** 2
+
+
+def _first_harmonic(values):
+    """Mean and first Fourier coefficient of samples on the _PHIS grid: a
+    sinusoid m + 2 Re(c e^{i phi}) gives back (m, c) exactly."""
+    return (sum(values) / 8,
+            sum(v * cmath.exp(-1j * phi) for v, phi in zip(values, _PHIS)) / 8)
 
 
 class TestArrayForms:
-    """The broadcasting forms, element by element against the SMatrix2 entry
-    points, on random reciprocal S plus the edge cases s12 = 0 (no
-    modulation, undefined dephasing) and s11 = 0."""
+    """The broadcasting forms against references measured from the two
+    output intensities, as an experiment sweeping the input dephasing would,
+    on random reciprocal S plus the edge cases s12 = 0 (no modulation,
+    undefined dephasing) and s11 = 0."""
 
     @pytest.fixture
     def mats(self):
@@ -227,18 +244,24 @@ class TestArrayForms:
         assert got.shape == (3, phis.size, len(mats))
         for i, phi in enumerate(phis):
             for j, S in enumerate(mats):
-                assert got[:, i, j] == pytest.approx(joint_absorbance(S, phi),
-                                                     abs=1e-15)
+                out1, out2 = _outputs(S, phi)
+                assert got[:, i, j] == pytest.approx(
+                    (1 - 0.5 * (out1 + out2), out1, out2), abs=1e-15)
 
     def test_extrema(self, mats):
         ext = two_beam_extrema(*_elements(mats))
         for j, S in enumerate(mats):
-            want = joint_extrema(S)
+            # A(phi) = a_avg + 2 Re(c e^{i phi}): a_mod = 2 |c|, and the
+            # maximum sits at phi = -arg c
+            a = [1 - 0.5 * sum(_outputs(S, phi)) for phi in _PHIS]
+            a_avg, c = _first_harmonic(a)
             assert (ext.a_min[j], ext.a_max[j], ext.a_avg[j], ext.a_mod[j]) \
-                == pytest.approx((want.a_min, want.a_max, want.a_avg,
-                                  want.a_mod), abs=1e-15)
-            assert _same_angle(ext.phi_min[j], want.phi_min)
-            assert _same_angle(ext.phi_max[j], want.phi_max)
+                == pytest.approx((a_avg - 2 * abs(c), a_avg + 2 * abs(c),
+                                  a_avg, 2 * abs(c)), abs=1e-14)
+            if j < 30:
+                assert _same_angle(ext.phi_max[j], -cmath.phase(c), 1e-12)
+                assert _same_angle(ext.phi_min[j], math.pi - cmath.phase(c),
+                                   1e-12)
         # s12 = 0: no modulation, and the phases fall back to 0 and pi
         assert (ext.a_mod[-2], ext.phi_min[-2], ext.phi_max[-2]) \
             == (0.0, 0.0, math.pi)
@@ -249,23 +272,25 @@ class TestArrayForms:
         assert defined.tolist() == [True] * 30 + [False, False]
         for j, S in enumerate(mats):
             if defined[j]:
-                assert _same_angle(dpsi[j], delta_psi(S))
+                # the phase offset between the two output sinusoids
+                c1 = _first_harmonic([_outputs(S, phi)[0] for phi in _PHIS])[1]
+                c2 = _first_harmonic([_outputs(S, phi)[1] for phi in _PHIS])[1]
+                assert _same_angle(dpsi[j], cmath.phase(c2 / c1), 1e-12)
             else:
                 with pytest.raises(PhaseUndefinedError):
                     delta_psi(S)
 
     def test_observable_kinds(self, mats):
         s = _elements(mats)
+        ext = two_beam_extrema(*s)
         for j, S in enumerate(mats):
             R1, R2, T = abs(S.s11) ** 2, abs(S.s22) ** 2, abs(S.s12) ** 2
-            ext = joint_extrema(S)
             want = {"R1": R1, "R2": R2, "T": T, "A1": 1 - R1 - T,
-                    "A2": 1 - R2 - T, "A_joint_max": ext.a_max,
-                    "A_joint_min": ext.a_min}
+                    "A2": 1 - R2 - T, "A_joint_max": ext.a_max[j],
+                    "A_joint_min": ext.a_min[j]}
             for kind, value in want.items():
                 assert observable(*s, kind)[j] == pytest.approx(value, abs=1e-15)
-            if j < 30:
-                assert _same_angle(observable(*s, "dpsi")[j], delta_psi(S))
+        assert np.array_equal(observable(*s, "dpsi"), output_dephasing(*s))
         assert set(want) | {"dpsi"} == set(KINDS)
         with pytest.raises(ValueError):
             observable(*s, "bogus")
@@ -274,7 +299,8 @@ class TestArrayForms:
         x = np.linspace(-50.0, 50.0, 201)
         got = wrap_phase(x)
         assert got.shape == x.shape
-        assert got.tolist() == [wrap_phase(float(v)) for v in x]
+        assert got == pytest.approx(
+            [math.atan2(math.sin(v), math.cos(v)) for v in x], abs=1e-13)
 
     @pytest.mark.parametrize("entry", [
         joint_extrema, delta_psi, lambda S: joint_absorbance(S, 0.3),
