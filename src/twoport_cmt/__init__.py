@@ -11,7 +11,6 @@ from .model import (
     DegenerateResponseError,
     ModelParams,
     PoleZeroSet,
-    SMatrix2,
     SpectrumTable,
     det_s,
     poles_zeros,
@@ -25,6 +24,7 @@ from .twoport import (
     NonReciprocalError,
     PhaseUndefinedError,
     ReciprocalDecomposition,
+    SMatrix2,
     decompose,
     delta_psi,
     dets_from_observables,

@@ -157,18 +157,16 @@ def _build_background(cfg: dict) -> Background:
 
 
 def _build_grid(cfg: dict) -> np.ndarray:
-    g = cfg["grid"]
-    if not (g["n"] >= 2 and g["max"] > g["min"]):
-        raise ConfigError("grid: need max > min and n >= 2")
-    return np.linspace(g["min"], g["max"], int(g["n"]))
+    lo = _number(cfg, "grid.min")
+    return np.linspace(lo, _number(cfg, "grid.max", lo, strict=True),
+                       int(_number(cfg, "grid.n", 2)))
 
 
 def _number(cfg: dict, path: str, low: float = -math.inf, *,
             strict: bool = False):
-    """The finite number at the config path `section.key`, at least low
-    (above it when strict); comparisons with NaN are False, so NaN fails."""
-    section, key = path.split(".")
-    v = cfg[section][key]
+    """The finite number at the dotted config path, at least low (above it
+    when strict); comparisons with NaN are False, so NaN fails."""
+    v = functools.reduce(dict.__getitem__, path.split("."), cfg)
     if not (isinstance(v, (int, float)) and not isinstance(v, bool)
             and (low < v if strict else low <= v) and abs(v) < math.inf):
         bound = f" {'>' if strict else '>='} {low}" if low > -math.inf else ""
@@ -275,10 +273,10 @@ def cmd_joint(cfg: dict) -> int:
 def cmd_phase_diagram(cfg: dict) -> int:
     p = _build_model(cfg)
     block = cfg["phase_diagram"]
-    xs = np.linspace(block["x_min"], block["x_max"],
-                     int(_number(cfg, "phase_diagram.x_n", 1)))
-    ys = np.linspace(block["y_min"], block["y_max"],
-                     int(_number(cfg, "phase_diagram.y_n", 1)))
+    xs, ys = (np.linspace(_number(cfg, f"phase_diagram.{a}_min"),
+                          _number(cfg, f"phase_diagram.{a}_max"),
+                          int(_number(cfg, f"phase_diagram.{a}_n", 1)))
+              for a in "xy")
     try:
         loci = regimes.critical_loci(p, block["x_param"], xs,
                                      block["y_param"], ys)
@@ -305,7 +303,7 @@ def cmd_oracle_check(cfg: dict) -> int:
     bg = _build_background(cfg)
     grid = _build_grid(cfg)  # drives are drawn over its range
     n = int(_number(cfg, "oracle_check.n_samples", 1))
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(int(_number(cfg, "seed", 0)))
     # one (omega, phi) pair per drive, omega drawn first
     ws, phis = rng.uniform([grid[0], -math.pi], [grid[-1], math.pi], (n, 2)).T
     closed = two_beam_outputs(*_defined_elements(p, bg, ws), phis)[0]
@@ -327,7 +325,7 @@ def cmd_synth(cfg: dict) -> int:
             raise ConfigError(f"synth.kinds: unknown kind {kind!r}")
     sigma = float(_number(cfg, "synth.noise_sigma", 0))
     ds = fitting.synth_dataset(p, bg, grid, block["kinds"], sigma,
-                               int(cfg["seed"]))
+                               int(_number(cfg, "seed", 0)))
     rows = list(zip(ds.omega, ds.kind, ds.value, ds.sigma))
     write_output(cfg, "synth", HEADERS["synth"], rows)
     return EXIT_OK

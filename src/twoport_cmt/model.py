@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .twoport import SMatrix2, observable
+
 _INF = math.inf
 
 
@@ -79,22 +81,6 @@ class Background:
     def coupling(self, gamma_r: float) -> complex:
         phase = 0.5 * (self.theta_b + math.atan2(self.t_b, self.r_b) + math.pi)
         return math.sqrt(gamma_r) * cmath.exp(1j * phase)
-
-
-@dataclass(frozen=True)
-class SMatrix2:
-    """2x2 complex scattering matrix at one frequency."""
-
-    s11: complex
-    s12: complex
-    s21: complex
-    s22: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.s11, self.s12], [self.s21, self.s22]], dtype=complex)
-
-    def det(self) -> complex:
-        return self.s11 * self.s22 - self.s12 * self.s21
 
 
 @dataclass(frozen=True)
@@ -251,15 +237,8 @@ def single_beam_spectrum(p: ModelParams, bg: Background, grid) -> SpectrumTable:
         raise ValueError("grid must be strictly increasing")
 
     s11, s12, s22, bad = s_elements(p, bg, w)
-    R1 = np.abs(s11) ** 2
-    R2 = np.abs(s22) ** 2
-    T = np.abs(s12) ** 2
+    kinds = {k: observable(s11, s12, s22, k) for k in ("R1", "R2", "T", "A1", "A2")}
     # |det S| from the pole-zero ratio, independent of the S entries
     abs_dets = np.abs(_det_s_grid(p, w)[0])
-    A1 = 1.0 - R1 - T
-    A2 = 1.0 - R2 - T
-    B = 1.0 - abs_dets**2
-    return SpectrumTable(
-        omega=w, R1=R1, R2=R2, T=T, A1=A1, A2=A2, B=B, abs_dets=abs_dets,
-        degenerate=bad,
-    )
+    return SpectrumTable(omega=w, **kinds, B=1.0 - abs_dets**2,
+                         abs_dets=abs_dets, degenerate=bad)

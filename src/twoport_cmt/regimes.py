@@ -138,42 +138,54 @@ def _stationary_value(p, u: np.ndarray):
             e * ddb - 2 * p.gamma_nr * b)
 
 
-def _min_abs_dets(c, lo, hi) -> np.ndarray:
-    """Minimum of |det S| over [lo, hi] per cell (cells along the last axis):
-    the smallest value at the window ends and at the clipped real parts of
-    the roots of G."""
-    w = np.clip(c.omega0 + _roots(_stationary_poly(c)).real.T, lo, hi)
-    w = np.vstack([lo, hi, np.where(np.isnan(w), lo, w)])
-    return np.fmin.reduce(np.abs(_det_s_grid(c, w)[0]), axis=0)
-
-
-def _minima(p: ModelParams, window, tol: float):
-    """Interior local minima of |det S|, (omega, |det S|) ascending: Newton
-    on G from the real part of every root of G, keeping the points in the
-    open window where it converged to tol with G' > 0. A near-multiple real
-    root can come out of `_roots` as a complex pair, hence all seeds; a seed
-    whose step stops shrinking short of tol (it cycles), or that is thrown
-    further than the window span from the window (far out, Newton on the
-    degree-5 G only creeps back), is dropped."""
-    lo, hi = window
-    mid, reach = 0.5 * (lo + hi) - p.omega0, 1.5 * (hi - lo)
-    r = _roots(_stationary_poly(_cells(p)))[0].real
-    u = r[~np.isnan(r)]
-    size = np.full(u.shape, np.inf)
+def _minima(c, lo, hi, tol: float):
+    """Interior local minima of |det S| per cell (cells along the last axis):
+    (omega, |det S|), shape (5, n), one unordered row per seed and NaN where
+    a seed found none; and per cell the minimum of |det S| over [lo, hi],
+    the smaller of the window-end values and those minima. Newton on G
+    starts from the real part of every root of G (a near-multiple real root
+    can come out of `_roots` as a complex pair). A seed is dropped once its
+    step stops shrinking short of tol (it cycles) or it lies further than
+    the window span outside the window (Newton on the degree-5 G only creeps
+    back from there); a cell stops, taking zero steps, once all its seeds
+    are within tol. A point in the open window is a minimum where G' > 0 or
+    |det S| < 1e-12: where the zeros of det S meet, G' = 0 to rounding."""
+    mid, reach = 0.5 * (lo + hi) - c.omega0, 1.5 * (hi - lo)
+    u = _roots(_stationary_poly(c)).real.T
+    size, dg = np.full(u.shape, np.inf), np.zeros(u.shape)
+    run = np.ones(u.shape[1], dtype=bool)
     for _ in range(_NEWTON_STEPS):
-        g, dg = _stationary_value(p, u)
-        step = np.divide(g, dg, out=np.zeros_like(g), where=dg != 0)
-        u = u - step
-        keep = (((np.abs(step) <= tol) | (np.abs(step) < size))
-                & (np.abs(u - mid) <= reach))
-        u, size, dg = u[keep], np.abs(step)[keep], dg[keep]
-        if not np.any(size > tol):
+        g, d = _stationary_value(c, u)
+        step = np.divide(g, d, out=np.zeros_like(g), where=run & (d != 0))
+        new, moved = u - step, np.abs(step)
+        keep = ((moved <= tol) | (moved < size)) & (np.abs(new - mid) <= reach)
+        u, size = np.where(keep, new, np.nan), np.where(keep, moved, np.nan)
+        dg = np.where(run, d, dg)
+        run = np.any(size > tol, axis=0)
+        if not run.any():
             break
-    u = np.sort(u[(size <= tol) & (dg > 0)
-                  & (lo - p.omega0 < u) & (u < hi - p.omega0)])
-    u = u[np.diff(u, prepend=-np.inf) > tol]  # seeds that found the same root
-    omega = p.omega0 + u
-    return omega, np.abs(_det_s_grid(p, omega)[0])
+    omega = c.omega0 + u
+    # a dropped seed (NaN) is evaluated at lo and then discarded
+    w = np.vstack([lo, hi, np.where(np.isnan(u), lo, omega)])
+    ends, dets = np.split(np.abs(_det_s_grid(c, w)[0]), [2])
+    ok = (size <= tol) & ((dg > 0) | (dets < 1e-12)) & (lo < omega) & (omega < hi)
+    dets = np.where(ok, dets, np.nan)
+    return (np.where(ok, omega, np.nan), dets,
+            np.fmin.reduce(np.vstack([ends, dets])))
+
+
+def _cell_minima(p: ModelParams, window, tol: float):
+    """`_minima` of one model, ascending. Of neighbours closer than tol, or
+    with |det S| < 1e-12 at both and midway (one zero of det S, which Newton
+    on the flat G there scatters by about 1e-7 meV), the first is kept."""
+    omega, dets = (a[:, 0] for a in _minima(_cells(p), *window, tol)[:2])
+    order = np.argsort(omega)[:np.count_nonzero(~np.isnan(omega))]
+    omega, dets = omega[order], dets[order]
+    between = np.abs(_det_s_grid(p, 0.5 * (omega[:-1] + omega[1:]))[0])
+    same = ((np.diff(omega) <= tol)
+            | (np.max([dets[:-1], dets[1:], between], axis=0) < 1e-12))
+    keep = np.r_[True, ~same][:omega.size]
+    return omega[keep], dets[keep]
 
 
 def classify_regime(p: ModelParams, window=None) -> RegimeReport:
@@ -184,9 +196,7 @@ def classify_regime(p: ModelParams, window=None) -> RegimeReport:
     end is a maximum of B and WindowTooNarrowError is raised.
     """
     lo_req, hi_req = default_window(p, pad=0.0)
-    if window is None:
-        window = default_window(p)
-    lo, hi = window
+    lo, hi = window = default_window(p) if window is None else window
     if lo > lo_req or hi < hi_req:
         raise ValueError(f"window {window} must cover ({lo_req}, {hi_req})")
     # |det S|^2 rises where G > 0 (F = 4 gamma_r G): B peaks on the boundary
@@ -199,7 +209,7 @@ def classify_regime(p: ModelParams, window=None) -> RegimeReport:
             "B(omega) has a maximum on the window boundary; widen the window")
     # maxima of B are exactly the minima of |det S|; an absorbance floor
     # rejects the minima of a nearly flat (B ~ 0) spectrum
-    omega, dets_min = _minima(p, window, tol=1e-10)
+    omega, dets_min = _cell_minima(p, window, 1e-10)
     positions = tuple(omega[1.0 - dets_min**2 > _PEAK_FLOOR].tolist())
     return RegimeReport(
         n_peaks=len(positions),
@@ -217,9 +227,8 @@ def find_cpa(p: ModelParams, window=None, tol: float = 1e-10) -> list[CpaPoint]:
     dephasing that maximizes the joint absorbance there; an empty list is a
     valid outcome (no interior minimum, e.g. a lossless model).
     """
-    if window is None:
-        window = default_window(p)
-    omega, dets_min = _minima(p, window, tol)
+    window = default_window(p) if window is None else window
+    omega, dets_min = _cell_minima(p, window, tol)
     phi_star = two_beam_extrema(*s_elements(p, Background(), omega)[:3]).phi_max
     return [CpaPoint(omega=float(x), dets_min=float(d), phi_star=float(f))
             for x, d, f in zip(omega, dets_min, phi_star)]
@@ -228,7 +237,7 @@ def find_cpa(p: ModelParams, window=None, tol: float = 1e-10) -> list[CpaPoint]:
 def min_abs_dets(p: ModelParams, window=None) -> float:
     """Minimum of |det S| over a real frequency window (default window)."""
     lo, hi = default_window(p) if window is None else window
-    return float(_min_abs_dets(_cells(p), np.array([lo]), np.array([hi]))[0])
+    return float(_minima(_cells(p), lo, hi, 1e-10)[2][0])
 
 
 def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
@@ -260,7 +269,7 @@ def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
         x_param=x_param, y_param=y_param, x_values=xs, y_values=ys,
         scc_residual=scc_residual(c).reshape(yy.shape),
         wcc_residual=wcc_residual(c).reshape(yy.shape),
-        min_abs_dets=_min_abs_dets(c, lo, hi).reshape(yy.shape),
+        min_abs_dets=_minima(c, lo, hi, 1e-10)[2].reshape(yy.shape),
         n_peaks=n_peaks.reshape(yy.shape),
     )
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SMatrix2
-
 INTENSITY_KINDS = ("R1", "R2", "T", "A1", "A2", "A_joint_max", "A_joint_min")
 KINDS = INTENSITY_KINDS + ("dpsi",)
 _RECIPROCITY_TOL = 1e-9
@@ -34,6 +32,22 @@ class PhaseUndefinedError(ValueError):
 def wrap_phase(x):
     """Wrap angles to (-pi, pi]; broadcasts over numpy arrays."""
     return np.angle(np.exp(1j * x))
+
+
+@dataclass(frozen=True)
+class SMatrix2:
+    """2x2 complex scattering matrix at one frequency."""
+
+    s11: complex
+    s12: complex
+    s21: complex
+    s22: complex
+
+    def as_array(self) -> np.ndarray:
+        return np.array([[self.s11, self.s12], [self.s21, self.s22]], dtype=complex)
+
+    def det(self) -> complex:
+        return self.s11 * self.s22 - self.s12 * self.s21
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,12 @@ class TestConfigHandling:
         ["synth", "--noise-sigma", "-1"],
         ["phase-diagram", {"phase_diagram": {"x_n": 0}}],
         ["phase-diagram", {"phase_diagram": {"y_n": -1}}],
+        ["phase-diagram", {"phase_diagram": {"x_min": "0"}}],
+        ["phase-diagram", {"phase_diagram": {"y_max": None}}],
+        ["spectrum", {"grid": {"n": "5"}}],
+        ["synth", {"grid": {"min": "105"}}],
+        ["oracle-check", {"seed": "x"}],
+        ["synth", "--seed", "-1"],
     ], ids=lambda argv: " ".join(map(str, argv)))
     def test_bad_command_value_rejected(self, tmp_path, monkeypatch, argv):
         # a trailing dict is written as the --config file

@@ -1,6 +1,7 @@
 """Core model: parameters, background, steady state, S-matrix, poles/zeros."""
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,3 +355,11 @@ class TestInvariantProperties:
             assert np.nanmax(np.abs(t.A1 - t.B / 2)) < 1e-10
             assert np.nanmax(np.abs(t.A2 - t.B / 2)) < 1e-10
             assert np.nanmax(t.A1) <= 0.5 + 1e-10
+
+
+def test_readme_library_block():
+    # the library example in README.md runs against the installed API
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})

@@ -18,6 +18,16 @@ from twoport_cmt.regimes import count_peaks, default_window, scc_residual, wcc_r
 from conftest import random_passive_params
 
 
+def _coalescent_zeros(rng, n):
+    """n models on both critical-coupling loci at zero detuning."""
+    models = []
+    for _ in range(n):
+        g, gamma_nr = rng.uniform(0.1, 10.0), rng.uniform(0.0, 5.0)
+        models.append(ModelParams(float(rng.uniform(50.0, 150.0)),
+                                  gamma_nr + g, gamma_nr, g, g))
+    return models
+
+
 class TestResiduals:
     def test_values(self, headline_params):
         assert scc_residual(headline_params) == pytest.approx(-2.0)
@@ -122,6 +132,22 @@ class TestFindCpa:
         assert len(zeros) == 1
         assert zeros[0].omega == pytest.approx(124.5, abs=1e-9)
 
+    @pytest.mark.parametrize("models", [
+        [ModelParams(124.5, 8.0, 0.0, 8.0, 8.0)],
+        [ModelParams(124.5, 5.0, 1.0, 4.0, 4.0)],
+        _coalescent_zeros(np.random.default_rng(41), 200),
+    ], ids=["gamma_nr=0", "gamma_nr=1", "random"])
+    def test_coalescent_zeros(self, models):
+        # gamma_r - gamma_nr = gamma_m = Omega, delta_m = 0: both zeros of
+        # det S meet at omega0, where G has a triple root and G' = 0
+        for p in models:
+            pts = find_cpa(p)
+            assert len(pts) == 1
+            assert abs(pts[0].omega - p.omega0) < 1e-6
+            assert pts[0].dets_min <= 1e-12
+            assert classify_regime(p).n_peaks == count_peaks(p) == 1
+            assert min_abs_dets(p) <= 1e-12
+
     def test_empty_for_lossless(self):
         p = ModelParams(124.5, 3.0, 0.0, 0.0, 8.0)
         pts = find_cpa(p)
@@ -203,6 +229,23 @@ class TestCriticalLoci:
         monkeypatch.setattr(regimes, "_SCAN_CELLS", 7)
         blocks = critical_loci(base, "gamma_m", xs, "omega_rabi", ys).n_peaks
         assert np.array_equal(blocks, whole)
+
+    @pytest.mark.parametrize("x_param, y_param, base, ep", [
+        # ep: the (x, y) cell on both critical loci, where the zeros meet
+        ("gamma_m", "gamma_r", ModelParams(124.5, 3.0, 0.0, 5.0, 8.0), (8.0, 8.0)),
+        ("gamma_m", "gamma_r", ModelParams(124.5, 3.0, 1.0, 5.0, 8.0), (8.0, 9.0)),
+        ("gamma_m", "omega_rabi", ModelParams(124.5, 5.0, 1.0, 5.0, 8.0), (4.0, 4.0)),
+    ])
+    def test_min_abs_dets_is_cell_value(self, x_param, y_param, base, ep):
+        axis = np.linspace(0.0, 10.0, 21)
+        m = critical_loci(base, x_param, axis, y_param, axis)
+        for j, y in enumerate(axis):
+            for i, x in enumerate(axis):
+                cell = ModelParams(**{**vars(base), x_param: x, y_param: y})
+                assert m.min_abs_dets[j, i] == pytest.approx(
+                    min_abs_dets(cell), abs=1e-15)
+        i, j = (int(np.flatnonzero(axis == v)[0]) for v in ep)
+        assert m.min_abs_dets[j, i] <= 1e-12
 
     def test_rejects_bad_axes(self, headline_params):
         with pytest.raises(ValueError):
@@ -321,6 +364,11 @@ class TestClosedFormVsGrid:
         ModelParams(99.94093806321439, 1.3412907512792005, 5.120153820260779,
                     0.00032636436706759555, 0.00010968345472077481,
                     delta_m=-2.010214843244956),
+        # a dip beside a weakly damped line, where the eigenvalue roots of G
+        # lie about 1e-4 meV off and |det S| there is 7.5e-4 above the minimum
+        ModelParams(90.2913762804405, 6.452567521035818, 0.22065022751065477,
+                    0.0001895306466020679, 0.025974283895842276,
+                    delta_m=-13.526311442142958),
     ])
     def test_newton_seeds(self, p):
         self._check(p)
