@@ -358,7 +358,7 @@ def cmd_fit(cfg: dict) -> int:
     })
     if not (result.converged and math.isfinite(result.residual)):
         print(f"numerical error: fit not converged after {result.n_iter} "
-              f"iterations (residual {result.residual}); {path} written",
+              f"evaluations (residual {result.residual}); {path} written",
               file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -1,26 +1,23 @@
 """Synthetic spectra and least-squares parameter extraction.
 
 Mirrors the bare-cavity-first / coupled-second workflow at desk scale: noisy
-datasets are generated from the model and the rates recovered by a
-derivative-free simplex fit with log-parametrized (positive) rates.
+datasets are generated from the model and the rates recovered by bounded
+least squares on the weighted residual vector, with positive rates.
 """
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
-from .model import Background, ModelParams, s_elements
+from .model import Background, ModelParams, _defined_elements
 from .twoport import (INTENSITY_KINDS, KINDS, dets_from_observables,
                       observable, wrap_phase)
 
-RATE_PARAMS = ("gamma_r", "gamma_nr", "gamma_m", "omega_rabi")
-FITTABLE = ("omega0",) + RATE_PARAMS + ("delta_m",)
-_RATE_FLOOR = 1e-8
-_MAX_ITER = 20000  # Nelder-Mead iteration and evaluation cap
+FITTABLE = ("omega0", "gamma_r", "gamma_nr", "gamma_m", "omega_rabi",
+            "delta_m")
 
 
 @dataclass(frozen=True)
@@ -37,6 +34,8 @@ class SpectrumDataset:
         n = self.omega.size
         if not (len(self.kind) == self.value.size == self.sigma.size == n):
             raise ValueError("dataset columns must have equal length")
+        if n == 0:
+            raise ValueError("dataset has no rows")
         for name in ("omega", "value", "sigma"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"dataset {name} column must be finite")
@@ -65,10 +64,13 @@ class SpectrumDataset:
         omegas, kinds, values, sigmas = [], [], [], []
         with open(path, newline="") as fh:
             rd = csv.reader(fh)
-            header = next(rd)
+            header = next(rd, None)
             if header != ["omega_meV", "kind", "value", "sigma"]:
                 raise ValueError(f"unexpected dataset header {header}")
             for row in rd:
+                if len(row) != 4:
+                    raise ValueError(f"dataset row {rd.line_num} has "
+                                     f"{len(row)} fields, expected 4")
                 omegas.append(float(row[0]))
                 kinds.append(row[1])
                 values.append(float(row[2]))
@@ -97,7 +99,7 @@ def model_values(p: ModelParams, bg: Background, omega, kind: str) -> np.ndarray
     """Model prediction of one observable kind at the energies omega (any
     order, repeats allowed)."""
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    return observable(*s_elements(p, bg, w)[:3], kind)
+    return observable(*_defined_elements(p, bg, w), kind)
 
 
 def synth_dataset(p: ModelParams, bg: Background, grid, kinds,
@@ -130,100 +132,70 @@ def synth_dataset(p: ModelParams, bg: Background, grid, kinds,
     )
 
 
-def _pack(p: ModelParams, free, init: ModelParams) -> np.ndarray:
-    x = []
-    for name in free:
-        v = getattr(p, name)
-        if name == "omega0" or name in RATE_PARAMS:
-            x.append(math.log(max(v, _RATE_FLOOR)))
-        else:  # delta_m, possibly zero or negative
-            x.append(v / max(0.01 * init.omega0, abs(init.delta_m)))
-    return np.array(x)
-
-
-def _unpack(x: np.ndarray, free, init: ModelParams) -> ModelParams:
-    updates = {}
-    for name, v in zip(free, x):
-        if name == "omega0" or name in RATE_PARAMS:
-            updates[name] = math.exp(v)
-        else:
-            updates[name] = v * max(0.01 * init.omega0, abs(init.delta_m))
-    return replace(init, **updates)
-
-
-def _chi2(p: ModelParams, bg: Background, data: SpectrumDataset,
-          groups) -> float:
-    total = 0.0
+def _residuals(p: ModelParams, bg: Background, data: SpectrumDataset,
+               groups) -> np.ndarray:
+    """Weighted residuals (value - model) / sigma, kind by kind in the order
+    of groups; dpsi residuals are wrapped."""
+    parts = []
     for kind, idx in groups.items():
-        pred = model_values(p, bg, data.omega[idx], kind)
-        resid = data.value[idx] - pred
+        resid = data.value[idx] - model_values(p, bg, data.omega[idx], kind)
         if kind == "dpsi":
             resid = wrap_phase(resid)
-        total += float(np.sum((resid / data.sigma[idx]) ** 2))
-    return total
+        parts.append(resid / data.sigma[idx])
+    return np.concatenate(parts)
 
 
 def fit_params(data: SpectrumDataset, init: ModelParams,
                free=("omega0", "gamma_r", "gamma_m", "omega_rabi"),
                background: Background | None = None) -> FitResult:
-    """Weighted least squares via Nelder-Mead simplex with positive rates
-    enforced through log-parametrization.  Frozen parameters pass through
-    bit-identical."""
+    """Weighted least squares by the bounded trust-region-reflective solver
+    (Branch, Coleman and Li, SIAM J. Sci. Comput. 21, 1 (1999)): rates >= 0,
+    omega0 > 0, delta_m free.  `param_sigma` is the covariance sd
+    sqrt(diag((J^T J)^-1)) at the solution, inf along a direction the data
+    do not constrain; `n_iter` counts residual evaluations.  Frozen
+    parameters pass through bit-identical."""
     for name in free:
         if name not in FITTABLE:
             raise ValueError(f"unknown fit parameter {name!r}")
+    if len(set(free)) != len(free):
+        raise ValueError(f"duplicate fit parameter in {tuple(free)}")
     bg = background if background is not None else Background()
     # kinds in first-seen order, not a set's (which follows PYTHONHASHSEED),
-    # so chi^2 adds its per-kind sums in the same order in every process
+    # so the residual vector has the same order in every process
     kinds = np.array(data.kind)
     groups = {k: np.flatnonzero(kinds == k) for k in dict.fromkeys(data.kind)}
     if not free:
-        return FitResult(params=init, background=bg,
-                         residual=_chi2(init, bg, data, groups),
+        r = _residuals(init, bg, data, groups)
+        return FitResult(params=init, background=bg, residual=float(r @ r),
                          n_iter=0, converged=True, param_sigma={})
     if len(data) < 3 * len(free):
         raise ValueError(
             f"need at least {3 * len(free)} data points for {len(free)} free "
             f"parameters, got {len(data)}")
 
-    x0 = _pack(init, free, init)
+    def unpack(x):
+        return replace(init, **dict(zip(free, x.tolist())))
 
-    def objective(x):
-        try:
-            p = _unpack(x, free, init)
-        except (OverflowError, ValueError):
-            return 1e30
-        return _chi2(p, bg, data, groups)
-
-    # fatol is absolute in the simplex; scale it so noisy datasets with
-    # chi^2 of order n_points can still terminate
-    fatol = 1e-12 * max(1.0, float(objective(x0)))
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": fatol,
-                            "maxiter": _MAX_ITER, "maxfev": _MAX_ITER})
-    best = _unpack(res.x, free, init)
-    sigma = _curvature_sigma(best, bg, data, groups, free)
-    return FitResult(params=best, background=bg, residual=float(res.fun),
-                     n_iter=int(res.nit), converged=bool(res.success),
-                     param_sigma=sigma)
+    lower = [-np.inf if name == "delta_m" else 0.0 for name in free]
+    res = least_squares(lambda x: _residuals(unpack(x), bg, data, groups),
+                        [getattr(init, name) for name in free],
+                        bounds=(lower, np.inf), method="trf", x_scale="jac")
+    sigma = _covariance_sd(res.jac).tolist()
+    return FitResult(params=unpack(res.x), background=bg,
+                     residual=float(res.fun @ res.fun), n_iter=int(res.nfev),
+                     converged=bool(res.success),
+                     param_sigma=dict(zip(free, sigma)))
 
 
-def _curvature_sigma(p: ModelParams, bg: Background, data: SpectrumDataset,
-                     groups, free) -> dict[str, float]:
-    """Per-parameter confidence proxy from the diagonal residual curvature."""
-    out = {}
-    f0 = _chi2(p, bg, data, groups)
-    for name in free:
-        v = getattr(p, name)
-        h = 1e-4 * max(abs(v), 1e-4)
-        fp = _chi2(replace(p, **{name: v + h}), bg, data, groups)
-        try:
-            fm = _chi2(replace(p, **{name: v - h}), bg, data, groups)
-        except ValueError:  # rate at the positivity boundary
-            fm = fp
-        d2 = (fp - 2 * f0 + fm) / h**2
-        out[name] = math.sqrt(2.0 / d2) if d2 > 0 else math.inf
-    return out
+def _covariance_sd(jac: np.ndarray) -> np.ndarray:
+    """sqrt(diag((J^T J)^-1)) from the SVD J = U s V^T, inf for every
+    parameter with weight in a singular direction."""
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    tol = np.sqrt(np.finfo(float).eps)  # finite-difference resolution of J
+    null = s <= tol * s[0]
+    var = np.sum((vt[~null] / s[~null, None]) ** 2, axis=0)
+    var[np.any(np.abs(vt[null]) > tol, axis=0)] = np.inf
+    return np.sqrt(var)
 
 
 def estimate_dets_curve(data: SpectrumDataset) -> DetsCurve:

@@ -173,10 +173,18 @@ class TestConfigHandling:
                    [*argv, "--output", str(outdir / "out.csv")]) == EXIT_CONFIG
         assert list(outdir.iterdir()) == []
 
-    def test_non_finite_dataset_rejected(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("text", [
+        "omega_meV,kind,value,sigma\n"
+        "120,R1,0.5,0.01\n121,R1,nan,0.01\n122,R1,0.4,0.01\n",
+        "omega_meV,kind,value,sigma\n120,R1,0.5\n",
+        "",
+        "omega_meV,kind,value,sigma\n",
+        "omega_meV,kind,value,sigma\n"
+        + "".join(f"{120 + i},R1,0.5,0.01,0.01\n" for i in range(12)),
+    ], ids=["nan value", "3 fields", "empty file", "header only", "5 fields"])
+    def test_non_finite_dataset_rejected(self, tmp_path, monkeypatch, text):
         data = tmp_path / "data.csv"
-        data.write_text("omega_meV,kind,value,sigma\n"
-                        "120,R1,0.5,0.01\n121,R1,nan,0.01\n122,R1,0.4,0.01\n")
+        data.write_text(text)
         out = tmp_path / "fit.json"
         assert run(tmp_path, monkeypatch,
                    ["fit", "--data", str(data), "--output", str(out)]) \
@@ -273,6 +281,27 @@ class TestNumericalExit:
                     "--grid-n", "3"])
         assert code == EXIT_NUMERICAL
         assert "DegenerateResponseError" in capsys.readouterr().err
+
+    def test_degenerate_data_frequency(self, tmp_path, monkeypatch, capsys):
+        # the lossless model has a real pole at 124.5 - 8.1 = 116.4, a point
+        # of the default grid
+        lossless = ["--gamma-r", "0", "--gamma-nr", "0", "--gamma-m", "0",
+                    "--omega-rabi", "8.1", "--grid-n", "201"]
+        synth = tmp_path / "synth.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["synth", "--output", str(synth), *lossless]) \
+            == EXIT_NUMERICAL
+        assert not synth.exists()
+        data = tmp_path / "data.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["synth", "--output", str(data), "--kinds", "A1",
+                    "--grid-n", "201"]) == EXIT_OK
+        result = tmp_path / "fit.json"
+        assert run(tmp_path, monkeypatch,
+                   ["fit", "--data", str(data), "--output", str(result),
+                    "--free", "omega0", *lossless[:-2]]) == EXIT_NUMERICAL
+        assert not result.exists()
+        assert capsys.readouterr().err.count("DegenerateResponseError") == 2
 
     def test_non_converged_fit(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "data.csv"

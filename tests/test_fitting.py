@@ -158,12 +158,59 @@ class TestFitParams:
         with pytest.raises(ValueError):
             fit_params(data, headline_params, free=("r_b",))
 
+    def test_duplicate_free_name(self, headline_params, default_bg):
+        data = synth_dataset(headline_params, default_bg, GRID, ("R1",),
+                             0.0, seed=0)
+        with pytest.raises(ValueError, match="duplicate"):
+            fit_params(data, headline_params,
+                       free=("omega0", "omega0", "gamma_r"))
+
     def test_empty_free_returns_init(self, headline_params, default_bg):
         data = synth_dataset(headline_params, default_bg, GRID, ("R1",),
                              0.0, seed=0)
         res = fit_params(data, headline_params, free=())
         assert res.params == headline_params
         assert res.residual == pytest.approx(0.0, abs=1e-20)
+
+
+class TestParamSigma:
+    def test_calibrated_on_criterion_8_data(self, headline_params, default_bg):
+        # the scatter of each fitted parameter over noise seeds is what
+        # param_sigma claims; a diagonal-curvature sd undershoots it up to 1.9x
+        grid = np.linspace(105.0, 145.0, 801)
+        init = ModelParams(122.0, 2.0, 0.0, 4.0, 7.0)
+        names = ("omega0", "gamma_r", "gamma_m", "omega_rabi")
+        fits = [fit_params(synth_dataset(headline_params, default_bg, grid,
+                                         ("A1",), 0.005, seed=seed), init)
+                for seed in range(40)]
+        for name in names:
+            values = [getattr(res.params, name) for res in fits]
+            sigma = np.mean([res.param_sigma[name] for res in fits])
+            assert 0.7 <= np.std(values, ddof=1) / sigma <= 1.35, name
+
+    @pytest.mark.parametrize("name", ["gamma_m", "delta_m"])
+    def test_unconstrained_parameter_is_inf(self, default_bg, name):
+        # with Omega = 0 the matter line drops out of S
+        p = ModelParams(124.5, 3.0, 1.0, 5.0, 0.0)
+        data = synth_dataset(p, default_bg, GRID, ("R1", "T", "A1"), 0.005,
+                             seed=1)
+        res = fit_params(data, ModelParams(123.5, 2.5, 1.0, 4.0, 0.0),
+                         free=("omega0", "gamma_r", name))
+        assert res.converged
+        assert res.param_sigma[name] == math.inf
+        assert 0 < res.param_sigma["omega0"] < 0.05
+        assert 0 < res.param_sigma["gamma_r"] < 0.05
+
+    def test_rate_at_its_bound(self, headline_params, default_bg):
+        # true gamma_nr = 0; this noise seed drives the fit onto the bound
+        data = synth_dataset(headline_params, default_bg, GRID,
+                             ("R1", "T", "A1"), 0.005, seed=1)
+        res = fit_params(data, ModelParams(122.0, 2.0, 0.5, 4.0, 7.0),
+                         free=("omega0", "gamma_r", "gamma_nr", "gamma_m",
+                               "omega_rabi"))
+        assert res.converged
+        assert res.params.gamma_nr < 1e-9
+        assert 0 < res.param_sigma["gamma_nr"] < math.inf
 
 
 class TestDetsCurve:
