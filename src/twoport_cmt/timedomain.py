@@ -1,12 +1,14 @@
 """Brute-force time-domain oracle.
 
 Integrates the coupled cavity/matter equations with a harmonic two-port
-drive using classical fixed-step 4th-order Runge-Kutta, then demodulates the
-tail of the trajectory to extract steady-state outputs.  Time is in 1/meV.
+drive using classical fixed-step 4th-order Runge-Kutta, iterated step by step
+as the linear map the stage formulas define, then demodulates the tail of the
+trajectory to extract steady-state outputs.  Time is in 1/meV.
 """
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,6 +21,10 @@ _SETTLING_FACTOR = 20.0  # horizon in units of the slowest decay time 1 / Im(pol
 _STEP = 0.04  # suggested step, in units of 1 / the largest frequency scale
 _STEP_GUARD = 0.05  # coarsest step `integrate` accepts, in the same units
 _DRIFT_TOL = 1e-6  # largest demodulated drift over the tail
+_EXTENSION = 0.25  # oracle horizon added per chunk while the tail drifts, x settling_time
+_MAX_EXTENSIONS = 4  # chunks before the oracle gives up: at most 2x settling_time
+
+_log = logging.getLogger(__name__)
 
 
 class SteadyStateNotConvergedError(RuntimeError):
@@ -88,25 +94,40 @@ def integrate(p: ModelParams, bg: Background, drive: DriveSpec,
         warnings.warn("all damping rates are zero: driven transient never decays "
                       "and the steady state is undefined", RuntimeWarning)
 
-    n = int(math.ceil(t_end / dt - 1e-9))
+    n = _step_count(t_end, dt)
+    start = (complex(a0), complex(b0), _drive_phasor(p, bg, drive))
+    a_t, b_t, _ = _iterate(p, drive, dt, start, n, 0)
+    return Trajectory(times=dt * np.arange(n + 1), a_t=a_t, b_t=b_t)
+
+
+def _step_count(t_end: float, dt: float) -> int:
+    return int(math.ceil(t_end / dt - 1e-9))
+
+
+def _drive_phasor(p: ModelParams, bg: Background, drive: DriveSpec) -> complex:
+    """Cavity drive d0 (amp1 + amp2 e^{i phi}) e^{i omega t} at t = 0."""
+    return bg.coupling(p.gamma_r) * (drive.amp1 + drive.amp2 * cmath.exp(1j * drive.phi))
+
+
+def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
+             n: int, keep: int):
+    """n RK4 steps from state = (a, b, drive phasor); returns the states
+    k = keep..n as arrays of a and of b, and the final state.
+
+    The ODE is linear, so one step is (a, b) <- M (a, b) + v ph followed by
+    ph <- ph e^{i omega dt}. M and v are read off the stage formulas, which
+    stay the one definition of the step, at the unit inputs; the loop then
+    iterates that map one step at a time. No steady-state formula enters.
+    """
     maa = 1j * p.omega0 - p.gamma_c
     mbb = 1j * p.omega_m - p.gamma_m
     mc = 1j * p.omega_rabi
-    d0 = bg.coupling(p.gamma_r)
-    f0 = d0 * (drive.amp1 + drive.amp2 * cmath.exp(1j * drive.phi))
     eh = cmath.exp(1j * drive.omega * dt / 2)
     ef = eh * eh
-
-    a = complex(a0)
-    b = complex(b0)
-    a_arr = np.empty(n + 1, dtype=complex)
-    b_arr = np.empty(n + 1, dtype=complex)
-    ph = f0
     h2 = 0.5 * dt
     h6 = dt / 6.0
-    for k in range(n):
-        a_arr[k] = a
-        b_arr[k] = b
+
+    def step(a, b, ph):
         d1a = maa * a + mc * b + ph
         d1b = mbb * b + mc * a
         ph_h = ph * eh
@@ -123,52 +144,104 @@ def integrate(p: ModelParams, bg: Background, drive: DriveSpec,
         b4 = b + dt * d3b
         d4a = maa * a4 + mc * b4 + ph_f
         d4b = mbb * b4 + mc * a4
-        a = a + h6 * (d1a + 2 * d2a + 2 * d3a + d4a)
-        b = b + h6 * (d1b + 2 * d2b + 2 * d3b + d4b)
-        ph = ph_f
-    a_arr[n] = a
-    b_arr[n] = b
-    return Trajectory(times=dt * np.arange(n + 1), a_t=a_arr, b_t=b_arr)
+        return (a + h6 * (d1a + 2 * d2a + 2 * d3a + d4a),
+                b + h6 * (d1b + 2 * d2b + 2 * d3b + d4b))
+
+    (m_aa, m_ba), (m_ab, m_bb), (v_a, v_b) = step(1, 0, 0), step(0, 1, 0), step(0, 0, 1)
+    a, b, ph = state
+    a_t = np.empty(n + 1 - keep, dtype=complex)
+    b_t = np.empty(n + 1 - keep, dtype=complex)
+    for k in range(n):
+        if k >= keep:
+            a_t[k - keep] = a
+            b_t[k - keep] = b
+        a, b = m_aa * a + m_ab * b + v_a * ph, m_ba * a + m_bb * b + v_b * ph
+        ph *= ef
+    a_t[-1] = a
+    b_t[-1] = b
+    return a_t, b_t, (a, b, ph)
 
 
-def _demodulated_tail(p: ModelParams, bg: Background, drive: DriveSpec,
-                      traj: Trajectory):
-    """Complex steady-state outputs from the final 20% of the trajectory.
+def _tail_start(n_states: int) -> int:
+    """Index of the first state of the demodulation window, the final 20%."""
+    return int(0.8 * n_states)
 
-    A least-squares linear drift fit converts transient contamination into an
-    explicit error instead of a bias.
+
+def _demodulate(p: ModelParams, bg: Background, drive: DriveSpec,
+                t: np.ndarray, a_t: np.ndarray):
+    """Mean complex port outputs over the window (t, a_t), and the larger of
+    their drifts: |least-squares slope| x span.
+
+    The linear drift fit converts transient contamination into an explicit
+    error instead of a bias.
     """
-    n = traj.times.size
-    k0 = int(0.8 * n)
-    t = traj.times[k0:]
     d0 = bg.coupling(p.gamma_r)
     C = bg.matrix()
     in1 = drive.amp1
     in2 = drive.amp2 * cmath.exp(1j * drive.phi)
     demod = np.exp(-1j * drive.omega * t)
-    z1 = C[0, 0] * in1 + C[0, 1] * in2 + d0 * traj.a_t[k0:] * demod
-    z2 = C[1, 0] * in1 + C[1, 1] * in2 + d0 * traj.a_t[k0:] * demod
+    z1 = C[0, 0] * in1 + C[0, 1] * in2 + d0 * a_t * demod
+    z2 = C[1, 0] * in1 + C[1, 1] * in2 + d0 * a_t * demod
     tc = t - t.mean()
     span = t[-1] - t[0]
-    results = []
+    means = []
+    drift = 0.0
     for z in (z1, z2):
         mean = z.mean()
         slope = np.dot(tc, z - mean) / np.dot(tc, tc)
-        drift = abs(slope) * span
-        if drift > _DRIFT_TOL:
-            raise SteadyStateNotConvergedError(
-                f"demodulated drift {drift:.2e} exceeds {_DRIFT_TOL:.0e}; "
-                "increase t_end")
-        results.append(complex(mean))
-    return results[0], results[1]
+        drift = max(drift, abs(slope) * span)
+        means.append(complex(mean))
+    return means, drift
+
+
+def _demodulated_tail(p: ModelParams, bg: Background, drive: DriveSpec,
+                      traj: Trajectory):
+    """Complex steady-state outputs from the final 20% of the trajectory."""
+    k0 = _tail_start(traj.times.size)
+    (s1m, s2m), drift = _demodulate(p, bg, drive, traj.times[k0:], traj.a_t[k0:])
+    if drift > _DRIFT_TOL:
+        raise SteadyStateNotConvergedError(
+            f"demodulated drift {drift:.2e} exceeds {_DRIFT_TOL:.0e}; "
+            "increase t_end")
+    return s1m, s2m
 
 
 def oracle_scattering(p: ModelParams, bg: Background,
                       drive: DriveSpec) -> OracleResult:
-    """Steady-state port outputs and joint absorbance from the time domain,
-    integrated to `settling_time` with `suggested_time_step`."""
-    traj = integrate(p, bg, drive, settling_time(p), suggested_time_step(p, drive))
-    s1m, s2m = _demodulated_tail(p, bg, drive, traj)
+    """Steady-state port outputs and joint absorbance from the time domain.
+
+    Steps with `suggested_time_step` from rest to `settling_time` and
+    demodulates the final 20% of the states, the only ones stored. Near an
+    exceptional point the transient decays like t e^{-gamma t} and can
+    outlast that horizon: while the window drifts by more than `_DRIFT_TOL`,
+    stepping continues from the last state in chunks of `_EXTENSION` x the
+    horizon, and the window stays the final 20%. After `_MAX_EXTENSIONS`
+    chunks `SteadyStateNotConvergedError` is raised.
+    """
+    dt = suggested_time_step(p, drive)
+    n = _step_count(settling_time(p), dt)
+    chunk = math.ceil(_EXTENSION * n)
+    k0 = _tail_start(n + 1)
+    a_t, _, state = _iterate(p, drive, dt, (0j, 0j, _drive_phasor(p, bg, drive)),
+                             n, k0)
+    extensions = 0
+    while True:
+        k = _tail_start(n + 1)
+        (s1m, s2m), drift = _demodulate(p, bg, drive, dt * np.arange(k, n + 1),
+                                        a_t[k - k0:])
+        if drift <= _DRIFT_TOL or extensions == _MAX_EXTENSIONS:
+            break
+        a_more, _, state = _iterate(p, drive, dt, state, chunk, 1)
+        a_t = np.concatenate((a_t, a_more))
+        n += chunk
+        extensions += 1
+    _log.debug("oracle omega=%.9g phi=%.6g: dt=%.6g t_end=%.6g steps=%d "
+               "extensions=%d drift=%.3g (tol %.0e)", drive.omega, drive.phi,
+               dt, n * dt, n, extensions, drift, _DRIFT_TOL)
+    if drift > _DRIFT_TOL:
+        raise SteadyStateNotConvergedError(
+            f"demodulated drift {drift:.2e} exceeds {_DRIFT_TOL:.0e} after "
+            f"{extensions} horizon extensions")
     out1 = abs(s1m) ** 2
     out2 = abs(s2m) ** 2
     total_in = drive.amp1**2 + drive.amp2**2

@@ -1,5 +1,8 @@
 """Time-domain integrator against the frequency-domain closed forms."""
+import cmath
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +17,50 @@ from twoport_cmt import (
     oracle_scattering,
     scattering_matrix,
 )
+from twoport_cmt import timedomain
 from twoport_cmt.timedomain import _demodulated_tail, settling_time, suggested_time_step
 from conftest import random_passive_params
+
+
+def _stage_rk4(p, bg, drive, t_end, dt, a0, b0):
+    """Reference: classical RK4 evaluated stage by stage at every step."""
+    n = int(math.ceil(t_end / dt - 1e-9))
+    maa = 1j * p.omega0 - p.gamma_c
+    mbb = 1j * p.omega_m - p.gamma_m
+    mc = 1j * p.omega_rabi
+    eh = cmath.exp(1j * drive.omega * dt / 2)
+    ef = eh * eh
+    ph = bg.coupling(p.gamma_r) * (drive.amp1 + drive.amp2 * cmath.exp(1j * drive.phi))
+    a, b = complex(a0), complex(b0)
+    a_arr = np.empty(n + 1, dtype=complex)
+    b_arr = np.empty(n + 1, dtype=complex)
+    h2, h6 = 0.5 * dt, dt / 6.0
+    for k in range(n):
+        a_arr[k], b_arr[k] = a, b
+        d1a = maa * a + mc * b + ph
+        d1b = mbb * b + mc * a
+        ph_h = ph * eh
+        a2, b2 = a + h2 * d1a, b + h2 * d1b
+        d2a = maa * a2 + mc * b2 + ph_h
+        d2b = mbb * b2 + mc * a2
+        a3, b3 = a + h2 * d2a, b + h2 * d2b
+        d3a = maa * a3 + mc * b3 + ph_h
+        d3b = mbb * b3 + mc * a3
+        ph_f = ph * ef
+        a4, b4 = a + dt * d3a, b + dt * d3b
+        d4a = maa * a4 + mc * b4 + ph_f
+        d4b = mbb * b4 + mc * a4
+        a = a + h6 * (d1a + 2 * d2a + 2 * d3a + d4a)
+        b = b + h6 * (d1b + 2 * d2b + 2 * d3b + d4b)
+        ph = ph_f
+    a_arr[n], b_arr[n] = a, b
+    return a_arr, b_arr
+
+
+def _oracle_log(caplog) -> dict:
+    """Fields of the one oracle diagnostic line recorded by caplog."""
+    (rec,) = [r for r in caplog.records if r.name == "twoport_cmt.timedomain"]
+    return dict(re.findall(r"(\w+)=(\S+)", rec.getMessage()))
 
 
 class TestSetupHelpers:
@@ -84,6 +129,21 @@ class TestIntegrate:
             assert abs(traj.a_t[idx] - vt[0]) < 1e-9
             assert abs(traj.b_t[idx] - vt[1]) < 1e-9
 
+    @pytest.mark.parametrize("p", [
+        ModelParams(124.5, 3.0, 1.0, 5.0, 0.0),  # Omega = 0: decoupled matter
+        ModelParams(124.5, 3.0, 1.0, 5.0, 8.0, delta_m=-6.5),
+    ])
+    def test_step_map_equals_stage_formulas(self, p):
+        # the iterated map is the RK4 step, up to rounding
+        bg = Background(0.8, 0.4)
+        drive = DriveSpec(omega=121.0, phi=0.9, amp1=1.0, amp2=0.3)
+        dt = suggested_time_step(p, drive)
+        traj = integrate(p, bg, drive, 2000 * dt, dt, a0=0.4 - 0.2j, b0=-0.1 + 0.3j)
+        ref_a, ref_b = _stage_rk4(p, bg, drive, 2000 * dt, dt, 0.4 - 0.2j, -0.1 + 0.3j)
+        assert traj.a_t.size == 2001
+        for got, ref in ((traj.a_t, ref_a), (traj.b_t, ref_b)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_step_guard(self, headline_params, default_bg):
         drive = DriveSpec(omega=124.5)
         with pytest.raises(ValueError):
@@ -128,6 +188,67 @@ class TestDemodulation:
         traj = integrate(headline_params, default_bg, drive, 2.0, dt)
         with pytest.raises(SteadyStateNotConvergedError):
             _demodulated_tail(headline_params, default_bg, drive, traj)
+
+
+class TestOracleHorizon:
+    def test_stored_tail_is_integrate_tail(self, headline_params, default_bg,
+                                           monkeypatch, caplog):
+        # the oracle keeps only the window it demodulates, bit for bit the
+        # same states as integrate's full trajectory; this drive settles
+        # within settling_time and takes no extension
+        windows = []
+        demodulate = timedomain._demodulate
+
+        def spy(p, bg, drive, t, a_t):
+            windows.append((t, a_t))
+            return demodulate(p, bg, drive, t, a_t)
+        monkeypatch.setattr(timedomain, "_demodulate", spy)
+        drive = DriveSpec(omega=120.0, phi=0.7, amp1=1.0, amp2=0.6)
+        with caplog.at_level(logging.DEBUG, logger="twoport_cmt.timedomain"):
+            res = oracle_scattering(headline_params, default_bg, drive)
+        dt = suggested_time_step(headline_params, drive)
+        traj = integrate(headline_params, default_bg, drive,
+                         settling_time(headline_params), dt)
+        k0 = int(0.8 * traj.times.size)
+        ((t, a_t),) = windows
+        assert np.array_equal(t, traj.times[k0:])
+        assert np.array_equal(a_t, traj.a_t[k0:])
+        s1m, s2m = _demodulated_tail(headline_params, default_bg, drive, traj)
+        assert res.out1 == abs(s1m) ** 2 and res.out2 == abs(s2m) ** 2
+        log = _oracle_log(caplog)
+        assert log["extensions"] == "0"
+        assert int(log["steps"]) == traj.times.size - 1
+        assert float(log["dt"]) == pytest.approx(dt, rel=1e-5)
+        assert float(log["t_end"]) == pytest.approx(traj.times[-1], rel=1e-5)
+        assert float(log["drift"]) <= 1e-6
+
+    def test_exceptional_point_extends_horizon(self, default_bg, caplog):
+        # at the exceptional point the transient decays like t e^{-gamma t};
+        # settling_time alone leaves a drift of 1.9e-6 here
+        p = ModelParams(130.16644050918734, 5.780390043643968, 5.197049892380149,
+                        0.7789030528133366, 5.09926844160539)
+        drive = DriveSpec(126.93964217679171, -1.1435196331453783)
+        with caplog.at_level(logging.DEBUG, logger="twoport_cmt.timedomain"):
+            res = oracle_scattering(p, default_bg, drive)
+        closed = joint_absorbance(scattering_matrix(p, default_bg, drive.omega),
+                                  drive.phi)[0]
+        assert res.a_joint == pytest.approx(closed, abs=1e-6)
+        log = _oracle_log(caplog)
+        assert 1 <= int(log["extensions"]) <= timedomain._MAX_EXTENSIONS
+        assert float(log["t_end"]) > settling_time(p)
+
+    def test_raises_at_extension_cap(self, headline_params, default_bg,
+                                     monkeypatch, caplog):
+        monkeypatch.setattr(timedomain, "_DRIFT_TOL", 0.0)
+        with caplog.at_level(logging.DEBUG, logger="twoport_cmt.timedomain"), \
+                pytest.raises(SteadyStateNotConvergedError, match="extensions"):
+            oracle_scattering(headline_params, default_bg, DriveSpec(omega=124.5))
+        log = _oracle_log(caplog)
+        assert int(log["extensions"]) == timedomain._MAX_EXTENSIONS
+        n = int(math.ceil(settling_time(headline_params) / suggested_time_step(
+            headline_params, DriveSpec(omega=124.5)) - 1e-9))
+        assert int(log["steps"]) == n + timedomain._MAX_EXTENSIONS * math.ceil(
+            timedomain._EXTENSION * n)
 
 
 class TestOracleVsClosedForm:
