@@ -130,30 +130,21 @@ def load_config(args) -> dict:
         if user.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError("unsupported schema_version")
         cfg = _merge(cfg, user)
-    overrides: dict = {}
+    # _merge keeps every parent of a flag's path a dict
     for flag, (path, _) in _command_flags(args.command).items():
         v = getattr(args, flag[2:].replace("-", "_"))
         if v is not None:
             *parents, key = path.split(".")
-            node = overrides
-            for part in parents:
-                node = node.setdefault(part, {})
-            node[key] = v
-    return _merge(cfg, overrides)
+            functools.reduce(dict.__getitem__, parents, cfg)[key] = v
+    return cfg
 
 
-def _build_model(cfg: dict) -> ModelParams:
+def _build(cls, cfg: dict, key: str):
+    """cls built from the config block at key; a bad value is a ConfigError."""
     try:
-        return ModelParams(**cfg["model"])
+        return cls(**cfg[key])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}")
-
-
-def _build_background(cfg: dict) -> Background:
-    try:
-        return Background(**cfg["background"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"background: {exc}")
+        raise ConfigError(f"{key}: {exc}")
 
 
 def _build_grid(cfg: dict) -> np.ndarray:
@@ -201,8 +192,9 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def write_output(cfg: dict, command: str, header: list[str], rows,
-                 **extra_meta) -> str:
+def write_output(cfg: dict, command: str, rows, **extra_meta) -> int:
+    """Write the command's table with its provenance; returns EXIT_OK."""
+    header = HEADERS[command]
     path = _resolve_output(cfg["output"]["path"])
     fmt = cfg["output"]["format"]
     if fmt not in ("csv", "json"):
@@ -219,34 +211,26 @@ def write_output(cfg: dict, command: str, header: list[str], rows,
             "meta": meta, "columns": header,
             "rows": [[v if isinstance(v, str) else float(v) for v in row]
                      for row in rows]})
-    return path
-
-
-def cmd_spectrum(cfg: dict) -> int:
-    p = _build_model(cfg)
-    bg = _build_background(cfg)
-    grid = _build_grid(cfg)
-    t = single_beam_spectrum(p, bg, grid)
-    rows = list(zip(t.omega, t.R1, t.R2, t.T, t.A1, t.A2, t.B, t.abs_dets))
-    write_output(cfg, "spectrum", HEADERS["spectrum"], rows)
     return EXIT_OK
 
 
-def cmd_sweep_phase(cfg: dict) -> int:
-    p = _build_model(cfg)
-    bg = _build_background(cfg)
+def cmd_spectrum(cfg: dict, p: ModelParams, bg: Background) -> int:
+    grid = _build_grid(cfg)
+    t = single_beam_spectrum(p, bg, grid)
+    rows = list(zip(t.omega, t.R1, t.R2, t.T, t.A1, t.A2, t.B, t.abs_dets))
+    return write_output(cfg, "spectrum", rows)
+
+
+def cmd_sweep_phase(cfg: dict, p: ModelParams, bg: Background) -> int:
     omega = float(_number(cfg, "sweep_phase.omega"))
     n_phi = int(_number(cfg, "sweep_phase.n_phi", 1))
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
     a, out1, out2 = two_beam_outputs(*_defined_elements(p, bg, omega), phis)
     rows = zip(phis, out1, out2, a)
-    write_output(cfg, "sweep-phase", HEADERS["sweep-phase"], rows)
-    return EXIT_OK
+    return write_output(cfg, "sweep-phase", rows)
 
 
-def cmd_joint(cfg: dict) -> int:
-    p = _build_model(cfg)
-    bg = _build_background(cfg)
+def cmd_joint(cfg: dict, p: ModelParams, bg: Background) -> int:
     grid = _build_grid(cfg)
     # a sinusoid A + B sin(phi + c) needs three samples
     n_phi = int(_number(cfg, "joint.n_phi", 3))
@@ -266,12 +250,10 @@ def cmd_joint(cfg: dict) -> int:
     rows = zip(grid, ext.a_min, ext.a_max, ext.a_avg,
                np.where(defined, output_dephasing(s11, s12, s22), math.nan),
                np.abs(s11 * s22 - s12 * s12), np.where(defined, recon, math.nan))
-    write_output(cfg, "joint", HEADERS["joint"], rows)
-    return EXIT_OK
+    return write_output(cfg, "joint", rows)
 
 
-def cmd_phase_diagram(cfg: dict) -> int:
-    p = _build_model(cfg)
+def cmd_phase_diagram(cfg: dict, p: ModelParams, bg: Background) -> int:
     block = cfg["phase_diagram"]
     xs, ys = (np.linspace(_number(cfg, f"phase_diagram.{a}_min"),
                           _number(cfg, f"phase_diagram.{a}_max"),
@@ -286,21 +268,16 @@ def cmd_phase_diagram(cfg: dict) -> int:
     rows = zip(xx.ravel(), yy.ravel(), loci.n_peaks.ravel(),
                loci.scc_residual.ravel(), loci.wcc_residual.ravel(),
                loci.min_abs_dets.ravel())
-    write_output(cfg, "phase-diagram", HEADERS["phase-diagram"], rows)
-    return EXIT_OK
+    return write_output(cfg, "phase-diagram", rows)
 
 
-def cmd_cpa(cfg: dict) -> int:
-    p = _build_model(cfg)
+def cmd_cpa(cfg: dict, p: ModelParams, bg: Background) -> int:
     pts = regimes.find_cpa(p, tol=float(_number(cfg, "cpa.tol", 0, strict=True)))
     rows = [(pt.omega, pt.dets_min, pt.phi_star) for pt in pts]
-    write_output(cfg, "cpa", HEADERS["cpa"], rows, empty_result=not rows)
-    return EXIT_OK
+    return write_output(cfg, "cpa", rows, empty_result=not rows)
 
 
-def cmd_oracle_check(cfg: dict) -> int:
-    p = _build_model(cfg)
-    bg = _build_background(cfg)
+def cmd_oracle_check(cfg: dict, p: ModelParams, bg: Background) -> int:
     grid = _build_grid(cfg)  # drives are drawn over its range
     n = int(_number(cfg, "oracle_check.n_samples", 1))
     rng = np.random.default_rng(int(_number(cfg, "seed", 0)))
@@ -311,13 +288,10 @@ def cmd_oracle_check(cfg: dict) -> int:
         timedomain.oracle_scattering(p, bg, DriveSpec(omega=w, phi=phi)).a_joint
         for w, phi in zip(ws.tolist(), phis.tolist())])
     rows = zip(ws, phis, closed, oracle, np.abs(closed - oracle))
-    write_output(cfg, "oracle-check", HEADERS["oracle-check"], rows)
-    return EXIT_OK
+    return write_output(cfg, "oracle-check", rows)
 
 
-def cmd_synth(cfg: dict) -> int:
-    p = _build_model(cfg)
-    bg = _build_background(cfg)
+def cmd_synth(cfg: dict, p: ModelParams, bg: Background) -> int:
     grid = _build_grid(cfg)
     block = cfg["synth"]
     for kind in block["kinds"]:
@@ -327,13 +301,10 @@ def cmd_synth(cfg: dict) -> int:
     ds = fitting.synth_dataset(p, bg, grid, block["kinds"], sigma,
                                int(_number(cfg, "seed", 0)))
     rows = list(zip(ds.omega, ds.kind, ds.value, ds.sigma))
-    write_output(cfg, "synth", HEADERS["synth"], rows)
-    return EXIT_OK
+    return write_output(cfg, "synth", rows)
 
 
-def cmd_fit(cfg: dict) -> int:
-    init = _build_model(cfg)
-    bg = _build_background(cfg)
+def cmd_fit(cfg: dict, p: ModelParams, bg: Background) -> int:
     block = cfg["fit"]
     if not block["data"]:
         raise ConfigError("fit.data: dataset path required")
@@ -342,7 +313,7 @@ def cmd_fit(cfg: dict) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"fit.data: {exc}")
     try:
-        result = fitting.fit_params(data, init, free=tuple(block["free"]),
+        result = fitting.fit_params(data, p, free=tuple(block["free"]),
                                     background=bg)
     except ValueError as exc:
         raise ConfigError(f"fit: {exc}")
@@ -395,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](load_config(args))
+        cfg = load_config(args)
+        # every subcommand takes the background, so every one validates it
+        return COMMANDS[args.command](cfg, _build(ModelParams, cfg, "model"),
+                                      _build(Background, cfg, "background"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -274,17 +274,17 @@ def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
     )
 
 
-def _peak_counts(c, lo, hi, n_grid: int = _PEAK_GRID) -> np.ndarray:
-    """Strict interior maxima above _PEAK_FLOOR of B(omega) on the n_grid-point
-    grid over [lo, hi] of each model (models along the last axis)."""
-    dets, bad = _det_s_grid(c, np.linspace(lo, hi, n_grid))
+def _peak_counts(c, lo, hi) -> np.ndarray:
+    """Strict interior maxima above _PEAK_FLOOR of B(omega) on _PEAK_GRID
+    points over [lo, hi] of each model (models along the last axis)."""
+    dets, bad = _det_s_grid(c, np.linspace(lo, hi, _PEAK_GRID))
     b = np.where(bad, -np.inf, 1.0 - np.abs(dets) ** 2)
     interior = (b[1:-1] > b[:-2]) & (b[1:-1] > b[2:]) & (b[1:-1] > _PEAK_FLOOR)
     return np.count_nonzero(interior, axis=0)
 
 
-def count_peaks(p: ModelParams, window=None, n_grid: int = _PEAK_GRID) -> int:
+def count_peaks(p: ModelParams, window=None) -> int:
     """Quick strict-maxima count of B(omega) without refinement: the one-model
     case of the scan `critical_loci` runs over a sweep."""
     lo, hi = default_window(p) if window is None else window
-    return int(_peak_counts(p, lo, hi, n_grid))
+    return int(_peak_counts(p, lo, hi))

@@ -169,29 +169,22 @@ def _tail_start(n_states: int) -> int:
 
 def _demodulate(p: ModelParams, bg: Background, drive: DriveSpec,
                 t: np.ndarray, a_t: np.ndarray):
-    """Mean complex port outputs over the window (t, a_t), and the larger of
-    their drifts: |least-squares slope| x span.
+    """Mean complex port outputs over the window (t, a_t), and their drift:
+    |least-squares slope| x span.
 
-    The linear drift fit converts transient contamination into an explicit
-    error instead of a bias.
+    Output k is the direct term (C s+)_k plus d0 w with w = a e^{-i omega t}.
+    The two differ by a constant, so they share the mean of w and one drift,
+    |d0| x that of w. The linear drift fit converts transient contamination
+    into an explicit error instead of a bias.
     """
     d0 = bg.coupling(p.gamma_r)
-    C = bg.matrix()
-    in1 = drive.amp1
-    in2 = drive.amp2 * cmath.exp(1j * drive.phi)
-    demod = np.exp(-1j * drive.omega * t)
-    z1 = C[0, 0] * in1 + C[0, 1] * in2 + d0 * a_t * demod
-    z2 = C[1, 0] * in1 + C[1, 1] * in2 + d0 * a_t * demod
+    direct = bg.matrix() @ [drive.amp1, drive.amp2 * cmath.exp(1j * drive.phi)]
+    w = a_t * np.exp(-1j * drive.omega * t)
+    mean = w.mean()
     tc = t - t.mean()
-    span = t[-1] - t[0]
-    means = []
-    drift = 0.0
-    for z in (z1, z2):
-        mean = z.mean()
-        slope = np.dot(tc, z - mean) / np.dot(tc, tc)
-        drift = max(drift, abs(slope) * span)
-        means.append(complex(mean))
-    return means, drift
+    slope = np.dot(tc, w - mean) / np.dot(tc, tc)
+    drift = abs(d0) * abs(slope) * (t[-1] - t[0])
+    return [complex(z + d0 * mean) for z in direct], drift
 
 
 def _demodulated_tail(p: ModelParams, bg: Background, drive: DriveSpec,

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,8 @@ import pytest
 
 import twoport_cmt
 from twoport_cmt import ModelParams, critical_loci, fitting
-from twoport_cmt.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, HEADERS,
-                             build_parser, load_config, main)
+from twoport_cmt.cli import (COMMANDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
+                             HEADERS, build_parser, load_config, main)
 
 
 # a detuned, lossy model behind a partly transmitting, phased background
@@ -160,6 +161,8 @@ class TestConfigHandling:
         ["synth", {"grid": {"min": "105"}}],
         ["oracle-check", {"seed": "x"}],
         ["synth", "--seed", "-1"],
+        ["cpa", "--r-b", "2"],
+        ["phase-diagram", "--theta-b", "nan"],
     ], ids=lambda argv: " ".join(map(str, argv)))
     def test_bad_command_value_rejected(self, tmp_path, monkeypatch, argv):
         # a trailing dict is written as the --config file
@@ -618,3 +621,16 @@ class TestSynthAndFit:
     def test_bad_kind_rejected(self, tmp_path, monkeypatch):
         assert run(tmp_path, monkeypatch,
                    ["synth", "--kinds", "bogus"]) == EXIT_CONFIG
+
+
+def test_readme_cli_block(tmp_path, monkeypatch):
+    # each twoport-cmt line of README's CLI block runs, in order; `fit
+    # --data data.csv` reads what `synth` wrote, from the current directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI")[1].split("```sh\n")[1].split("```")[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines()
+             if line.startswith("twoport-cmt ")]
+    assert {argv[0] for argv in lines} == set(COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert run(tmp_path, monkeypatch, argv, outdir=tmp_path) == EXIT_OK, argv

@@ -271,7 +271,7 @@ class TestCountPeaks:
                 rep = classify_regime(p)
             except WindowTooNarrowError:
                 continue
-            assert count_peaks(p, n_grid=4001) == rep.n_peaks
+            assert count_peaks(p) == rep.n_peaks
             checked += 1
         assert checked > 15
 

@@ -189,6 +189,21 @@ class TestDemodulation:
         with pytest.raises(SteadyStateNotConvergedError):
             _demodulated_tail(headline_params, default_bg, drive, traj)
 
+    def test_known_window(self, headline_params):
+        # a(t) = e^{i omega t} (c + s t): the window mean of the demodulated
+        # signal is c + s mean(t), its drift |d0| |s| span
+        bg = Background(r_b=0.7, theta_b=0.4)
+        drive = DriveSpec(omega=120.0, phi=0.7, amp1=1.0, amp2=0.6)
+        c, s = 0.3 - 0.2j, 1e-3 + 2e-3j
+        t = 10.0 + 0.01 * np.arange(1001)
+        a_t = np.exp(1j * drive.omega * t) * (c + s * t)
+        outputs, drift = timedomain._demodulate(headline_params, bg, drive, t, a_t)
+        d0 = bg.coupling(headline_params.gamma_r)
+        direct = bg.matrix() @ [drive.amp1, drive.amp2 * cmath.exp(1j * drive.phi)]
+        assert drift == pytest.approx(abs(d0) * abs(s) * (t[-1] - t[0]), abs=1e-12)
+        for out, z in zip(outputs, direct):
+            assert abs(out - (z + d0 * (c + s * t.mean()))) < 1e-12
+
 
 class TestOracleHorizon:
     def test_stored_tail_is_integrate_tail(self, headline_params, default_bg,
