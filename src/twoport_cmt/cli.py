@@ -127,6 +127,9 @@ def load_config(args) -> dict:
                 user = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {args.config} must be a JSON object, "
+                              f"got {type(user).__name__}")
         if user.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError("unsupported schema_version")
         cfg = _merge(cfg, user)
@@ -165,19 +168,14 @@ def _number(cfg: dict, path: str, low: float = -math.inf, *,
     return v
 
 
-def _resolve_output(path: str) -> str:
+def _resolve_output(path) -> str:
+    if not (isinstance(path, str) and path):
+        raise ConfigError("output.path must be a non-empty string, "
+                          f"got {path!r}")
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(path):
         return os.path.join(outdir, path)
     return path
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.17g}"
 
 
 def _meta(cfg: dict, command: str, **extra) -> dict:
@@ -186,39 +184,50 @@ def _meta(cfg: dict, command: str, **extra) -> dict:
             "config": cfg, **extra}
 
 
+def _open_output(path: str):
+    """path opened for writing; a path that cannot be is a ConfigError."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}")
+
+
 def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def write_output(cfg: dict, command: str, rows, **extra_meta) -> int:
-    """Write the command's table with its provenance; returns EXIT_OK."""
+def write_output(cfg: dict, command: str, *columns, **extra_meta) -> int:
+    """Write the command's table, its columns in HEADERS order, with its
+    provenance; returns EXIT_OK.  A CSV column is written %d, %s or %.17g by
+    its dtype kind; a JSON cell is a float unless it is a string."""
     header = HEADERS[command]
     path = _resolve_output(cfg["output"]["path"])
     fmt = cfg["output"]["format"]
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
     meta = _meta(cfg, command, **extra_meta)
+    cols = [np.asarray(c) for c in columns]
     if fmt == "csv":
-        with open(path, "w") as fh:
+        line = ",".join({"i": "%d", "u": "%d", "U": "%s"}.get(
+            c.dtype.kind, "%.17g") for c in cols) + "\n"
+        with _open_output(path) as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(line % r for r in zip(*(c.tolist() for c in cols)))
         _write_json(path + ".meta.json", meta)
     else:
-        _write_json(path, {
-            "meta": meta, "columns": header,
-            "rows": [[v if isinstance(v, str) else float(v) for v in row]
-                     for row in rows]})
+        rows = zip(*((c if c.dtype.kind == "U" else c.astype(float)).tolist()
+                     for c in cols))
+        _write_json(path, {"meta": meta, "columns": header, "rows": list(rows)})
     return EXIT_OK
 
 
 def cmd_spectrum(cfg: dict, p: ModelParams, bg: Background) -> int:
     grid = _build_grid(cfg)
     t = single_beam_spectrum(p, bg, grid)
-    rows = list(zip(t.omega, t.R1, t.R2, t.T, t.A1, t.A2, t.B, t.abs_dets))
-    return write_output(cfg, "spectrum", rows)
+    return write_output(cfg, "spectrum", t.omega, t.R1, t.R2, t.T, t.A1, t.A2,
+                        t.B, t.abs_dets)
 
 
 def cmd_sweep_phase(cfg: dict, p: ModelParams, bg: Background) -> int:
@@ -226,8 +235,7 @@ def cmd_sweep_phase(cfg: dict, p: ModelParams, bg: Background) -> int:
     n_phi = int(_number(cfg, "sweep_phase.n_phi", 1))
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
     a, out1, out2 = two_beam_outputs(*_defined_elements(p, bg, omega), phis)
-    rows = zip(phis, out1, out2, a)
-    return write_output(cfg, "sweep-phase", rows)
+    return write_output(cfg, "sweep-phase", phis, out1, out2, a)
 
 
 def cmd_joint(cfg: dict, p: ModelParams, bg: Background) -> int:
@@ -247,10 +255,10 @@ def cmd_joint(cfg: dict, p: ModelParams, bg: Background) -> int:
     c1, c2 = np.split(np.arctan2(pc, ps), 2)
     recon = dets_from_observables(
         *(observable(s11, s12, s22, k) for k in ("T", "R1", "R2")), c2 - c1)
-    rows = zip(grid, ext.a_min, ext.a_max, ext.a_avg,
-               np.where(defined, output_dephasing(s11, s12, s22), math.nan),
-               np.abs(s11 * s22 - s12 * s12), np.where(defined, recon, math.nan))
-    return write_output(cfg, "joint", rows)
+    return write_output(
+        cfg, "joint", grid, ext.a_min, ext.a_max, ext.a_avg,
+        np.where(defined, output_dephasing(s11, s12, s22), math.nan),
+        np.abs(s11 * s22 - s12 * s12), np.where(defined, recon, math.nan))
 
 
 def cmd_phase_diagram(cfg: dict, p: ModelParams, bg: Background) -> int:
@@ -265,16 +273,16 @@ def cmd_phase_diagram(cfg: dict, p: ModelParams, bg: Background) -> int:
     except ValueError as exc:
         raise ConfigError(f"phase_diagram: {exc}")
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    rows = zip(xx.ravel(), yy.ravel(), loci.n_peaks.ravel(),
-               loci.scc_residual.ravel(), loci.wcc_residual.ravel(),
-               loci.min_abs_dets.ravel())
-    return write_output(cfg, "phase-diagram", rows)
+    return write_output(cfg, "phase-diagram", xx.ravel(), yy.ravel(),
+                        loci.n_peaks.ravel(), loci.scc_residual.ravel(),
+                        loci.wcc_residual.ravel(), loci.min_abs_dets.ravel())
 
 
 def cmd_cpa(cfg: dict, p: ModelParams, bg: Background) -> int:
     pts = regimes.find_cpa(p, tol=float(_number(cfg, "cpa.tol", 0, strict=True)))
-    rows = [(pt.omega, pt.dets_min, pt.phi_star) for pt in pts]
-    return write_output(cfg, "cpa", rows, empty_result=not rows)
+    return write_output(cfg, "cpa", [pt.omega for pt in pts],
+                        [pt.dets_min for pt in pts],
+                        [pt.phi_star for pt in pts], empty_result=not pts)
 
 
 def cmd_oracle_check(cfg: dict, p: ModelParams, bg: Background) -> int:
@@ -287,27 +295,33 @@ def cmd_oracle_check(cfg: dict, p: ModelParams, bg: Background) -> int:
     oracle = np.array([
         timedomain.oracle_scattering(p, bg, DriveSpec(omega=w, phi=phi)).a_joint
         for w, phi in zip(ws.tolist(), phis.tolist())])
-    rows = zip(ws, phis, closed, oracle, np.abs(closed - oracle))
-    return write_output(cfg, "oracle-check", rows)
+    return write_output(cfg, "oracle-check", ws, phis, closed, oracle,
+                        np.abs(closed - oracle))
 
 
 def cmd_synth(cfg: dict, p: ModelParams, bg: Background) -> int:
     grid = _build_grid(cfg)
     block = cfg["synth"]
+    if not (isinstance(block["kinds"], list) and block["kinds"]):
+        raise ConfigError("synth.kinds must be a non-empty list of kinds, "
+                          f"got {block['kinds']!r}")
     for kind in block["kinds"]:
         if kind not in fitting.KINDS:
             raise ConfigError(f"synth.kinds: unknown kind {kind!r}")
     sigma = float(_number(cfg, "synth.noise_sigma", 0))
     ds = fitting.synth_dataset(p, bg, grid, block["kinds"], sigma,
                                int(_number(cfg, "seed", 0)))
-    rows = list(zip(ds.omega, ds.kind, ds.value, ds.sigma))
-    return write_output(cfg, "synth", rows)
+    return write_output(cfg, "synth", ds.omega, ds.kind, ds.value, ds.sigma)
 
 
 def cmd_fit(cfg: dict, p: ModelParams, bg: Background) -> int:
     block = cfg["fit"]
-    if not block["data"]:
-        raise ConfigError("fit.data: dataset path required")
+    if not (isinstance(block["data"], str) and block["data"]):
+        raise ConfigError("fit.data must be a dataset path, "
+                          f"got {block['data']!r}")
+    if not isinstance(block["free"], list):
+        raise ConfigError("fit.free must be a list of parameter names, "
+                          f"got {block['free']!r}")
     try:
         data = fitting.SpectrumDataset.from_csv(block["data"])
     except (OSError, ValueError) as exc:

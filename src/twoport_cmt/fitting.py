@@ -52,13 +52,6 @@ class SpectrumDataset:
     def __len__(self) -> int:
         return int(self.omega.size)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["omega_meV", "kind", "value", "sigma"])
-            for w, k, v, s in zip(self.omega, self.kind, self.value, self.sigma):
-                wr.writerow([f"{w:.17g}", k, f"{v:.17g}", f"{s:.17g}"])
-
     @classmethod
     def from_csv(cls, path) -> "SpectrumDataset":
         omegas, kinds, values, sigmas = [], [], [], []

@@ -15,8 +15,9 @@ import pytest
 
 import twoport_cmt
 from twoport_cmt import ModelParams, critical_loci, fitting
-from twoport_cmt.cli import (COMMANDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                             HEADERS, build_parser, load_config, main)
+from twoport_cmt.cli import (COMMANDS, DEFAULT_CONFIG, EXIT_CONFIG,
+                             EXIT_NUMERICAL, EXIT_OK, HEADERS, build_parser,
+                             load_config, main, write_output)
 
 
 # a detuned, lossy model behind a partly transmitting, phased background
@@ -163,10 +164,15 @@ class TestConfigHandling:
         ["synth", "--seed", "-1"],
         ["cpa", "--r-b", "2"],
         ["phase-diagram", "--theta-b", "nan"],
+        ["synth", {"synth": {"kinds": []}}],
+        ["synth", {"synth": {"kinds": "A"}}],
+        ["spectrum", [1, 2]],
+        ["fit", {"fit": {"data": 5}}],
     ], ids=lambda argv: " ".join(map(str, argv)))
-    def test_bad_command_value_rejected(self, tmp_path, monkeypatch, argv):
-        # a trailing dict is written as the --config file
-        if isinstance(argv[-1], dict):
+    def test_bad_command_value_rejected(self, tmp_path, monkeypatch, capsys,
+                                        argv):
+        # a trailing dict or list is written as the --config file
+        if isinstance(argv[-1], (dict, list)):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(argv[-1]))
             argv = [*argv[:-1], "--config", str(cfg)]
@@ -174,7 +180,46 @@ class TestConfigHandling:
         outdir.mkdir()
         assert run(tmp_path, monkeypatch,
                    [*argv, "--output", str(outdir / "out.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
         assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["output", "outdir"])
+    def test_unwritable_output(self, tmp_path, monkeypatch, capsys, where):
+        # a directory that does not exist, named in --output or as the
+        # output directory of a relative path
+        missing = tmp_path / "missing"
+        argv = ["spectrum", "--grid-n", "11", "--output",
+                str(missing / "s.csv") if where == "output" else "s.csv"]
+        assert run(tmp_path, monkeypatch, argv,
+                   outdir=missing if where == "outdir" else None) \
+            == EXIT_CONFIG
+        assert "cannot write output" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("path", [1, "", None])
+    def test_output_path_must_be_string(self, tmp_path, monkeypatch, capsys,
+                                        path):
+        # an int would be taken by open() as a file descriptor
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": {"path": path}}))
+        monkeypatch.chdir(tmp_path)
+        assert run(tmp_path, monkeypatch, ["spectrum", "--grid-n", "11",
+                                           "--config", str(cfg)]) \
+            == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "output.path" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_unwritable_fit_output(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data.csv"
+        assert run(tmp_path, monkeypatch, ["synth", "--output", str(data),
+                                           "--grid-n", "41"]) == EXIT_OK
+        before = sorted(tmp_path.iterdir())
+        assert run(tmp_path, monkeypatch,
+                   ["fit", "--data", str(data), "--output",
+                    str(tmp_path / "missing" / "fit.json")]) == EXIT_CONFIG
+        assert "cannot write output" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("text", [
         "omega_meV,kind,value,sigma\n"
@@ -193,6 +238,51 @@ class TestConfigHandling:
                    ["fit", "--data", str(data), "--output", str(out)]) \
             == EXIT_CONFIG
         assert not out.exists()
+
+
+class TestWriter:
+    """The bytes of the one table writer, on hand-built columns."""
+
+    def write(self, tmp_path, monkeypatch, fmt, *columns):
+        monkeypatch.delenv("TWOPORT_CMT_OUTDIR", raising=False)
+        path = tmp_path / f"t.{fmt}"
+        cfg = {**DEFAULT_CONFIG, "output": {"path": str(path), "format": fmt}}
+        assert write_output(cfg, "synth", *columns) == EXIT_OK
+        return path.read_text()
+
+    COLUMNS = (np.array([3, -1, 0, 7, 10**18 + 1]),
+               ("A1", "dpsi", "T", "R1", "R2"),
+               np.array([0.1, -0.0, 5e-324, math.nan, math.inf]),
+               [1.5, 2.0, -math.inf, 1e300, 123456789.0])
+
+    def test_csv_cells(self, tmp_path, monkeypatch):
+        assert self.write(tmp_path, monkeypatch, "csv", *self.COLUMNS) == (
+            "omega_meV,kind,value,sigma\n"
+            "3,A1,0.10000000000000001,1.5\n"
+            "-1,dpsi,-0,2\n"
+            "0,T,4.9406564584124654e-324,-inf\n"
+            "7,R1,nan,1.0000000000000001e+300\n"
+            "1000000000000000001,R2,inf,123456789\n")
+
+    def test_empty_table_is_header(self, tmp_path, monkeypatch):
+        assert self.write(tmp_path, monkeypatch, "csv", [], [], [], []) \
+            == "omega_meV,kind,value,sigma\n"
+        doc = json.loads(self.write(tmp_path, monkeypatch, "json",
+                                    [], [], [], []))
+        assert doc["rows"] == []
+
+    def test_json_cells(self, tmp_path, monkeypatch):
+        doc = json.loads(self.write(tmp_path, monkeypatch, "json",
+                                    *self.COLUMNS))
+        assert doc["columns"] == HEADERS["synth"]
+        ints, kinds, _, _ = zip(*doc["rows"])
+        assert all(type(v) is float for v in ints)
+        assert ints == (3.0, -1.0, 0.0, 7.0, 1e18)
+        assert kinds == self.COLUMNS[1]
+        values = [row[2] for row in doc["rows"]]
+        assert values[:3] == [0.1, -0.0, 5e-324]
+        assert math.copysign(1.0, values[1]) == -1.0
+        assert math.isnan(values[3]) and values[4] == math.inf
 
 
 COMMON_FLAGS = [
@@ -617,6 +707,21 @@ class TestSynthAndFit:
 
     def test_fit_requires_data(self, tmp_path, monkeypatch):
         assert run(tmp_path, monkeypatch, ["fit"]) == EXIT_CONFIG
+
+    def test_free_must_be_list(self, tmp_path, monkeypatch, capsys):
+        # a string is not read as the list of its letters
+        data = tmp_path / "data.csv"
+        assert run(tmp_path, monkeypatch, ["synth", "--output", str(data),
+                                           "--grid-n", "41"]) == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit": {"data": str(data),
+                                           "free": "omega0"}}))
+        out = tmp_path / "fit.json"
+        assert run(tmp_path, monkeypatch, ["fit", "--config", str(cfg),
+                                           "--output", str(out)]) \
+            == EXIT_CONFIG
+        assert "fit.free must be a list" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_kind_rejected(self, tmp_path, monkeypatch):
         assert run(tmp_path, monkeypatch,

@@ -15,6 +15,7 @@ from twoport_cmt import (
     single_beam_spectrum,
     synth_dataset,
 )
+from twoport_cmt import cli
 from twoport_cmt.twoport import delta_psi, joint_extrema
 
 GRID = np.linspace(105.0, 145.0, 81)
@@ -78,11 +79,17 @@ class TestSynthDataset:
         assert d.value.min() >= 0.0
         assert d.value.max() <= 1.0
 
-    def test_csv_round_trip(self, headline_params, default_bg, tmp_path):
+    def test_csv_round_trip(self, headline_params, default_bg, tmp_path,
+                            monkeypatch):
+        # `synth` writes the dataset format that `from_csv` reads back; its
+        # default model and background are headline_params and default_bg
         d = synth_dataset(headline_params, default_bg, GRID,
                           ("R1", "dpsi"), 0.01, seed=3)
         path = tmp_path / "data.csv"
-        d.to_csv(path)
+        monkeypatch.delenv("TWOPORT_CMT_OUTDIR", raising=False)
+        assert cli.main(["synth", "--output", str(path), "--kinds", "R1",
+                         "dpsi", "--noise-sigma", "0.01", "--seed", "3",
+                         "--grid-n", str(GRID.size)]) == cli.EXIT_OK
         back = SpectrumDataset.from_csv(path)
         assert np.array_equal(back.omega, d.omega)
         assert back.kind == d.kind
