@@ -66,32 +66,28 @@ DEFAULT_CONFIG = {
 }
 
 
-_FLOAT = {"type": float}
-_INT = {"type": int}
-_WORDS = {"nargs": "+"}
-# flag -> (config path, argparse keywords); the argparse dest is the flag
-# name with dashes turned into underscores
+# flag -> config path; the argparse dest is the flag name with dashes turned
+# into underscores, and the type that of the path's default (see build_parser)
 COMMON_FLAGS = {
-    "--output": ("output.path", {"help": "output file path"}),
-    "--format": ("output.format", {"choices": ["csv", "json"]}),
-    "--seed": ("seed", _INT),
-    **{f"--{name.replace('_', '-')}": (f"model.{name}", _FLOAT)
+    "--output": "output.path",
+    "--format": "output.format",
+    "--seed": "seed",
+    **{f"--{name.replace('_', '-')}": f"model.{name}"
        for name in DEFAULT_CONFIG["model"]},
-    "--r-b": ("background.r_b", _FLOAT),
-    "--theta-b": ("background.theta_b", _FLOAT),
-    "--grid-min": ("grid.min", _FLOAT),
-    "--grid-max": ("grid.max", _FLOAT),
-    "--grid-n": ("grid.n", _INT),
+    "--r-b": "background.r_b",
+    "--theta-b": "background.theta_b",
+    "--grid-min": "grid.min",
+    "--grid-max": "grid.max",
+    "--grid-n": "grid.n",
 }
 COMMAND_FLAGS = {
-    "sweep-phase": {"--omega": ("sweep_phase.omega", _FLOAT),
-                    "--n-phi": ("sweep_phase.n_phi", _INT)},
-    "joint": {"--n-phi": ("joint.n_phi", _INT)},
-    "cpa": {"--tol": ("cpa.tol", _FLOAT)},
-    "oracle-check": {"--n-samples": ("oracle_check.n_samples", _INT)},
-    "synth": {"--kinds": ("synth.kinds", _WORDS),
-              "--noise-sigma": ("synth.noise_sigma", _FLOAT)},
-    "fit": {"--data": ("fit.data", {}), "--free": ("fit.free", _WORDS)},
+    "sweep-phase": {"--omega": "sweep_phase.omega",
+                    "--n-phi": "sweep_phase.n_phi"},
+    "joint": {"--n-phi": "joint.n_phi"},
+    "cpa": {"--tol": "cpa.tol"},
+    "oracle-check": {"--n-samples": "oracle_check.n_samples"},
+    "synth": {"--kinds": "synth.kinds", "--noise-sigma": "synth.noise_sigma"},
+    "fit": {"--data": "fit.data", "--free": "fit.free"},
 }
 
 
@@ -105,17 +101,20 @@ class ConfigError(ValueError):
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
+    """base updated from override, whose every value must have the JSON type
+    of the default it replaces; a float key also takes an integer."""
     out = dict(base)
     for key, val in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"config key {where} must be an object")
-            out[key] = _merge(base[key], val, where)
-        else:
-            out[key] = val
+        kind = type(base[key])
+        if not (type(val) is kind or (kind, type(val)) == (float, int)) or (
+                kind is list and not all(type(v) is str for v in val)):
+            name = {dict: "an object", int: "an integer", float: "a number",
+                    str: "a string", list: "a list of strings"}[kind]
+            raise ConfigError(f"config key {where} must be {name}, got {val!r}")
+        out[key] = _merge(base[key], val, where) if kind is dict else val
     return out
 
 
@@ -134,7 +133,7 @@ def load_config(args) -> dict:
             raise ConfigError("unsupported schema_version")
         cfg = _merge(cfg, user)
     # _merge keeps every parent of a flag's path a dict
-    for flag, (path, _) in _command_flags(args.command).items():
+    for flag, path in _command_flags(args.command).items():
         v = getattr(args, flag[2:].replace("-", "_"))
         if v is not None:
             *parents, key = path.split(".")
@@ -153,25 +152,28 @@ def _build(cls, cfg: dict, key: str):
 def _build_grid(cfg: dict) -> np.ndarray:
     lo = _number(cfg, "grid.min")
     return np.linspace(lo, _number(cfg, "grid.max", lo, strict=True),
-                       int(_number(cfg, "grid.n", 2)))
+                       _number(cfg, "grid.n", 2))
 
 
 def _number(cfg: dict, path: str, low: float = -math.inf, *,
             strict: bool = False):
-    """The finite number at the dotted config path, at least low (above it
-    when strict); comparisons with NaN are False, so NaN fails."""
+    """The number at the dotted config path, checked finite and at least low
+    (above it when strict); comparisons with NaN are False, so NaN fails."""
     v = functools.reduce(dict.__getitem__, path.split("."), cfg)
-    if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and (low < v if strict else low <= v) and abs(v) < math.inf):
+    if not ((low < v if strict else low <= v) and abs(v) < math.inf):
         bound = f" {'>' if strict else '>='} {low}" if low > -math.inf else ""
         raise ConfigError(f"{path} must be a finite number{bound}, got {v!r}")
     return v
 
 
-def _resolve_output(path) -> str:
-    if not (isinstance(path, str) and path):
-        raise ConfigError("output.path must be a non-empty string, "
-                          f"got {path!r}")
+def _resolve_output(cfg: dict) -> str:
+    """The output path, checked with the output format (which `fit` ignores,
+    as it always writes JSON)."""
+    path, fmt = cfg["output"]["path"], cfg["output"]["format"]
+    if not path:
+        raise ConfigError("output.path must be a non-empty string, got ''")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(path):
         return os.path.join(outdir, path)
@@ -203,13 +205,10 @@ def write_output(cfg: dict, command: str, *columns, **extra_meta) -> int:
     provenance; returns EXIT_OK.  A CSV column is written %d, %s or %.17g by
     its dtype kind; a JSON cell is a float unless it is a string."""
     header = HEADERS[command]
-    path = _resolve_output(cfg["output"]["path"])
-    fmt = cfg["output"]["format"]
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
+    path = _resolve_output(cfg)
     meta = _meta(cfg, command, **extra_meta)
     cols = [np.asarray(c) for c in columns]
-    if fmt == "csv":
+    if cfg["output"]["format"] == "csv":
         line = ",".join({"i": "%d", "u": "%d", "U": "%s"}.get(
             c.dtype.kind, "%.17g") for c in cols) + "\n"
         with _open_output(path) as fh:
@@ -231,8 +230,8 @@ def cmd_spectrum(cfg: dict, p: ModelParams, bg: Background) -> int:
 
 
 def cmd_sweep_phase(cfg: dict, p: ModelParams, bg: Background) -> int:
-    omega = float(_number(cfg, "sweep_phase.omega"))
-    n_phi = int(_number(cfg, "sweep_phase.n_phi", 1))
+    omega = _number(cfg, "sweep_phase.omega")
+    n_phi = _number(cfg, "sweep_phase.n_phi", 1)
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
     a, out1, out2 = two_beam_outputs(*_defined_elements(p, bg, omega), phis)
     return write_output(cfg, "sweep-phase", phis, out1, out2, a)
@@ -241,7 +240,7 @@ def cmd_sweep_phase(cfg: dict, p: ModelParams, bg: Background) -> int:
 def cmd_joint(cfg: dict, p: ModelParams, bg: Background) -> int:
     grid = _build_grid(cfg)
     # a sinusoid A + B sin(phi + c) needs three samples
-    n_phi = int(_number(cfg, "joint.n_phi", 3))
+    n_phi = _number(cfg, "joint.n_phi", 3)
     s11, s12, s22 = _defined_elements(p, bg, grid)
     ext = two_beam_extrema(s11, s12, s22)
     defined = dephasing_defined(s11, s12, s22)
@@ -265,7 +264,7 @@ def cmd_phase_diagram(cfg: dict, p: ModelParams, bg: Background) -> int:
     block = cfg["phase_diagram"]
     xs, ys = (np.linspace(_number(cfg, f"phase_diagram.{a}_min"),
                           _number(cfg, f"phase_diagram.{a}_max"),
-                          int(_number(cfg, f"phase_diagram.{a}_n", 1)))
+                          _number(cfg, f"phase_diagram.{a}_n", 1))
               for a in "xy")
     try:
         loci = regimes.critical_loci(p, block["x_param"], xs,
@@ -279,7 +278,7 @@ def cmd_phase_diagram(cfg: dict, p: ModelParams, bg: Background) -> int:
 
 
 def cmd_cpa(cfg: dict, p: ModelParams, bg: Background) -> int:
-    pts = regimes.find_cpa(p, tol=float(_number(cfg, "cpa.tol", 0, strict=True)))
+    pts = regimes.find_cpa(p, tol=_number(cfg, "cpa.tol", 0, strict=True))
     return write_output(cfg, "cpa", [pt.omega for pt in pts],
                         [pt.dets_min for pt in pts],
                         [pt.phi_star for pt in pts], empty_result=not pts)
@@ -287,8 +286,8 @@ def cmd_cpa(cfg: dict, p: ModelParams, bg: Background) -> int:
 
 def cmd_oracle_check(cfg: dict, p: ModelParams, bg: Background) -> int:
     grid = _build_grid(cfg)  # drives are drawn over its range
-    n = int(_number(cfg, "oracle_check.n_samples", 1))
-    rng = np.random.default_rng(int(_number(cfg, "seed", 0)))
+    n = _number(cfg, "oracle_check.n_samples", 1)
+    rng = np.random.default_rng(_number(cfg, "seed", 0))
     # one (omega, phi) pair per drive, omega drawn first
     ws, phis = rng.uniform([grid[0], -math.pi], [grid[-1], math.pi], (n, 2)).T
     closed = two_beam_outputs(*_defined_elements(p, bg, ws), phis)[0]
@@ -302,26 +301,22 @@ def cmd_oracle_check(cfg: dict, p: ModelParams, bg: Background) -> int:
 def cmd_synth(cfg: dict, p: ModelParams, bg: Background) -> int:
     grid = _build_grid(cfg)
     block = cfg["synth"]
-    if not (isinstance(block["kinds"], list) and block["kinds"]):
-        raise ConfigError("synth.kinds must be a non-empty list of kinds, "
-                          f"got {block['kinds']!r}")
+    if not block["kinds"]:
+        raise ConfigError("synth.kinds must be a non-empty list of kinds")
     for kind in block["kinds"]:
         if kind not in fitting.KINDS:
             raise ConfigError(f"synth.kinds: unknown kind {kind!r}")
-    sigma = float(_number(cfg, "synth.noise_sigma", 0))
-    ds = fitting.synth_dataset(p, bg, grid, block["kinds"], sigma,
-                               int(_number(cfg, "seed", 0)))
+    ds = fitting.synth_dataset(p, bg, grid, block["kinds"],
+                               _number(cfg, "synth.noise_sigma", 0),
+                               _number(cfg, "seed", 0))
     return write_output(cfg, "synth", ds.omega, ds.kind, ds.value, ds.sigma)
 
 
 def cmd_fit(cfg: dict, p: ModelParams, bg: Background) -> int:
+    path = _resolve_output(cfg)
     block = cfg["fit"]
-    if not (isinstance(block["data"], str) and block["data"]):
-        raise ConfigError("fit.data must be a dataset path, "
-                          f"got {block['data']!r}")
-    if not isinstance(block["free"], list):
-        raise ConfigError("fit.free must be a list of parameter names, "
-                          f"got {block['free']!r}")
+    if not block["data"]:
+        raise ConfigError("fit.data must be a dataset path")
     try:
         data = fitting.SpectrumDataset.from_csv(block["data"])
     except (OSError, ValueError) as exc:
@@ -331,7 +326,6 @@ def cmd_fit(cfg: dict, p: ModelParams, bg: Background) -> int:
                                     background=bg)
     except ValueError as exc:
         raise ConfigError(f"fit: {exc}")
-    path = _resolve_output(cfg["output"]["path"])
     _write_json(path, {
         "meta": _meta(cfg, "fit"),
         "params": asdict(result.params),
@@ -372,8 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file")
-        for flag, (_, kwargs) in _command_flags(name).items():
-            sp.add_argument(flag, **kwargs)
+        for flag, path in _command_flags(name).items():
+            default = functools.reduce(dict.__getitem__, path.split("."),
+                                       DEFAULT_CONFIG)
+            sp.add_argument(flag, **({"nargs": "+"} if isinstance(default, list)
+                                     else {"type": type(default)}))
     return parser
 
 

@@ -121,7 +121,7 @@ def synth_dataset(p: ModelParams, bg: Background, grid, kinds,
         omega=np.concatenate(omegas),
         kind=tuple(names),
         value=np.concatenate(values),
-        sigma=np.full(sum(len(v) for v in values), sigma),
+        sigma=np.full(sum(len(v) for v in values), sigma, dtype=float),
     )
 
 

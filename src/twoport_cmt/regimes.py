@@ -83,6 +83,17 @@ def default_window(p: ModelParams, pad: float = 1.0) -> tuple[float, float]:
     return (p.omega0 - span, p.omega0 + span)
 
 
+def _window(p: ModelParams, window) -> tuple[float, float]:
+    """window, or the default window of p where it is None; a window must be
+    finite with lo < hi."""
+    if window is None:
+        return default_window(p)
+    lo, hi = window
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"window must be finite with lo < hi, got {window}")
+    return lo, hi
+
+
 def _stationary_poly(c) -> np.ndarray:
     """Ascending coefficients, shape (n, 6), of G = E B' - E' B in u (in
     omega instead of u the roots lose accuracy, to about 1e-5 meV).
@@ -196,7 +207,7 @@ def classify_regime(p: ModelParams, window=None) -> RegimeReport:
     end is a maximum of B and WindowTooNarrowError is raised.
     """
     lo_req, hi_req = default_window(p, pad=0.0)
-    lo, hi = window = default_window(p) if window is None else window
+    lo, hi = window = _window(p, window)
     if lo > lo_req or hi < hi_req:
         raise ValueError(f"window {window} must cover ({lo_req}, {hi_req})")
     # |det S|^2 rises where G > 0 (F = 4 gamma_r G): B peaks on the boundary
@@ -227,8 +238,9 @@ def find_cpa(p: ModelParams, window=None, tol: float = 1e-10) -> list[CpaPoint]:
     dephasing that maximizes the joint absorbance there; an empty list is a
     valid outcome (no interior minimum, e.g. a lossless model).
     """
-    window = default_window(p) if window is None else window
-    omega, dets_min = _cell_minima(p, window, tol)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    omega, dets_min = _cell_minima(p, _window(p, window), tol)
     phi_star = two_beam_extrema(*s_elements(p, Background(), omega)[:3]).phi_max
     return [CpaPoint(omega=float(x), dets_min=float(d), phi_star=float(f))
             for x, d, f in zip(omega, dets_min, phi_star)]
@@ -236,7 +248,7 @@ def find_cpa(p: ModelParams, window=None, tol: float = 1e-10) -> list[CpaPoint]:
 
 def min_abs_dets(p: ModelParams, window=None) -> float:
     """Minimum of |det S| over a real frequency window (default window)."""
-    lo, hi = default_window(p) if window is None else window
+    lo, hi = _window(p, window)
     return float(_minima(_cells(p), lo, hi, 1e-10)[2][0])
 
 
@@ -286,5 +298,5 @@ def _peak_counts(c, lo, hi) -> np.ndarray:
 def count_peaks(p: ModelParams, window=None) -> int:
     """Quick strict-maxima count of B(omega) without refinement: the one-model
     case of the scan `critical_loci` runs over a sweep."""
-    lo, hi = default_window(p) if window is None else window
+    lo, hi = _window(p, window)
     return int(_peak_counts(p, lo, hi))

@@ -42,8 +42,11 @@ class DriveSpec:
 
     def __post_init__(self):
         if not (-math.inf < self.omega < math.inf and -math.inf < self.phi < math.inf
-                and 0 <= self.amp1 < math.inf and 0 <= self.amp2 < math.inf):
-            raise ValueError(f"drive needs finite values, amplitudes >= 0: {self}")
+                and 0 <= self.amp1 < math.inf and 0 <= self.amp2 < math.inf
+                # the input power, which a_joint is a fraction of
+                and self.amp1 * self.amp1 + self.amp2 * self.amp2 > 0):
+            raise ValueError("drive needs finite values, amplitudes >= 0 and "
+                             f"a nonzero input power: {self}")
 
 
 @dataclass
@@ -90,7 +93,7 @@ def integrate(p: ModelParams, bg: Background, drive: DriveSpec,
     guard = _STEP_GUARD / _frequency_scale(p, drive)
     if dt > guard * (1 + 1e-9):
         raise ValueError(f"dt={dt} too coarse; need dt <= {guard:.3e}")
-    if p.gamma_c == 0 and p.gamma_m == 0 and (drive.amp1 > 0 or drive.amp2 > 0):
+    if p.gamma_c == 0 and p.gamma_m == 0:
         warnings.warn("all damping rates are zero: driven transient never decays "
                       "and the steady state is undefined", RuntimeWarning)
 

@@ -168,6 +168,17 @@ class TestConfigHandling:
         ["synth", {"synth": {"kinds": "A"}}],
         ["spectrum", [1, 2]],
         ["fit", {"fit": {"data": 5}}],
+        ["spectrum", {"grid": {"n": 5.7}}],
+        ["synth", {"seed": 1.9}],
+        ["sweep-phase", {"sweep_phase": {"n_phi": 2.5}}],
+        ["joint", {"joint": {"n_phi": 3.0}}],
+        ["oracle-check", {"oracle_check": {"n_samples": 4.5}}],
+        ["phase-diagram", {"phase_diagram": {"x_n": 6.5}}],
+        ["synth", {"synth": {"noise_sigma": True}}],
+        ["synth", {"seed": True}],
+        ["spectrum", "--format", "xml"],
+        ["fit", "--format", "xml"],
+        ["fit", {"fit": {"free": [1]}}],
     ], ids=lambda argv: " ".join(map(str, argv)))
     def test_bad_command_value_rejected(self, tmp_path, monkeypatch, capsys,
                                         argv):
@@ -182,6 +193,27 @@ class TestConfigHandling:
                    [*argv, "--output", str(outdir / "out.csv")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
         assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("synth", "synth.noise_sigma", 1),
+        ("sweep-phase", "sweep_phase.omega", 117),
+        ("spectrum", "grid.min", 105),
+    ])
+    def test_int_at_float_key(self, tmp_path, monkeypatch, command, key,
+                              value):
+        # a float key takes a JSON integer and computes with it as the float
+        # it equals
+        block, name = key.split(".")
+        tables = []
+        for v in (value, float(value)):
+            cfg = tmp_path / f"{v!r}.json"
+            cfg.write_text(json.dumps({block: {name: v}}))
+            out = tmp_path / f"{v!r}.csv"
+            assert run(tmp_path, monkeypatch,
+                       [command, "--grid-n", "41", "--config", str(cfg),
+                        "--output", str(out)]) == EXIT_OK
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("where", ["output", "outdir"])
     def test_unwritable_output(self, tmp_path, monkeypatch, capsys, where):
@@ -709,19 +741,21 @@ class TestSynthAndFit:
         assert run(tmp_path, monkeypatch, ["fit"]) == EXIT_CONFIG
 
     def test_free_must_be_list(self, tmp_path, monkeypatch, capsys):
-        # a string is not read as the list of its letters
+        # a string is not read as the list of its letters, nor a number as
+        # a parameter name
         data = tmp_path / "data.csv"
         assert run(tmp_path, monkeypatch, ["synth", "--output", str(data),
                                            "--grid-n", "41"]) == EXIT_OK
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"fit": {"data": str(data),
-                                           "free": "omega0"}}))
         out = tmp_path / "fit.json"
-        assert run(tmp_path, monkeypatch, ["fit", "--config", str(cfg),
-                                           "--output", str(out)]) \
-            == EXIT_CONFIG
-        assert "fit.free must be a list" in capsys.readouterr().err
-        assert not out.exists()
+        for free in ("omega0", ["omega0", 1]):
+            cfg.write_text(json.dumps({"fit": {"data": str(data),
+                                               "free": free}}))
+            assert run(tmp_path, monkeypatch, ["fit", "--config", str(cfg),
+                                               "--output", str(out)]) \
+                == EXIT_CONFIG
+            assert "fit.free must be a list" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_kind_rejected(self, tmp_path, monkeypatch):
         assert run(tmp_path, monkeypatch,

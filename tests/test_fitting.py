@@ -73,6 +73,13 @@ class TestSynthDataset:
         assert np.abs(d.value - clean).max() == 0.0
         assert np.all(d.sigma == 1e-3)
 
+    def test_integer_noise_gives_float_sigma(self, headline_params, default_bg):
+        # the same dataset as the float noise level, sigma column included
+        a, b = (synth_dataset(headline_params, default_bg, GRID, ("A1",),
+                              sigma, seed=1) for sigma in (1, 1.0))
+        assert a.sigma.dtype == b.sigma.dtype == np.float64
+        assert np.array_equal(a.value, b.value)
+
     def test_clipping_keeps_intensities_valid(self, headline_params, default_bg):
         d = synth_dataset(headline_params, default_bg, GRID,
                           ("R1", "R2", "T"), 0.3, seed=7)

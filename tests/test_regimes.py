@@ -256,6 +256,24 @@ class TestCriticalLoci:
             critical_loci(headline_params, "gamma_r", [-1.0], "gamma_m", [1.0])
 
 
+class TestWindowAndTol:
+    SCANS = [find_cpa, min_abs_dets, count_peaks, classify_regime]
+
+    @pytest.mark.parametrize("window", [
+        (130.0, 120.0), (100.0, 100.0), (math.nan, 200.0), (50.0, math.nan),
+        (math.nan, 130.0), (-math.inf, 200.0), (50.0, math.inf),
+    ])
+    @pytest.mark.parametrize("scan", SCANS, ids=lambda f: f.__name__)
+    def test_bad_window_rejected(self, headline_params, scan, window):
+        with pytest.raises(ValueError, match="window"):
+            scan(headline_params, window)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_tol_rejected(self, headline_params, tol):
+        with pytest.raises(ValueError, match="tol"):
+            find_cpa(headline_params, tol=tol)
+
+
 class TestCountPeaks:
     def test_matches_classify(self, headline_params):
         assert count_peaks(headline_params) == 2

@@ -105,29 +105,38 @@ class TestDriveSpec:
     @pytest.mark.parametrize("kwargs", [
         dict(omega=math.nan), dict(omega=math.inf), dict(phi=math.nan),
         dict(amp1=math.nan), dict(amp2=math.inf), dict(amp1=-1.0),
+        dict(amp1=0.0, amp2=0.0), dict(amp1=1e-200, amp2=0.0),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             DriveSpec(**{"omega": 120.0, **kwargs})
 
+    def test_one_port_drive_accepted(self, headline_params, default_bg):
+        # a_joint divides by amp1^2 + amp2^2, which one port alone keeps > 0
+        res = oracle_scattering(headline_params, default_bg,
+                                DriveSpec(omega=120.0, amp1=0.0, amp2=1.0))
+        assert 0.0 <= res.a_joint <= 1.0
+
 
 class TestIntegrate:
     def test_free_decay_matches_modal_solution(self, default_bg):
-        # no drive: da/dt etc. is linear; compare against expm of the 2x2
+        # the equations are linear, so the run from (a0, b0) less the run
+        # from rest is the undriven solution; compare against expm of the 2x2
         from scipy.linalg import expm
         p = ModelParams(100.0, 2.0, 1.0, 4.0, 6.0)
-        drive = DriveSpec(omega=100.0, amp1=0.0, amp2=0.0)
+        drive = DriveSpec(omega=100.0)
         t_end = 1.0
         dt = suggested_time_step(p, drive)
         traj = integrate(p, default_bg, drive, t_end, dt / 5,
                          a0=1.0 + 0j, b0=0.3j)
+        forced = integrate(p, default_bg, drive, t_end, dt / 5)
         m = np.array([[1j * p.omega0 - p.gamma_c, 1j * p.omega_rabi],
                       [1j * p.omega_rabi, 1j * p.omega_m - p.gamma_m]])
         v0 = np.array([1.0 + 0j, 0.3j])
         for idx in (len(traj.times) // 2, len(traj.times) - 1):
             vt = expm(m * traj.times[idx]) @ v0
-            assert abs(traj.a_t[idx] - vt[0]) < 1e-9
-            assert abs(traj.b_t[idx] - vt[1]) < 1e-9
+            assert abs(traj.a_t[idx] - forced.a_t[idx] - vt[0]) < 1e-9
+            assert abs(traj.b_t[idx] - forced.b_t[idx] - vt[1]) < 1e-9
 
     @pytest.mark.parametrize("p", [
         ModelParams(124.5, 3.0, 1.0, 5.0, 0.0),  # Omega = 0: decoupled matter
