@@ -21,7 +21,6 @@ import numpy as np
 from . import fitting, regimes, timedomain
 from .model import (Background, DegenerateResponseError, ModelParams,
                     _defined_elements, single_beam_spectrum)
-from .regimes import WindowTooNarrowError
 from .timedomain import DriveSpec, SteadyStateNotConvergedError
 from .twoport import (dephasing_defined, dets_from_observables, observable,
                       output_dephasing, two_beam_extrema, two_beam_outputs)
@@ -64,6 +63,10 @@ DEFAULT_CONFIG = {
     "synth": {"kinds": ["A1"], "noise_sigma": 0.005},
     "fit": {"data": "", "free": ["omega0", "gamma_r", "gamma_m", "omega_rabi"]},
 }
+LEAST_VALUE = {  # the least value of each integer key but schema_version
+    "seed": 0, "grid.n": 2, "sweep_phase.n_phi": 1, "phase_diagram.x_n": 1,
+    "phase_diagram.y_n": 1, "oracle_check.n_samples": 1,
+    "joint.n_phi": 3}  # a sinusoid A + B sin(phi + c) needs three samples
 
 
 # flag -> config path; the argparse dest is the flag name with dashes turned
@@ -102,7 +105,8 @@ class ConfigError(ValueError):
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     """base updated from override, whose every value must have the JSON type
-    of the default it replaces; a float key also takes an integer."""
+    of the default it replaces (a float key also takes an integer); a float
+    must be finite, an integer at least its LEAST_VALUE."""
     out = dict(base)
     for key, val in override.items():
         where = f"{path}.{key}" if path else key
@@ -114,6 +118,11 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             name = {dict: "an object", int: "an integer", float: "a number",
                     str: "a string", list: "a list of strings"}[kind]
             raise ConfigError(f"config key {where} must be {name}, got {val!r}")
+        if kind is float and not abs(val) < math.inf:  # NaN fails too
+            raise ConfigError(f"config key {where} must be finite, got {val!r}")
+        if kind is int and val < LEAST_VALUE.get(where, val):
+            raise ConfigError(
+                f"config key {where} must be >= {LEAST_VALUE[where]}, got {val}")
         out[key] = _merge(base[key], val, where) if kind is dict else val
     return out
 
@@ -132,38 +141,22 @@ def load_config(args) -> dict:
         if user.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError("unsupported schema_version")
         cfg = _merge(cfg, user)
-    # _merge keeps every parent of a flag's path a dict
+    # the flags that were given, as an override nested like the config
+    flags: dict = {}
     for flag, path in _command_flags(args.command).items():
         v = getattr(args, flag[2:].replace("-", "_"))
         if v is not None:
             *parents, key = path.split(".")
-            functools.reduce(dict.__getitem__, parents, cfg)[key] = v
-    return cfg
-
-
-def _build(cls, cfg: dict, key: str):
-    """cls built from the config block at key; a bad value is a ConfigError."""
-    try:
-        return cls(**cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}")
+            functools.reduce(lambda d, k: d.setdefault(k, {}), parents,
+                             flags)[key] = v
+    return _merge(cfg, flags)
 
 
 def _build_grid(cfg: dict) -> np.ndarray:
-    lo = _number(cfg, "grid.min")
-    return np.linspace(lo, _number(cfg, "grid.max", lo, strict=True),
-                       _number(cfg, "grid.n", 2))
-
-
-def _number(cfg: dict, path: str, low: float = -math.inf, *,
-            strict: bool = False):
-    """The number at the dotted config path, checked finite and at least low
-    (above it when strict); comparisons with NaN are False, so NaN fails."""
-    v = functools.reduce(dict.__getitem__, path.split("."), cfg)
-    if not ((low < v if strict else low <= v) and abs(v) < math.inf):
-        bound = f" {'>' if strict else '>='} {low}" if low > -math.inf else ""
-        raise ConfigError(f"{path} must be a finite number{bound}, got {v!r}")
-    return v
+    g = cfg["grid"]
+    if not g["max"] > g["min"]:
+        raise ConfigError(f"grid.max must be > grid.min, got {g}")
+    return np.linspace(g["min"], g["max"], g["n"])
 
 
 def _resolve_output(cfg: dict) -> str:
@@ -214,7 +207,11 @@ def write_output(cfg: dict, command: str, *columns, **extra_meta) -> int:
         with _open_output(path) as fh:
             fh.write(",".join(header) + "\n")
             fh.writelines(line % r for r in zip(*(c.tolist() for c in cols)))
-        _write_json(path + ".meta.json", meta)
+        try:
+            _write_json(path + ".meta.json", meta)
+        except ConfigError:
+            os.remove(path)  # a config error leaves no file of this run
+            raise
     else:
         rows = zip(*((c if c.dtype.kind == "U" else c.astype(float)).tolist()
                      for c in cols))
@@ -230,24 +227,22 @@ def cmd_spectrum(cfg: dict, p: ModelParams, bg: Background) -> int:
 
 
 def cmd_sweep_phase(cfg: dict, p: ModelParams, bg: Background) -> int:
-    omega = _number(cfg, "sweep_phase.omega")
-    n_phi = _number(cfg, "sweep_phase.n_phi", 1)
-    phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
-    a, out1, out2 = two_beam_outputs(*_defined_elements(p, bg, omega), phis)
+    block = cfg["sweep_phase"]
+    phis = np.linspace(0.0, 2 * math.pi, block["n_phi"], endpoint=False)
+    a, out1, out2 = two_beam_outputs(
+        *_defined_elements(p, bg, block["omega"]), phis)
     return write_output(cfg, "sweep-phase", phis, out1, out2, a)
 
 
 def cmd_joint(cfg: dict, p: ModelParams, bg: Background) -> int:
     grid = _build_grid(cfg)
-    # a sinusoid A + B sin(phi + c) needs three samples
-    n_phi = _number(cfg, "joint.n_phi", 3)
     s11, s12, s22 = _defined_elements(p, bg, grid)
     ext = two_beam_extrema(s11, s12, s22)
     defined = dephasing_defined(s11, s12, s22)
     # the same dephasing measured instead: the phase offset of the two output
     # intensities A + B sin(phi + c) over the input dephasing phi, fitted for
     # every (port, omega) column at once
-    phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
+    phis = np.linspace(0.0, 2 * math.pi, cfg["joint"]["n_phi"], endpoint=False)
     _, out1, out2 = two_beam_outputs(s11, s12, s22, phis[:, None])
     design = np.column_stack([np.ones_like(phis), np.sin(phis), np.cos(phis)])
     (_, ps, pc), *_ = np.linalg.lstsq(design, np.hstack([out1, out2]), rcond=None)
@@ -262,15 +257,9 @@ def cmd_joint(cfg: dict, p: ModelParams, bg: Background) -> int:
 
 def cmd_phase_diagram(cfg: dict, p: ModelParams, bg: Background) -> int:
     block = cfg["phase_diagram"]
-    xs, ys = (np.linspace(_number(cfg, f"phase_diagram.{a}_min"),
-                          _number(cfg, f"phase_diagram.{a}_max"),
-                          _number(cfg, f"phase_diagram.{a}_n", 1))
+    xs, ys = (np.linspace(block[f"{a}_min"], block[f"{a}_max"], block[f"{a}_n"])
               for a in "xy")
-    try:
-        loci = regimes.critical_loci(p, block["x_param"], xs,
-                                     block["y_param"], ys)
-    except ValueError as exc:
-        raise ConfigError(f"phase_diagram: {exc}")
+    loci = regimes.critical_loci(p, block["x_param"], xs, block["y_param"], ys)
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
     return write_output(cfg, "phase-diagram", xx.ravel(), yy.ravel(),
                         loci.n_peaks.ravel(), loci.scc_residual.ravel(),
@@ -278,7 +267,7 @@ def cmd_phase_diagram(cfg: dict, p: ModelParams, bg: Background) -> int:
 
 
 def cmd_cpa(cfg: dict, p: ModelParams, bg: Background) -> int:
-    pts = regimes.find_cpa(p, tol=_number(cfg, "cpa.tol", 0, strict=True))
+    pts = regimes.find_cpa(p, tol=cfg["cpa"]["tol"])
     return write_output(cfg, "cpa", [pt.omega for pt in pts],
                         [pt.dets_min for pt in pts],
                         [pt.phi_star for pt in pts], empty_result=not pts)
@@ -286,10 +275,10 @@ def cmd_cpa(cfg: dict, p: ModelParams, bg: Background) -> int:
 
 def cmd_oracle_check(cfg: dict, p: ModelParams, bg: Background) -> int:
     grid = _build_grid(cfg)  # drives are drawn over its range
-    n = _number(cfg, "oracle_check.n_samples", 1)
-    rng = np.random.default_rng(_number(cfg, "seed", 0))
+    n = cfg["oracle_check"]["n_samples"]
     # one (omega, phi) pair per drive, omega drawn first
-    ws, phis = rng.uniform([grid[0], -math.pi], [grid[-1], math.pi], (n, 2)).T
+    ws, phis = np.random.default_rng(cfg["seed"]).uniform(
+        [grid[0], -math.pi], [grid[-1], math.pi], (n, 2)).T
     closed = two_beam_outputs(*_defined_elements(p, bg, ws), phis)[0]
     oracle = np.array([
         timedomain.oracle_scattering(p, bg, DriveSpec(omega=w, phi=phi)).a_joint
@@ -299,33 +288,21 @@ def cmd_oracle_check(cfg: dict, p: ModelParams, bg: Background) -> int:
 
 
 def cmd_synth(cfg: dict, p: ModelParams, bg: Background) -> int:
-    grid = _build_grid(cfg)
     block = cfg["synth"]
-    if not block["kinds"]:
-        raise ConfigError("synth.kinds must be a non-empty list of kinds")
-    for kind in block["kinds"]:
-        if kind not in fitting.KINDS:
-            raise ConfigError(f"synth.kinds: unknown kind {kind!r}")
-    ds = fitting.synth_dataset(p, bg, grid, block["kinds"],
-                               _number(cfg, "synth.noise_sigma", 0),
-                               _number(cfg, "seed", 0))
+    ds = fitting.synth_dataset(p, bg, _build_grid(cfg), block["kinds"],
+                               block["noise_sigma"], cfg["seed"])
     return write_output(cfg, "synth", ds.omega, ds.kind, ds.value, ds.sigma)
 
 
 def cmd_fit(cfg: dict, p: ModelParams, bg: Background) -> int:
     path = _resolve_output(cfg)
     block = cfg["fit"]
-    if not block["data"]:
-        raise ConfigError("fit.data must be a dataset path")
     try:
         data = fitting.SpectrumDataset.from_csv(block["data"])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"fit.data: {exc}")
-    try:
-        result = fitting.fit_params(data, p, free=tuple(block["free"]),
-                                    background=bg)
-    except ValueError as exc:
-        raise ConfigError(f"fit: {exc}")
+    result = fitting.fit_params(data, p, free=tuple(block["free"]),
+                                background=bg)
     _write_json(path, {
         "meta": _meta(cfg, "fit"),
         "params": asdict(result.params),
@@ -378,16 +355,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        # every subcommand takes the background, so every one validates it
-        return COMMANDS[args.command](cfg, _build(ModelParams, cfg, "model"),
-                                      _build(Background, cfg, "background"))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DegenerateResponseError, SteadyStateNotConvergedError,
-            WindowTooNarrowError) as exc:
+        # every subcommand validates the model and the background
+        return COMMANDS[args.command](cfg, ModelParams(**cfg["model"]),
+                                      Background(**cfg["background"]))
+    except (DegenerateResponseError, SteadyStateNotConvergedError) as exc:
         print(f"numerical error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:  # a ConfigError, or a range the library rejects
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -103,6 +103,8 @@ def synth_dataset(p: ModelParams, bg: Background, grid, kinds,
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
+    if not kinds:
+        raise ValueError("kinds must name at least one observable")
     rng = np.random.default_rng(seed)
     w = np.asarray(grid, dtype=float)
     sigma = noise_sigma if noise_sigma > 0 else 1e-3

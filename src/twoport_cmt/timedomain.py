@@ -20,7 +20,7 @@ from .model import Background, ModelParams, poles_zeros
 _SETTLING_FACTOR = 20.0  # horizon in units of the slowest decay time 1 / Im(pole)
 _STEP = 0.04  # suggested step, in units of 1 / the largest frequency scale
 _STEP_GUARD = 0.05  # coarsest step `integrate` accepts, in the same units
-_DRIFT_TOL = 1e-6  # largest demodulated drift over the tail
+_DRIFT_TOL = 1e-6  # largest demodulated drift over the tail, per unit rms drive
 _EXTENSION = 0.25  # oracle horizon added per chunk while the tail drifts, x settling_time
 _MAX_EXTENSIONS = 4  # chunks before the oracle gives up: at most 2x settling_time
 
@@ -47,6 +47,11 @@ class DriveSpec:
                 and self.amp1 * self.amp1 + self.amp2 * self.amp2 > 0):
             raise ValueError("drive needs finite values, amplitudes >= 0 and "
                              f"a nonzero input power: {self}")
+
+    @property
+    def rms_amplitude(self) -> float:
+        """sqrt((amp1^2 + amp2^2) / 2), the scale of every output."""
+        return math.hypot(self.amp1, self.amp2) / math.sqrt(2)
 
 
 @dataclass
@@ -195,6 +200,7 @@ def _demodulated_tail(p: ModelParams, bg: Background, drive: DriveSpec,
     """Complex steady-state outputs from the final 20% of the trajectory."""
     k0 = _tail_start(traj.times.size)
     (s1m, s2m), drift = _demodulate(p, bg, drive, traj.times[k0:], traj.a_t[k0:])
+    drift /= drive.rms_amplitude
     if drift > _DRIFT_TOL:
         raise SteadyStateNotConvergedError(
             f"demodulated drift {drift:.2e} exceeds {_DRIFT_TOL:.0e}; "
@@ -209,12 +215,13 @@ def oracle_scattering(p: ModelParams, bg: Background,
     Steps with `suggested_time_step` from rest to `settling_time` and
     demodulates the final 20% of the states, the only ones stored. Near an
     exceptional point the transient decays like t e^{-gamma t} and can
-    outlast that horizon: while the window drifts by more than `_DRIFT_TOL`,
-    stepping continues from the last state in chunks of `_EXTENSION` x the
-    horizon, and the window stays the final 20%. After `_MAX_EXTENSIONS`
-    chunks `SteadyStateNotConvergedError` is raised.
+    outlast that horizon: while the window drifts by more than `_DRIFT_TOL`
+    x the drive's `rms_amplitude`, stepping continues from the last state in
+    chunks of `_EXTENSION` x the horizon, and the window stays the final 20%.
+    After `_MAX_EXTENSIONS` chunks `SteadyStateNotConvergedError` is raised.
     """
     dt = suggested_time_step(p, drive)
+    amp = drive.rms_amplitude
     n = _step_count(settling_time(p), dt)
     chunk = math.ceil(_EXTENSION * n)
     k0 = _tail_start(n + 1)
@@ -225,6 +232,7 @@ def oracle_scattering(p: ModelParams, bg: Background,
         k = _tail_start(n + 1)
         (s1m, s2m), drift = _demodulate(p, bg, drive, dt * np.arange(k, n + 1),
                                         a_t[k - k0:])
+        drift /= amp
         if drift <= _DRIFT_TOL or extensions == _MAX_EXTENSIONS:
             break
         a_more, _, state = _iterate(p, drive, dt, state, chunk, 1)
@@ -238,8 +246,9 @@ def oracle_scattering(p: ModelParams, bg: Background,
         raise SteadyStateNotConvergedError(
             f"demodulated drift {drift:.2e} exceeds {_DRIFT_TOL:.0e} after "
             f"{extensions} horizon extensions")
-    out1 = abs(s1m) ** 2
-    out2 = abs(s2m) ** 2
-    total_in = drive.amp1**2 + drive.amp2**2
-    return OracleResult(out1=out1, out2=out2,
-                        a_joint=1.0 - (out1 + out2) / total_in)
+    # x * x, not x ** 2, which raises OverflowError where this gives inf;
+    # a_joint is formed from the outputs per unit rms drive amplitude, so it
+    # does not overflow or underflow with the drive
+    z1, z2, n1, n2 = abs(s1m), abs(s2m), abs(s1m / amp), abs(s2m / amp)
+    return OracleResult(out1=z1 * z1, out2=z2 * z2,
+                        a_joint=1.0 - (n1 * n1 + n2 * n2) / 2)

@@ -179,6 +179,12 @@ class TestConfigHandling:
         ["spectrum", "--format", "xml"],
         ["fit", "--format", "xml"],
         ["fit", {"fit": {"free": [1]}}],
+        # a key the subcommand does not read is checked too
+        ["cpa", "--grid-n", "1"],
+        ["spectrum", {"sweep_phase": {"omega": math.nan}}],
+        ["phase-diagram", {"joint": {"n_phi": 2}}],
+        # a range the library rejects: settling_time needs damping
+        ["oracle-check", "--gamma-r", "0", "--gamma-nr", "0", "--gamma-m", "0"],
     ], ids=lambda argv: " ".join(map(str, argv)))
     def test_bad_command_value_rejected(self, tmp_path, monkeypatch, capsys,
                                         argv):
@@ -193,6 +199,39 @@ class TestConfigHandling:
                    [*argv, "--output", str(outdir / "out.csv")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
         assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, key", [
+        (["cpa", "--grid-n", "1"], "grid.n"),
+        (["spectrum", {"sweep_phase": {"omega": math.nan}}],
+         "sweep_phase.omega"),
+        (["sweep-phase", "--omega", "inf"], "sweep_phase.omega"),
+        (["phase-diagram", {"joint": {"n_phi": 2}}], "joint.n_phi"),
+        (["synth", "--seed", "-1"], "seed"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(map(str, v)))
+    def test_config_error_names_key(self, tmp_path, monkeypatch, capsys, argv,
+                                    key):
+        # every config value is checked, from a flag or the file, whichever
+        # subcommand runs
+        if isinstance(argv[-1], dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(argv[-1]))
+            argv = [*argv[:-1], "--config", str(cfg)]
+        out = tmp_path / "out.csv"
+        assert run(tmp_path, monkeypatch, [*argv, "--output", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
+    def test_unopenable_sidecar(self, tmp_path, monkeypatch, capsys):
+        # the table is written before its sidecar, and removed again when
+        # the sidecar cannot be opened
+        (tmp_path / "s.csv.meta.json").mkdir()
+        assert run(tmp_path, monkeypatch,
+                   ["spectrum", "--grid-n", "11", "--output",
+                    str(tmp_path / "s.csv")]) == EXIT_CONFIG
+        assert "cannot write output" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["s.csv.meta.json"]
 
     @pytest.mark.parametrize("command, key, value", [
         ("synth", "synth.noise_sigma", 1),

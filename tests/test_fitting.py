@@ -80,6 +80,10 @@ class TestSynthDataset:
         assert a.sigma.dtype == b.sigma.dtype == np.float64
         assert np.array_equal(a.value, b.value)
 
+    def test_no_kinds_rejected(self, headline_params, default_bg):
+        with pytest.raises(ValueError, match="kinds"):
+            synth_dataset(headline_params, default_bg, GRID, (), 0.01, seed=0)
+
     def test_clipping_keeps_intensities_valid(self, headline_params, default_bg):
         d = synth_dataset(headline_params, default_bg, GRID,
                           ("R1", "R2", "T"), 0.3, seed=7)

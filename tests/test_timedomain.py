@@ -275,6 +275,22 @@ class TestOracleHorizon:
             timedomain._EXTENSION * n)
 
 
+class TestOracleAmplitude:
+    @pytest.mark.parametrize("amps", [
+        [(1.0, 1.0), (100.0, 100.0), (1e-3, 1e-3), (1e200, 1e200)],
+        [(1.0, 0.6), (100.0, 60.0)],
+    ], ids=["equal", "unequal"])
+    def test_a_joint_is_amplitude_free(self, headline_params, default_bg,
+                                       amps):
+        # the drives differ by a scale factor only, and so must not differ in
+        # a_joint beyond rounding, nor in how far the horizon is extended
+        a = [oracle_scattering(headline_params, default_bg,
+                               DriveSpec(omega=120.0, phi=0.7, amp1=a1,
+                                         amp2=a2)).a_joint
+             for a1, a2 in amps]
+        assert max(a) - min(a) <= 1e-14, a
+
+
 class TestOracleVsClosedForm:
     def test_headline_grid(self, headline_params, default_bg):
         for w in (112.0, 117.65, 124.5, 131.5):
