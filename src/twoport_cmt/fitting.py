@@ -10,7 +10,6 @@ import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .model import Background, ModelParams, _defined_elements
 from .twoport import (INTENSITY_KINDS, KINDS, dets_from_observables,
@@ -108,36 +107,32 @@ def synth_dataset(p: ModelParams, bg: Background, grid, kinds,
     rng = np.random.default_rng(seed)
     w = np.asarray(grid, dtype=float)
     sigma = noise_sigma if noise_sigma > 0 else 1e-3
-    omegas, names, values = [], [], []
-    for kind in kinds:
-        clean = model_values(p, bg, w, kind)
-        noisy = clean + rng.normal(0.0, noise_sigma, size=w.size)
-        if kind in INTENSITY_KINDS:
-            noisy = np.clip(noisy, 0.0, 1.0)
-        else:
-            noisy = wrap_phase(noisy)
-        omegas.append(w)
-        names.extend([kind] * w.size)
-        values.append(noisy)
+    s = _defined_elements(p, bg, w)
+    noise = rng.normal(0.0, noise_sigma, size=(len(kinds), w.size))
+    values = []
+    for kind, eps in zip(kinds, noise):
+        noisy = observable(*s, kind) + eps
+        values.append(np.clip(noisy, 0.0, 1.0) if kind in INTENSITY_KINDS
+                      else wrap_phase(noisy))
     return SpectrumDataset(
-        omega=np.concatenate(omegas),
-        kind=tuple(names),
+        omega=np.tile(w, len(kinds)),
+        kind=tuple(k for k in kinds for _ in range(w.size)),
         value=np.concatenate(values),
-        sigma=np.full(sum(len(v) for v in values), sigma, dtype=float),
+        sigma=np.full(len(kinds) * w.size, sigma, dtype=float),
     )
 
 
 def _residuals(p: ModelParams, bg: Background, data: SpectrumDataset,
                groups) -> np.ndarray:
-    """Weighted residuals (value - model) / sigma, kind by kind in the order
-    of groups; dpsi residuals are wrapped."""
-    parts = []
+    """Weighted residuals (value - model) / sigma in dataset row order, from
+    one S evaluation; groups maps each kind to its rows.  dpsi residuals are
+    wrapped."""
+    s = _defined_elements(p, bg, data.omega)
+    resid = np.empty(len(data))
     for kind, idx in groups.items():
-        resid = data.value[idx] - model_values(p, bg, data.omega[idx], kind)
-        if kind == "dpsi":
-            resid = wrap_phase(resid)
-        parts.append(resid / data.sigma[idx])
-    return np.concatenate(parts)
+        r = data.value[idx] - observable(*(e[idx] for e in s), kind)
+        resid[idx] = wrap_phase(r) if kind == "dpsi" else r
+    return resid / data.sigma
 
 
 def fit_params(data: SpectrumDataset, init: ModelParams,
@@ -155,10 +150,8 @@ def fit_params(data: SpectrumDataset, init: ModelParams,
     if len(set(free)) != len(free):
         raise ValueError(f"duplicate fit parameter in {tuple(free)}")
     bg = background if background is not None else Background()
-    # kinds in first-seen order, not a set's (which follows PYTHONHASHSEED),
-    # so the residual vector has the same order in every process
     kinds = np.array(data.kind)
-    groups = {k: np.flatnonzero(kinds == k) for k in dict.fromkeys(data.kind)}
+    groups = {k: np.flatnonzero(kinds == k) for k in set(data.kind)}
     if not free:
         r = _residuals(init, bg, data, groups)
         return FitResult(params=init, background=bg, residual=float(r @ r),
@@ -167,6 +160,9 @@ def fit_params(data: SpectrumDataset, init: ModelParams,
         raise ValueError(
             f"need at least {3 * len(free)} data points for {len(free)} free "
             f"parameters, got {len(data)}")
+
+    # imported here: scipy.optimize costs most of the package's import time
+    from scipy.optimize import least_squares
 
     def unpack(x):
         return replace(init, **dict(zip(free, x.tolist())))

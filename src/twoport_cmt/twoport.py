@@ -146,7 +146,9 @@ def dephasing_defined(s11, s12, s22):
 
 
 def observable(s11, s12, s22, kind: str):
-    """One observable kind from the S elements; computes only that kind."""
+    """One observable kind from the S elements.  dpsi and the joint kinds
+    compute only that kind; an intensity kind forms all five intensity
+    kinds and returns one."""
     if kind not in KINDS:
         raise ValueError(f"unknown observable kind {kind!r}")
     if kind == "dpsi":

@@ -776,6 +776,14 @@ class TestSynthAndFit:
             docs.append((cwd / "fit.json").read_bytes())
         assert docs[0] == docs[1]
 
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only `fit` needs the solver, and importing it dominates start-up
+        env = {**os.environ, "PYTHONPATH": str(
+            Path(twoport_cmt.__file__).resolve().parents[1])}
+        code = ("import sys, twoport_cmt.cli; "
+                "sys.exit('scipy.optimize' in sys.modules)")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
     def test_fit_requires_data(self, tmp_path, monkeypatch):
         assert run(tmp_path, monkeypatch, ["fit"]) == EXIT_CONFIG
 

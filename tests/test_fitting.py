@@ -15,8 +15,10 @@ from twoport_cmt import (
     single_beam_spectrum,
     synth_dataset,
 )
-from twoport_cmt import cli
-from twoport_cmt.twoport import delta_psi, joint_extrema
+from twoport_cmt import cli, fitting
+from twoport_cmt.model import _defined_elements
+from twoport_cmt.twoport import (INTENSITY_KINDS, delta_psi, joint_extrema,
+                                 observable, wrap_phase)
 
 GRID = np.linspace(105.0, 145.0, 81)
 
@@ -83,6 +85,22 @@ class TestSynthDataset:
     def test_no_kinds_rejected(self, headline_params, default_bg):
         with pytest.raises(ValueError, match="kinds"):
             synth_dataset(headline_params, default_bg, GRID, (), 0.01, seed=0)
+
+    def test_noise_drawn_kind_by_kind(self, headline_params, default_bg):
+        # the noise stream of one draw per kind, in the order of kinds
+        kinds, sigma, seed = ("R1", "dpsi"), 0.05, 8
+        d = synth_dataset(headline_params, default_bg, GRID, kinds, sigma,
+                          seed=seed)
+        rng = np.random.default_rng(seed)
+        want = []
+        for kind in kinds:
+            s = _defined_elements(headline_params, default_bg, GRID)
+            noisy = observable(*s, kind) + rng.normal(0.0, sigma, GRID.size)
+            want.append(np.clip(noisy, 0.0, 1.0) if kind in INTENSITY_KINDS
+                        else wrap_phase(noisy))
+        assert np.array_equal(d.value, np.concatenate(want))
+        assert d.kind == ("R1",) * GRID.size + ("dpsi",) * GRID.size
+        assert np.array_equal(d.omega, np.concatenate([GRID, GRID]))
 
     def test_clipping_keeps_intensities_valid(self, headline_params, default_bg):
         d = synth_dataset(headline_params, default_bg, GRID,
@@ -189,6 +207,43 @@ class TestFitParams:
         res = fit_params(data, headline_params, free=())
         assert res.params == headline_params
         assert res.residual == pytest.approx(0.0, abs=1e-20)
+
+
+def _kind_rows(data):
+    kinds = np.array(data.kind)
+    return {k: np.flatnonzero(kinds == k) for k in set(data.kind)}
+
+
+class TestResiduals:
+    KINDS = ("R1", "T", "dpsi")
+    TRIAL = ModelParams(124.0, 2.5, 0.2, 4.5, 7.5, delta_m=0.3)
+
+    def test_one_s_evaluation_per_call(self, headline_params, default_bg,
+                                       monkeypatch):
+        data = synth_dataset(headline_params, default_bg, GRID, self.KINDS,
+                             0.01, seed=5)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _defined_elements(*args)
+        monkeypatch.setattr(fitting, "_defined_elements", counted)
+        fitting._residuals(self.TRIAL, default_bg, data, _kind_rows(data))
+        assert len(calls) == 1
+
+    def test_row_order_with_interleaved_kinds(self, headline_params,
+                                              default_bg):
+        data = synth_dataset(headline_params, default_bg, GRID, self.KINDS,
+                             0.01, seed=6)
+        perm = np.random.default_rng(7).permutation(len(data))
+        shuffled = SpectrumDataset(data.omega[perm],
+                                   tuple(data.kind[i] for i in perm),
+                                   data.value[perm], data.sigma[perm])
+        want = fitting._residuals(self.TRIAL, default_bg, data,
+                                  _kind_rows(data))
+        got = fitting._residuals(self.TRIAL, default_bg, shuffled,
+                                 _kind_rows(shuffled))
+        assert np.array_equal(got, want[perm])
 
 
 class TestParamSigma:
