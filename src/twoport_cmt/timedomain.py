@@ -1,9 +1,10 @@
 """Brute-force time-domain oracle.
 
 Integrates the coupled cavity/matter equations with a harmonic two-port
-drive using classical fixed-step 4th-order Runge-Kutta, iterated step by step
-as the linear map the stage formulas define, then demodulates the tail of the
-trajectory to extract steady-state outputs.  Time is in 1/meV.
+drive using classical fixed-step 4th-order Runge-Kutta, propagated as the
+linear map the stage formulas define, in blocks of that map's own powers,
+then demodulates the tail of the trajectory to extract steady-state outputs.
+Time is in 1/meV.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ _STEP_GUARD = 0.05  # coarsest step `integrate` accepts, in the same units
 _DRIFT_TOL = 1e-6  # largest demodulated drift over the tail, per unit rms drive
 _EXTENSION = 0.25  # oracle horizon added per chunk while the tail drifts, x settling_time
 _MAX_EXTENSIONS = 4  # chunks before the oracle gives up: at most 2x settling_time
+_MAX_STEPS = 10_000_000  # oracle steps with every extension: > 30x criterion 7's most
 
 _log = logging.getLogger(__name__)
 
@@ -103,9 +105,10 @@ def integrate(p: ModelParams, bg: Background, drive: DriveSpec,
                       "and the steady state is undefined", RuntimeWarning)
 
     n = _step_count(t_end, dt)
+    times = dt * np.arange(n + 1)  # first: a run too long for memory fails here
     start = (complex(a0), complex(b0), _drive_phasor(p, bg, drive))
     a_t, b_t, _ = _iterate(p, drive, dt, start, n, 0)
-    return Trajectory(times=dt * np.arange(n + 1), a_t=a_t, b_t=b_t)
+    return Trajectory(times=times, a_t=a_t, b_t=b_t)
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -122,10 +125,18 @@ def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
     """n RK4 steps from state = (a, b, drive phasor); returns the states
     k = keep..n as arrays of a and of b, and the final state.
 
-    The ODE is linear, so one step is (a, b) <- M (a, b) + v ph followed by
-    ph <- ph e^{i omega dt}. M and v are read off the stage formulas, which
-    stay the one definition of the step, at the unit inputs; the loop then
-    iterates that map one step at a time. No steady-state formula enters.
+    The ODE is linear, so one step is the 3x3 map T of (a, b, ph):
+    (a, b) <- M (a, b) + v ph, then ph <- ph e^{i omega dt}. M and v are read
+    off the stage formulas, which stay the one definition of the step, at the
+    unit inputs. With blk = isqrt(n) + 1, the powers T^0..T^blk are formed by
+    repeated multiplication by T, the block starts x_{m blk} = (T^blk)^m x_0
+    by repeated multiplication by T^blk, and every stored state as
+    x_{m blk + j} = T^j x_{m blk} in one array product: O(sqrt n) Python-level
+    steps, not n. Each state is still T applied k times to the start state,
+    grouped differently, so it differs from one-step-at-a-time iteration in
+    rounding only. No eigendecomposition, matrix exponential or steady-state
+    formula enters, and no BLAS call, so the states do not depend on the
+    BLAS build.
     """
     maa = 1j * p.omega0 - p.gamma_c
     mbb = 1j * p.omega_m - p.gamma_m
@@ -155,19 +166,34 @@ def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
         return (a + h6 * (d1a + 2 * d2a + 2 * d3a + d4a),
                 b + h6 * (d1b + 2 * d2b + 2 * d3b + d4b))
 
+    def orbit(m, x, k):
+        """x = (a, b, ph) and its k images under the map with the rows
+        (m0 m1 m2), (m3 m4 m5), (0 0 m6)."""
+        xs = [x]
+        for _ in range(k):
+            a, b, ph = xs[-1]
+            xs.append((m[0] * a + m[1] * b + m[2] * ph,
+                       m[3] * a + m[4] * b + m[5] * ph, m[6] * ph))
+        return xs
+
     (m_aa, m_ba), (m_ab, m_bb), (v_a, v_b) = step(1, 0, 0), step(0, 1, 0), step(0, 0, 1)
-    a, b, ph = state
-    a_t = np.empty(n + 1 - keep, dtype=complex)
-    b_t = np.empty(n + 1 - keep, dtype=complex)
-    for k in range(n):
-        if k >= keep:
-            a_t[k - keep] = a
-            b_t[k - keep] = b
-        a, b = m_aa * a + m_ab * b + v_a * ph, m_ba * a + m_bb * b + v_b * ph
-        ph *= ef
-    a_t[-1] = a
-    b_t[-1] = b
-    return a_t, b_t, (a, b, ph)
+    blk = math.isqrt(n) + 1
+    # column c of T^j is the unit state e_c after j steps; T^blk has T's form
+    cols = [orbit((m_aa, m_ab, v_a, m_ba, m_bb, v_b, ef), e, blk)
+            for e in ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))]
+    ta, tb, tp = (col[blk] for col in cols)
+    starts = orbit((ta[0], tb[0], tp[0], ta[1], tb[1], tp[1], tp[2]), state,
+                   n // blk)  # x_{m blk} = (T^blk)^m x_0
+    first = keep // blk
+    # x_{m blk + j} = T^j x_{m blk} for the blocks m that meet keep..n; the
+    # grid starts at the call's first step, so the states do not depend on keep
+    pw = np.array([col[:blk] for col in cols]).transpose(2, 0, 1)  # T^j[r, c]
+    xs = np.array(starts[first:])[:, :, None]
+    lo, hi = keep - first * blk, n + 1 - first * blk
+    a_t, b_t = ((pw[r, 0] * xs[:, 0] + pw[r, 1] * xs[:, 1]
+                 + pw[r, 2] * xs[:, 2]).ravel()[lo:hi] for r in (0, 1))
+    ph = cols[2][n % blk][2] * starts[-1][2]  # the phasor of x_n
+    return a_t, b_t, (complex(a_t[-1]), complex(b_t[-1]), ph)
 
 
 def _tail_start(n_states: int) -> int:
@@ -218,12 +244,18 @@ def oracle_scattering(p: ModelParams, bg: Background,
     outlast that horizon: while the window drifts by more than `_DRIFT_TOL`
     x the drive's `rms_amplitude`, stepping continues from the last state in
     chunks of `_EXTENSION` x the horizon, and the window stays the final 20%.
-    After `_MAX_EXTENSIONS` chunks `SteadyStateNotConvergedError` is raised.
+    After `_MAX_EXTENSIONS` chunks `SteadyStateNotConvergedError` is raised;
+    it is raised before any step when the horizon and all the chunks would
+    take more than `_MAX_STEPS` steps.
     """
     dt = suggested_time_step(p, drive)
     amp = drive.rms_amplitude
     n = _step_count(settling_time(p), dt)
     chunk = math.ceil(_EXTENSION * n)
+    if n + _MAX_EXTENSIONS * chunk > _MAX_STEPS:
+        raise SteadyStateNotConvergedError(
+            f"the horizon and its extensions take {n + _MAX_EXTENSIONS * chunk:.3g} "
+            f"steps, more than the budget of {_MAX_STEPS:.0e}")
     k0 = _tail_start(n + 1)
     a_t, _, state = _iterate(p, drive, dt, (0j, 0j, _drive_phasor(p, bg, drive)),
                              n, k0)

@@ -467,6 +467,16 @@ class TestNumericalExit:
         assert not result.exists()
         assert capsys.readouterr().err.count("DegenerateResponseError") == 2
 
+    def test_oracle_step_budget(self, tmp_path, monkeypatch, capsys):
+        # a cavity line of 1e-9 meV would take 6e13 RK4 steps to settle
+        out = tmp_path / "oc.csv"
+        code = run(tmp_path, monkeypatch,
+                   ["oracle-check", "--output", str(out), "--gamma-r", "1e-9",
+                    "--gamma-nr", "0", "--gamma-m", "0", "--omega-rabi", "0"])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        assert "SteadyStateNotConvergedError" in capsys.readouterr().err
+
     def test_non_converged_fit(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "data.csv"
         assert run(tmp_path, monkeypatch,

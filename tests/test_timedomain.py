@@ -21,6 +21,11 @@ from twoport_cmt import timedomain
 from twoport_cmt.timedomain import _demodulated_tail, settling_time, suggested_time_step
 from conftest import random_passive_params
 
+# at the exceptional point: the step map's 2x2 block is defective, and the
+# transient decays like t e^{-gamma t}
+EP_MODEL = ModelParams(130.16644050918734, 5.780390043643968, 5.197049892380149,
+                       0.7789030528133366, 5.09926844160539)
+
 
 def _stage_rk4(p, bg, drive, t_end, dt, a0, b0):
     """Reference: classical RK4 evaluated stage by stage at every step."""
@@ -153,6 +158,25 @@ class TestIntegrate:
         for got, ref in ((traj.a_t, ref_a), (traj.b_t, ref_b)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("p", [
+        EP_MODEL,
+        ModelParams(124.5, 3.0, 1.0, 5.0, 8.0, delta_m=-6.5),
+        ModelParams(124.5, 0.05, 0.0, 0.0, 0.0),  # undamped matter line
+    ])
+    def test_long_horizon_equals_stage_formulas(self, p):
+        # blocks of the map's powers over 100,000 steps stay within rounding
+        # of stepping stage by stage; stepwise iteration of the map itself
+        # is 3.2e-12 away on these models
+        bg = Background(0.8, 0.4)
+        drive = DriveSpec(omega=121.0, phi=0.9, amp1=1.0, amp2=0.3)
+        dt = suggested_time_step(p, drive)
+        n = 100_000
+        traj = integrate(p, bg, drive, n * dt, dt, a0=0.4 - 0.2j, b0=-0.1 + 0.3j)
+        ref_a, ref_b = _stage_rk4(p, bg, drive, n * dt, dt, 0.4 - 0.2j, -0.1 + 0.3j)
+        assert traj.a_t.size == n + 1
+        for got, ref in ((traj.a_t, ref_a), (traj.b_t, ref_b)):
+            assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+
     def test_step_guard(self, headline_params, default_bg):
         drive = DriveSpec(omega=124.5)
         with pytest.raises(ValueError):
@@ -188,6 +212,41 @@ class TestIntegrate:
         e0, e1, e2 = (abs(v - exact) for v in vals)
         assert e0 / e1 == pytest.approx(16.0, rel=0.05)
         assert e1 / e2 == pytest.approx(16.0, rel=0.2)
+
+
+class TestIterate:
+    P = ModelParams(124.5, 3.0, 1.0, 5.0, 8.0, delta_m=-6.5)
+    DRIVE = DriveSpec(omega=121.0, phi=0.9)
+    START = (0.4 - 0.2j, -0.1 + 0.3j, 0.7 + 0.2j)
+
+    # n = 1600 steps go in blocks of isqrt(1600) + 1 = 41: 1234 is inside
+    # block 30, 1230 starts it
+    @pytest.mark.parametrize("keep", [1234, 1230, 1600])
+    def test_keep_is_tail(self, keep):
+        dt = suggested_time_step(self.P, self.DRIVE)
+        a, b, end = timedomain._iterate(self.P, self.DRIVE, dt, self.START, 1600, 0)
+        a_k, b_k, end_k = timedomain._iterate(self.P, self.DRIVE, dt, self.START,
+                                              1600, keep)
+        assert np.array_equal(a_k, a[keep:]) and np.array_equal(b_k, b[keep:])
+        assert end_k == end
+
+    def test_continuation(self):
+        # the oracle extends its horizon by stepping on from the final state,
+        # with blocks anchored at that state: the same trajectory up to
+        # rounding, the drive phasor included
+        dt = suggested_time_step(self.P, self.DRIVE)
+        n, chunk = 15_000, 3_750
+        a, b, end = timedomain._iterate(self.P, self.DRIVE, dt, self.START,
+                                        n + 2 * chunk, 0)
+        parts = [timedomain._iterate(self.P, self.DRIVE, dt, self.START, n, 0)]
+        for _ in range(2):
+            parts.append(timedomain._iterate(self.P, self.DRIVE, dt, parts[-1][2],
+                                             chunk, 1))
+        for k, ref in enumerate((a, b)):
+            got = np.concatenate([part[k] for part in parts])
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        for got, ref in zip(parts[-1][2], end):
+            assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 class TestDemodulation:
@@ -249,8 +308,7 @@ class TestOracleHorizon:
     def test_exceptional_point_extends_horizon(self, default_bg, caplog):
         # at the exceptional point the transient decays like t e^{-gamma t};
         # settling_time alone leaves a drift of 1.9e-6 here
-        p = ModelParams(130.16644050918734, 5.780390043643968, 5.197049892380149,
-                        0.7789030528133366, 5.09926844160539)
+        p = EP_MODEL
         drive = DriveSpec(126.93964217679171, -1.1435196331453783)
         with caplog.at_level(logging.DEBUG, logger="twoport_cmt.timedomain"):
             res = oracle_scattering(p, default_bg, drive)
@@ -273,6 +331,16 @@ class TestOracleHorizon:
             headline_params, DriveSpec(omega=124.5)) - 1e-9))
         assert int(log["steps"]) == n + timedomain._MAX_EXTENSIONS * math.ceil(
             timedomain._EXTENSION * n)
+
+    def test_step_budget(self, default_bg, monkeypatch):
+        # settling_time 2e10 at dt 3.2e-4 is 6.2e13 steps: refused before
+        # any step is taken or any state stored
+        def refuse(*args):
+            raise AssertionError("stepped past the budget")
+        monkeypatch.setattr(timedomain, "_iterate", refuse)
+        with pytest.raises(SteadyStateNotConvergedError, match="budget"):
+            oracle_scattering(ModelParams(124.5, 1e-9, 0.0, 0.0, 0.0), default_bg,
+                              DriveSpec(omega=124.5))
 
 
 class TestOracleAmplitude:
