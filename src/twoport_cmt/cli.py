@@ -308,6 +308,7 @@ def cmd_fit(cfg: dict, p: ModelParams, bg: Background) -> int:
         "params": asdict(result.params),
         "background": asdict(result.background),
         "residual": result.residual,
+        "chi2_dof": result.chi2_dof,
         "n_iter": result.n_iter,
         "converged": result.converged,
         "param_sigma": result.param_sigma,

@@ -11,9 +11,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Background, ModelParams, _defined_elements
+from .model import (Background, ModelParams, _defined_elements,
+                    _elements_and_grad)
 from .twoport import (INTENSITY_KINDS, KINDS, dets_from_observables,
-                      observable, wrap_phase)
+                      observable, observable_grad, wrap_phase)
 
 FITTABLE = ("omega0", "gamma_r", "gamma_nr", "gamma_m", "omega_rabi",
             "delta_m")
@@ -75,6 +76,7 @@ class FitResult:
     params: ModelParams
     background: Background
     residual: float
+    chi2_dof: float
     n_iter: int
     converged: bool
     param_sigma: dict[str, float]
@@ -135,15 +137,28 @@ def _residuals(p: ModelParams, bg: Background, data: SpectrumDataset,
     return resid / data.sigma
 
 
+def _jacobian(p: ModelParams, bg: Background, data: SpectrumDataset,
+              groups, free) -> np.ndarray:
+    """d `_residuals` / d theta for the names in free: -d model / d theta /
+    sigma in dataset row order, one row per data point, from one S
+    evaluation; groups maps each kind to its rows."""
+    s, du = _elements_and_grad(p, bg, data.omega, free)
+    jac = np.empty((len(data), len(free)))
+    for kind, idx in groups.items():
+        jac[idx] = observable_grad(*(e[idx] for e in s), du[:, idx], kind).T
+    return -jac / data.sigma[:, None]
+
+
 def fit_params(data: SpectrumDataset, init: ModelParams,
                free=("omega0", "gamma_r", "gamma_m", "omega_rabi"),
                background: Background | None = None) -> FitResult:
     """Weighted least squares by the bounded trust-region-reflective solver
     (Branch, Coleman and Li, SIAM J. Sci. Comput. 21, 1 (1999)): rates >= 0,
-    omega0 > 0, delta_m free.  `param_sigma` is the covariance sd
-    sqrt(diag((J^T J)^-1)) at the solution, inf along a direction the data
-    do not constrain; `n_iter` counts residual evaluations.  Frozen
-    parameters pass through bit-identical."""
+    omega0 > 0, delta_m free, with the analytic Jacobian of `_jacobian`.
+    `param_sigma` is the covariance sd sqrt(diag((J^T J)^-1)) at the
+    solution, inf along a direction the data do not constrain; `chi2_dof`
+    is residual / (rows - free parameters); `n_iter` counts residual
+    evaluations.  Frozen parameters pass through bit-identical."""
     for name in free:
         if name not in FITTABLE:
             raise ValueError(f"unknown fit parameter {name!r}")
@@ -154,8 +169,10 @@ def fit_params(data: SpectrumDataset, init: ModelParams,
     groups = {k: np.flatnonzero(kinds == k) for k in set(data.kind)}
     if not free:
         r = _residuals(init, bg, data, groups)
-        return FitResult(params=init, background=bg, residual=float(r @ r),
-                         n_iter=0, converged=True, param_sigma={})
+        chi2 = float(r @ r)
+        return FitResult(params=init, background=bg, residual=chi2,
+                         chi2_dof=chi2 / len(data), n_iter=0, converged=True,
+                         param_sigma={})
     if len(data) < 3 * len(free):
         raise ValueError(
             f"need at least {3 * len(free)} data points for {len(free)} free "
@@ -170,11 +187,14 @@ def fit_params(data: SpectrumDataset, init: ModelParams,
     lower = [-np.inf if name == "delta_m" else 0.0 for name in free]
     res = least_squares(lambda x: _residuals(unpack(x), bg, data, groups),
                         [getattr(init, name) for name in free],
+                        jac=lambda x: _jacobian(unpack(x), bg, data, groups,
+                                                free),
                         bounds=(lower, np.inf), method="trf", x_scale="jac")
     sigma = _covariance_sd(res.jac).tolist()
-    return FitResult(params=unpack(res.x), background=bg,
-                     residual=float(res.fun @ res.fun), n_iter=int(res.nfev),
-                     converged=bool(res.success),
+    chi2 = float(res.fun @ res.fun)
+    return FitResult(params=unpack(res.x), background=bg, residual=chi2,
+                     chi2_dof=chi2 / (len(data) - len(free)),
+                     n_iter=int(res.nfev), converged=bool(res.success),
                      param_sigma=dict(zip(free, sigma)))
 
 
@@ -182,7 +202,8 @@ def _covariance_sd(jac: np.ndarray) -> np.ndarray:
     """sqrt(diag((J^T J)^-1)) from the SVD J = U s V^T, inf for every
     parameter with weight in a singular direction."""
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    tol = np.sqrt(np.finfo(float).eps)  # finite-difference resolution of J
+    # relative cut: a singular value below it is rounding, not data
+    tol = np.sqrt(np.finfo(float).eps)
     null = s <= tol * s[0]
     var = np.sum((vt[~null] / s[~null, None]) ** 2, axis=0)
     var[np.any(np.abs(vt[null]) > tol, axis=0)] = np.inf

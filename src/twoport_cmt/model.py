@@ -188,14 +188,47 @@ def steady_state_response(p, bg, omega, s_plus):
     return complex(a), complex(b), (complex(s_out[0]), complex(s_out[1]))
 
 
-def _defined_elements(p: ModelParams, bg: Background, omega):
-    """(s11, s12, s22) of `s_elements`, raising at a degenerate point."""
-    s11, s12, s22, bad = s_elements(p, bg, omega)
+def _check_defined(omega, bad):
+    """Raise DegenerateResponseError at the first degenerate omega."""
     if np.any(bad):
         raise DegenerateResponseError(
             f"S undefined at omega={np.asarray(omega)[bad].flat[0]} "
             f"(real pole of a lossless model)")
+
+
+def _defined_elements(p: ModelParams, bg: Background, omega):
+    """(s11, s12, s22) of `s_elements`, raising at a degenerate point."""
+    s11, s12, s22, bad = s_elements(p, bg, omega)
+    _check_defined(omega, bad)
     return s11, s12, s22
+
+
+def _elements_and_grad(p: ModelParams, bg: Background, omega, free):
+    """(s11, s12, s22) of `_defined_elements` and du, the rows du/dtheta of
+    the rank-1 increment u = K matter / D for the names in free, from one
+    `_response` call; K = d0^2 = gamma_r e^{i alpha}.  C does not depend on
+    the model, so du is the derivative of every S entry.  At Omega = 0 the
+    gamma_m and delta_m rows are exactly 0, as `_matter_rate` takes matter
+    out of S there."""
+    w = np.asarray(omega, dtype=float)
+    matter, den, bad = _response(p, w - p.omega0)
+    _check_defined(w, bad)
+    e_ia = bg.coupling(1.0) ** 2
+    d0 = bg.coupling(p.gamma_r)
+    u = d0 * d0 * matter / den
+    g = p.gamma_r * e_ia / den**2  # K / D^2
+    rabi2, m2 = p.omega_rabi**2, matter**2
+    rows = {
+        "omega0": -1j * g * (rabi2 - m2),
+        "gamma_r": e_ia * matter / den - g * m2,
+        "gamma_nr": -g * m2,
+        "gamma_m": g * rabi2,
+        "delta_m": -1j * g * rabi2,
+        "omega_rabi": -2 * p.omega_rabi * g * matter,
+    }
+    C = bg.matrix()
+    du = np.array([rows[name] for name in free])
+    return (C[0, 0] + u, C[0, 1] + u, C[1, 1] + u), du
 
 
 def scattering_matrix(p: ModelParams, bg: Background, omega: float) -> SMatrix2:

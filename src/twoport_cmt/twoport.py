@@ -19,6 +19,7 @@ KINDS = INTENSITY_KINDS + ("dpsi",)
 _RECIPROCITY_TOL = 1e-9
 _PHASE_TOL = 1e-9
 _MAG_TINY = 1e-12
+_FLAT_MOD = 1e-15
 
 
 class NonReciprocalError(ValueError):
@@ -126,7 +127,7 @@ def two_beam_extrema(s11, s12, s22) -> JointAbsorbanceExtrema:
     as arrays: a_mod = |z| and the extremal phases follow from arg z."""
     a_avg, z = _avg_and_z(s11, s12, s22)
     a_mod, chi = np.abs(z), np.angle(z)
-    flat = a_mod < 1e-15  # no modulation: any phase is extremal
+    flat = a_mod < _FLAT_MOD  # no modulation: any phase is extremal
     return JointAbsorbanceExtrema(
         a_min=a_avg - a_mod, a_max=a_avg + a_mod, a_avg=a_avg, a_mod=a_mod,
         phi_min=np.where(flat, 0.0, wrap_phase(-chi)),
@@ -158,6 +159,39 @@ def observable(s11, s12, s22, kind: str):
         return a_avg + np.abs(z) if kind == "A_joint_max" else a_avg - np.abs(z)
     R1, R2, T = np.abs(s11) ** 2, np.abs(s22) ** 2, np.abs(s12) ** 2
     return {"R1": R1, "R2": R2, "T": T, "A1": 1.0 - R1 - T, "A2": 1.0 - R2 - T}[kind]
+
+
+def observable_grad(s11, s12, s22, ds, kind: str):
+    """Derivative of `observable` when every S entry moves by ds (the
+    rank-1 increment of `model.s_elements`); ds broadcasts against the S
+    elements.  |z| and dpsi have no derivative where the joint absorbance
+    is flat (`two_beam_extrema`) or the dephasing is not defined
+    (`dephasing_defined`); their terms are 0 there."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown observable kind {kind!r}")
+    if kind == "dpsi":
+        # d arg s = Im(ds / s)
+        ok = dephasing_defined(s11, s12, s22)
+
+        def inv(s):
+            return 1.0 / np.where(ok, s, 1.0)
+        return np.where(ok, np.imag(ds * (inv(s11) + inv(s22) - 2 * inv(s12))),
+                        0.0)
+
+    def d_abs2(s):
+        return 2 * np.real(np.conj(s) * ds)
+    if kind in ("A_joint_max", "A_joint_min"):
+        d_avg = -0.5 * (d_abs2(s11) + d_abs2(s22)) - d_abs2(s12)
+        z = _avg_and_z(s11, s12, s22)[1]
+        a_mod = np.abs(z)
+        flat = a_mod < _FLAT_MOD
+        dz = np.conj(ds) * (s12 + s22) + (np.conj(s11) + np.conj(s12)) * ds
+        d_mod = np.where(flat, 0.0, np.real(np.conj(z) * dz)
+                         / np.where(flat, 1.0, a_mod))
+        return d_avg + d_mod if kind == "A_joint_max" else d_avg - d_mod
+    if kind in ("R1", "R2", "T"):
+        return d_abs2({"R1": s11, "R2": s22, "T": s12}[kind])
+    return -d_abs2(s11 if kind == "A1" else s22) - d_abs2(s12)
 
 
 def joint_absorbance(S: SMatrix2, phi: float):

@@ -2,6 +2,7 @@
 import argparse
 import cmath
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -485,8 +486,7 @@ class TestNumericalExit:
 
         def stalled(*args, **kwargs):
             res = real_fit(*args, **kwargs)
-            return fitting.FitResult(res.params, res.background, res.residual,
-                                     res.n_iter, False, res.param_sigma)
+            return dataclasses.replace(res, converged=False)
 
         monkeypatch.setattr(fitting, "fit_params", stalled)
         result = tmp_path / "fit.json"
@@ -750,6 +750,7 @@ class TestSynthAndFit:
         assert code == EXIT_OK
         doc = json.loads(result.read_text())
         assert doc["converged"] is True
+        assert 0.3 < doc["chi2_dof"] < 3.0
         assert doc["params"]["omega0"] == pytest.approx(124.5, rel=0.01)
         assert doc["params"]["gamma_r"] == pytest.approx(3.0, rel=0.05)
         assert doc["params"]["gamma_m"] == pytest.approx(5.0, rel=0.05)

@@ -1,5 +1,7 @@
 """Synthetic datasets, parameter recovery, |det S| reconstruction."""
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from twoport_cmt import (
 )
 from twoport_cmt import cli, fitting
 from twoport_cmt.model import _defined_elements
-from twoport_cmt.twoport import (INTENSITY_KINDS, delta_psi, joint_extrema,
-                                 observable, wrap_phase)
+from twoport_cmt.twoport import (INTENSITY_KINDS, KINDS, delta_psi,
+                                 joint_extrema, observable, wrap_phase)
 
 GRID = np.linspace(105.0, 145.0, 81)
 
@@ -181,6 +183,17 @@ class TestFitParams:
         res = fit_params(data, ModelParams(122.0, 2.0, 0.0, 4.0, 7.0))
         per_point = res.residual / len(data)
         assert 0.3 < per_point < 3.0
+        assert 0.3 < res.chi2_dof < 3.0
+
+    def test_wrong_basin_shows_in_chi2_dof(self, headline_params, default_bg):
+        # started at Omega = 0, where dS/dOmega = 0, the fit ends far from
+        # the data and still reports convergence
+        data = synth_dataset(headline_params, default_bg,
+                             np.linspace(105.0, 145.0, 201), ("A1", "R1", "T"),
+                             0.005, seed=1)
+        res = fit_params(data, ModelParams(122.0, 2.0, 0.0, 4.0, 0.0))
+        assert res.chi2_dof > 100
+        assert res.chi2_dof == res.residual / (len(data) - 4)
 
     def test_too_few_points(self, headline_params, default_bg):
         data = synth_dataset(headline_params, default_bg, GRID[:3], ("R1",),
@@ -244,6 +257,86 @@ class TestResiduals:
         got = fitting._residuals(self.TRIAL, default_bg, shuffled,
                                  _kind_rows(shuffled))
         assert np.array_equal(got, want[perm])
+
+
+class TestJacobian:
+    # detuned, with gamma_nr > 0: every term of du/dtheta is nonzero
+    DETUNED = ModelParams(124.5, 3.0, 0.7, 5.0, 8.0, delta_m=1.5)
+    GRID = np.linspace(105.0, 145.0, 201)
+
+    def _all_kinds(self, p, bg):
+        data = synth_dataset(p, bg, self.GRID, KINDS, 0.01, seed=0)
+        return data, _kind_rows(data)
+
+    @pytest.mark.parametrize("bg", [Background(), Background(0.8, 0.3)])
+    def test_matches_central_differences(self, bg):
+        data, groups = self._all_kinds(self.DETUNED, bg)
+        jac = fitting._jacobian(self.DETUNED, bg, data, groups,
+                                fitting.FITTABLE)
+        for j, name in enumerate(fitting.FITTABLE):
+            x = getattr(self.DETUNED, name)
+            h = 1e-6 * max(1.0, abs(x))
+            fd = np.empty(len(data))
+            for kind, idx in groups.items():
+                up, down = (model_values(replace(self.DETUNED, **{name: v}),
+                                         bg, data.omega[idx], kind)
+                            for v in (x + h, x - h))
+                step = wrap_phase(up - down) if kind == "dpsi" else up - down
+                fd[idx] = -step / (2 * h) / data.sigma[idx]
+            scale = np.abs(jac[:, j]).max()
+            assert np.abs(jac[:, j] - fd).max() < 1e-6 * scale, name
+
+    def test_matter_columns_vanish_without_coupling(self, default_bg):
+        p = replace(self.DETUNED, omega_rabi=0.0)
+        data, groups = self._all_kinds(p, default_bg)
+        jac = fitting._jacobian(p, default_bg, data, groups,
+                                ("gamma_m", "delta_m", "omega_rabi"))
+        assert np.all(jac == 0.0)
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(124.5, 3.0, 0.0, 0.0, 8.0),   # lossless: |z| = 0
+        ModelParams(124.5, 0.0, 0.7, 5.0, 8.0),   # s12 = 0: dpsi undefined
+    ])
+    def test_finite_where_joint_or_dpsi_singular(self, default_bg, p):
+        data = SpectrumDataset(np.tile(self.GRID, len(KINDS)),
+                               tuple(k for k in KINDS for _ in self.GRID),
+                               np.zeros(len(KINDS) * self.GRID.size),
+                               np.full(len(KINDS) * self.GRID.size, 0.01))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jac = fitting._jacobian(p, default_bg, data, _kind_rows(data),
+                                    fitting.FITTABLE)
+        assert np.all(np.isfinite(jac))
+
+
+class TestFitEquivalence:
+    """The analytic Jacobian reaches the fit of scipy's finite-difference
+    Jacobian, on the benchmark's three kind sets."""
+
+    @pytest.mark.parametrize("kinds", [("A1", "R1", "T"),
+                                       ("A_joint_max", "A_joint_min", "dpsi"),
+                                       ("R1", "T", "dpsi")])
+    def test_matches_finite_difference_fit(self, headline_params, default_bg,
+                                           kinds):
+        from scipy.optimize import least_squares
+        init = ModelParams(122.0, 2.0, 0.0, 4.0, 7.0)
+        free = ("omega0", "gamma_r", "gamma_m", "omega_rabi")
+        for seed in range(5):
+            data = synth_dataset(headline_params, default_bg,
+                                 np.linspace(105.0, 145.0, 201), kinds, 0.005,
+                                 seed=seed)
+            groups = _kind_rows(data)
+            res = fit_params(data, init, free)
+            ref = least_squares(
+                lambda x: fitting._residuals(
+                    replace(init, **dict(zip(free, x))), default_bg, data,
+                    groups),
+                [getattr(init, name) for name in free],
+                bounds=(0.0, np.inf), method="trf", x_scale="jac")
+            ref_sigma = fitting._covariance_sd(ref.jac)
+            for name, x, sigma in zip(free, ref.x, ref_sigma):
+                assert getattr(res.params, name) == pytest.approx(x, rel=1e-6)
+                assert res.param_sigma[name] == pytest.approx(sigma, rel=1e-4)
 
 
 class TestParamSigma:
