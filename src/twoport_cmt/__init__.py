@@ -36,7 +36,6 @@ from .regimes import (
     CpaPoint,
     CriticalLociMap,
     RegimeReport,
-    WindowTooNarrowError,
     classify_regime,
     critical_loci,
     find_cpa,
@@ -51,10 +50,8 @@ from .timedomain import (
     oracle_scattering,
 )
 from .fitting import (
-    DetsCurve,
     FitResult,
     SpectrumDataset,
-    estimate_dets_curve,
     fit_params,
     model_values,
     synth_dataset,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fitting, regimes, timedomain
 from .model import (Background, DegenerateResponseError, ModelParams,
-                    _defined_elements, single_beam_spectrum)
+                    _defined_elements, _det_s_grid, single_beam_spectrum)
 from .timedomain import DriveSpec, SteadyStateNotConvergedError
 from .twoport import (dephasing_defined, dets_from_observables, observable,
                       output_dephasing, two_beam_extrema, two_beam_outputs)
@@ -241,18 +241,20 @@ def cmd_joint(cfg: dict, p: ModelParams, bg: Background) -> int:
     defined = dephasing_defined(s11, s12, s22)
     # the same dephasing measured instead: the phase offset of the two output
     # intensities A + B sin(phi + c) over the input dephasing phi, fitted for
-    # every (port, omega) column at once
+    # every (port, omega) column at once; on n_phi >= 3 phases equispaced over
+    # a period, 1, sin and cos are orthogonal, so the least-squares c is the
+    # angle of the projections onto cos and sin
     phis = np.linspace(0.0, 2 * math.pi, cfg["joint"]["n_phi"], endpoint=False)
     _, out1, out2 = two_beam_outputs(s11, s12, s22, phis[:, None])
-    design = np.column_stack([np.ones_like(phis), np.sin(phis), np.cos(phis)])
-    (_, ps, pc), *_ = np.linalg.lstsq(design, np.hstack([out1, out2]), rcond=None)
-    c1, c2 = np.split(np.arctan2(pc, ps), 2)
+    out = np.hstack([out1, out2])
+    c1, c2 = np.split(np.arctan2(np.sum(np.cos(phis)[:, None] * out, axis=0),
+                                 np.sum(np.sin(phis)[:, None] * out, axis=0)), 2)
     recon = dets_from_observables(
         *(observable(s11, s12, s22, k) for k in ("T", "R1", "R2")), c2 - c1)
     return write_output(
         cfg, "joint", grid, ext.a_min, ext.a_max, ext.a_avg,
         np.where(defined, output_dephasing(s11, s12, s22), math.nan),
-        np.abs(s11 * s22 - s12 * s12), np.where(defined, recon, math.nan))
+        np.abs(_det_s_grid(p, grid)[0]), np.where(defined, recon, math.nan))
 
 
 def cmd_phase_diagram(cfg: dict, p: ModelParams, bg: Background) -> int:

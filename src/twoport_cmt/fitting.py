@@ -13,8 +13,8 @@ import numpy as np
 
 from .model import (Background, ModelParams, _defined_elements,
                     _elements_and_grad)
-from .twoport import (INTENSITY_KINDS, KINDS, dets_from_observables,
-                      observable, observable_grad, wrap_phase)
+from .twoport import (INTENSITY_KINDS, KINDS, observable, observable_grad,
+                      wrap_phase)
 
 FITTABLE = ("omega0", "gamma_r", "gamma_nr", "gamma_m", "omega_rabi",
             "delta_m")
@@ -80,13 +80,6 @@ class FitResult:
     n_iter: int
     converged: bool
     param_sigma: dict[str, float]
-
-
-@dataclass(frozen=True)
-class DetsCurve:
-    omega: np.ndarray
-    abs_dets: np.ndarray
-    skipped: tuple[float, ...]
 
 
 def model_values(p: ModelParams, bg: Background, omega, kind: str) -> np.ndarray:
@@ -209,19 +202,3 @@ def _covariance_sd(jac: np.ndarray) -> np.ndarray:
     var[np.any(np.abs(vt[null]) > tol, axis=0)] = np.inf
     return np.sqrt(var)
 
-
-def estimate_dets_curve(data: SpectrumDataset) -> DetsCurve:
-    """Row-wise |det S| reconstruction from R1, R2, T and dpsi observables.
-
-    Frequencies lacking any of the four observables are skipped and reported.
-    """
-    needed = ("R1", "R2", "T", "dpsi")
-    per_omega: dict[float, dict[str, float]] = {}
-    for w, k, v in zip(data.omega, data.kind, data.value):
-        if k in needed:
-            per_omega.setdefault(float(w), {})[k] = float(v)
-    omegas = sorted(w for w, row in per_omega.items() if len(row) == len(needed))
-    skipped = sorted(w for w, row in per_omega.items() if len(row) < len(needed))
-    cols = [np.array([per_omega[w][k] for w in omegas]) for k in ("T", "R1", "R2", "dpsi")]
-    return DetsCurve(omega=np.array(omegas), abs_dets=dets_from_observables(*cols),
-                     skipped=tuple(skipped))

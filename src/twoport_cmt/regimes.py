@@ -26,10 +26,6 @@ _NEWTON_STEPS = 40  # a simple root needs 2-3; a near-double one halves its erro
 _SCAN_CELLS = 16  # cells per block of the peak scan: small blocks stay in cache
 
 
-class WindowTooNarrowError(ValueError):
-    """A spectral extremum sits on the window boundary; widen the window."""
-
-
 @dataclass(frozen=True)
 class RegimeReport:
     n_peaks: int
@@ -77,9 +73,10 @@ def wcc_residual(p: ModelParams) -> float:
     return p.gamma_m * (p.gamma_r - p.gamma_nr) - p.omega_rabi**2
 
 
-def default_window(p: ModelParams, pad: float = 1.0) -> tuple[float, float]:
+def default_window(p: ModelParams) -> tuple[float, float]:
+    """The window of the `count_peaks` grid."""
     span = np.maximum(np.maximum(3 * p.omega_rabi, 3 * (p.gamma_r + p.gamma_nr)),
-                      3 * p.gamma_m) + pad
+                      3 * p.gamma_m) + 1.0
     return (p.omega0 - span, p.omega0 + span)
 
 
@@ -149,47 +146,48 @@ def _stationary_value(p, u: np.ndarray):
             e * ddb - 2 * p.gamma_nr * b)
 
 
-def _minima(c, lo, hi, tol: float):
-    """Interior local minima of |det S| per cell (cells along the last axis):
-    (omega, |det S|), shape (5, n), one unordered row per seed and NaN where
-    a seed found none; and per cell the minimum of |det S| over [lo, hi],
-    the smaller of the window-end values and those minima. Newton on G
-    starts from the real part of every root of G (a near-multiple real root
-    can come out of `_roots` as a complex pair). A seed is dropped once its
-    step stops shrinking short of tol (it cycles) or it lies further than
-    the window span outside the window (Newton on the degree-5 G only creeps
-    back from there); a cell stops, taking zero steps, once all its seeds
-    are within tol. A point in the open window is a minimum where G' > 0 or
-    |det S| < 1e-12: where the zeros of det S meet, G' = 0 to rounding."""
-    mid, reach = 0.5 * (lo + hi) - c.omega0, 1.5 * (hi - lo)
-    u = _roots(_stationary_poly(c)).real.T
+def _minima(c, tol: float):
+    """Local minima of |det S| on the real axis per cell (cells along the
+    last axis): (omega, |det S|), shape (5, n), one unordered row per seed
+    and NaN where a seed found none; and per cell the minimum of |det S|,
+    the smaller of 1 (its limit as |omega| -> inf) and those minima. Newton
+    on G starts from the real part of every root of G (a near-multiple real
+    root can come out of `_roots` as a complex pair). A seed is dropped once
+    its step stops shrinking short of tol (it cycles) or it lands further
+    from omega0 than twice the largest root of G plus 1 meV (Newton on the
+    degree-5 G only creeps back from there, and every real root of G is a
+    seed of its own); a cell stops, taking zero steps, once all its seeds
+    are within tol. A point is a minimum where G' > 0 or |det S| < 1e-12:
+    where the zeros of det S meet, G' = 0 to rounding."""
+    roots = _roots(_stationary_poly(c))
+    u = roots.real.T
+    reach = 2 * np.fmax.reduce(np.abs(roots), axis=1) + 1.0
     size, dg = np.full(u.shape, np.inf), np.zeros(u.shape)
     run = np.ones(u.shape[1], dtype=bool)
     for _ in range(_NEWTON_STEPS):
         g, d = _stationary_value(c, u)
         step = np.divide(g, d, out=np.zeros_like(g), where=run & (d != 0))
         new, moved = u - step, np.abs(step)
-        keep = ((moved <= tol) | (moved < size)) & (np.abs(new - mid) <= reach)
+        keep = ((moved <= tol) | (moved < size)) & (np.abs(new) <= reach)
         u, size = np.where(keep, new, np.nan), np.where(keep, moved, np.nan)
         dg = np.where(run, d, dg)
         run = np.any(size > tol, axis=0)
         if not run.any():
             break
     omega = c.omega0 + u
-    # a dropped seed (NaN) is evaluated at lo and then discarded
-    w = np.vstack([lo, hi, np.where(np.isnan(u), lo, omega)])
-    ends, dets = np.split(np.abs(_det_s_grid(c, w)[0]), [2])
-    ok = (size <= tol) & ((dg > 0) | (dets < 1e-12)) & (lo < omega) & (omega < hi)
+    # a dropped seed (NaN) is evaluated at omega0 and then discarded
+    dets = np.abs(_det_s_grid(c, np.where(np.isnan(u), c.omega0, omega))[0])
+    ok = (size <= tol) & ((dg > 0) | (dets < 1e-12))
     dets = np.where(ok, dets, np.nan)
     return (np.where(ok, omega, np.nan), dets,
-            np.fmin.reduce(np.vstack([ends, dets])))
+            np.fmin(1.0, np.fmin.reduce(dets)))
 
 
-def _cell_minima(p: ModelParams, window, tol: float):
+def _cell_minima(p: ModelParams, tol: float):
     """`_minima` of one model, ascending. Of neighbours closer than tol, or
     with |det S| < 1e-12 at both and midway (one zero of det S, which Newton
     on the flat G there scatters by about 1e-7 meV), the first is kept."""
-    omega, dets = (a[:, 0] for a in _minima(_cells(p), *window, tol)[:2])
+    omega, dets = (a[:, 0] for a in _minima(_cells(p), tol)[:2])
     order = np.argsort(omega)[:np.count_nonzero(~np.isnan(omega))]
     omega, dets = omega[order], dets[order]
     between = np.abs(_det_s_grid(p, 0.5 * (omega[:-1] + omega[1:]))[0])
@@ -199,28 +197,12 @@ def _cell_minima(p: ModelParams, window, tol: float):
     return omega[keep], dets[keep]
 
 
-def classify_regime(p: ModelParams, window=None) -> RegimeReport:
-    """Count the absorbance peaks of B(omega) and report the critical residuals.
-
-    The window must cover omega0 +/- max(3 Omega, 3 gamma_c, 3 gamma_m). If
-    B, above the peak floor, falls from a window end into the window, that
-    end is a maximum of B and WindowTooNarrowError is raised.
-    """
-    lo_req, hi_req = default_window(p, pad=0.0)
-    lo, hi = window = _window(p, window)
-    if lo > lo_req or hi < hi_req:
-        raise ValueError(f"window {window} must cover ({lo_req}, {hi_req})")
-    # |det S|^2 rises where G > 0 (F = 4 gamma_r G): B peaks on the boundary
-    # if it falls into the window at lo or rises out of it at hi
-    ends = np.array([lo, hi])
-    b_lo, b_hi = 1.0 - np.abs(_det_s_grid(p, ends)[0]) ** 2
-    g_lo, g_hi = _stationary_value(p, ends - p.omega0)[0]
-    if (b_lo > _PEAK_FLOOR and g_lo > 0) or (b_hi > _PEAK_FLOOR and g_hi < 0):
-        raise WindowTooNarrowError(
-            "B(omega) has a maximum on the window boundary; widen the window")
+def classify_regime(p: ModelParams) -> RegimeReport:
+    """Count the absorbance peaks of B(omega) on the real axis and report the
+    critical residuals."""
     # maxima of B are exactly the minima of |det S|; an absorbance floor
     # rejects the minima of a nearly flat (B ~ 0) spectrum
-    omega, dets_min = _cell_minima(p, window, 1e-10)
+    omega, dets_min = _cell_minima(p, 1e-10)
     positions = tuple(omega[1.0 - dets_min**2 > _PEAK_FLOOR].tolist())
     return RegimeReport(
         n_peaks=len(positions),
@@ -231,25 +213,24 @@ def classify_regime(p: ModelParams, window=None) -> RegimeReport:
     )
 
 
-def find_cpa(p: ModelParams, window=None, tol: float = 1e-10) -> list[CpaPoint]:
+def find_cpa(p: ModelParams, tol: float = 1e-10) -> list[CpaPoint]:
     """Local minima of |det S| on the real axis, refined to tol.
 
-    Every interior local minimum is reported together with the input
-    dephasing that maximizes the joint absorbance there; an empty list is a
-    valid outcome (no interior minimum, e.g. a lossless model).
+    Every local minimum is reported together with the input dephasing that
+    maximizes the joint absorbance there; an empty list is a valid outcome
+    (no local minimum, e.g. a lossless model).
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    omega, dets_min = _cell_minima(p, _window(p, window), tol)
+    omega, dets_min = _cell_minima(p, tol)
     phi_star = two_beam_extrema(*s_elements(p, Background(), omega)[:3]).phi_max
     return [CpaPoint(omega=float(x), dets_min=float(d), phi_star=float(f))
             for x, d, f in zip(omega, dets_min, phi_star)]
 
 
-def min_abs_dets(p: ModelParams, window=None) -> float:
-    """Minimum of |det S| over a real frequency window (default window)."""
-    lo, hi = _window(p, window)
-    return float(_minima(_cells(p), lo, hi, 1e-10)[2][0])
+def min_abs_dets(p: ModelParams) -> float:
+    """Minimum of |det S| over the real axis."""
+    return float(_minima(_cells(p), 1e-10)[2][0])
 
 
 def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
@@ -258,7 +239,7 @@ def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
     two rates.
 
     All grid points are solved together in row-major order (y outer,
-    x inner), each over its own default window.
+    x inner); `count_peaks` scans each over its own default window.
     """
     for name in (x_param, y_param):
         if name not in _SWEEPABLE:
@@ -281,7 +262,7 @@ def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
         x_param=x_param, y_param=y_param, x_values=xs, y_values=ys,
         scc_residual=scc_residual(c).reshape(yy.shape),
         wcc_residual=wcc_residual(c).reshape(yy.shape),
-        min_abs_dets=_minima(c, lo, hi, 1e-10)[2].reshape(yy.shape),
+        min_abs_dets=_minima(c, 1e-10)[2].reshape(yy.shape),
         n_peaks=n_peaks.reshape(yy.shape),
     )
 

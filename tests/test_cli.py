@@ -564,6 +564,32 @@ class TestJoint:
             assert abs(cmath.exp(1j * dpsi) - cmath.exp(1j * delta_psi(S))) < 1e-12
             assert dets == pytest.approx(abs(S.det()), abs=1e-12)
 
+    @pytest.mark.parametrize("n_phi", [3, 64])
+    def test_phase_fit_is_least_squares(self, tmp_path, monkeypatch, n_phi):
+        # the projected output phases against a least-squares fit of
+        # A + B sin(phi) + C cos(phi) to every output column
+        from twoport_cmt import Background, cli
+        from twoport_cmt.model import s_elements
+        from twoport_cmt.twoport import two_beam_outputs
+        seen, recon = [], cli.dets_from_observables
+        monkeypatch.setattr(cli, "dets_from_observables",
+                            lambda *a: seen.append(a[3]) or recon(*a))
+        out = tmp_path / "joint.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["joint", "--output", str(out), "--grid-n", "41",
+                    "--n-phi", str(n_phi)] + ALT_MODEL) == EXIT_OK
+        _, rows = read_csv(out)
+        w = np.array([float(r[0]) for r in rows])
+        s11, s12, s22, _ = s_elements(ALT_PARAMS, Background(0.7, 0.4), w)
+        phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
+        _, out1, out2 = two_beam_outputs(s11, s12, s22, phis[:, None])
+        design = np.column_stack([np.ones_like(phis), np.sin(phis), np.cos(phis)])
+        (_, ps, pc), *_ = np.linalg.lstsq(design, np.hstack([out1, out2]),
+                                          rcond=None)
+        c1, c2 = np.split(np.arctan2(pc, ps), 2)
+        (dpsi,) = seen
+        assert np.max(np.abs(np.angle(np.exp(1j * (dpsi - (c2 - c1)))))) < 1e-13
+
     @pytest.mark.parametrize("n_phi", ["0", "2"])
     def test_too_few_phases_rejected(self, tmp_path, monkeypatch, n_phi):
         out = tmp_path / "joint.csv"

@@ -1,4 +1,4 @@
-"""Synthetic datasets, parameter recovery, |det S| reconstruction."""
+"""Synthetic datasets and parameter recovery."""
 import math
 import warnings
 from dataclasses import replace
@@ -10,7 +10,6 @@ from twoport_cmt import (
     Background,
     ModelParams,
     SpectrumDataset,
-    estimate_dets_curve,
     fit_params,
     model_values,
     scattering_matrix,
@@ -378,25 +377,3 @@ class TestParamSigma:
         assert res.params.gamma_nr < 1e-9
         assert 0 < res.param_sigma["gamma_nr"] < math.inf
 
-
-class TestDetsCurve:
-    def test_round_trip_against_model(self, headline_params, default_bg):
-        data = synth_dataset(headline_params, default_bg, GRID,
-                             ("R1", "R2", "T", "dpsi"), 0.0, seed=0)
-        curve = estimate_dets_curve(data)
-        assert curve.skipped == ()
-        table = single_beam_spectrum(headline_params, default_bg, GRID)
-        assert np.abs(curve.abs_dets - table.abs_dets).max() < 1e-10
-
-    def test_incomplete_rows_skipped(self, headline_params, default_bg):
-        full = synth_dataset(headline_params, default_bg, GRID[:5],
-                             ("R1", "R2", "T", "dpsi"), 0.0, seed=0)
-        # drop the dpsi row of the middle frequency
-        keep = [i for i, (w, k) in enumerate(zip(full.omega, full.kind))
-                if not (k == "dpsi" and w == GRID[2])]
-        data = SpectrumDataset(full.omega[keep],
-                               tuple(full.kind[i] for i in keep),
-                               full.value[keep], full.sigma[keep])
-        curve = estimate_dets_curve(data)
-        assert curve.skipped == (GRID[2],)
-        assert curve.omega.size == 4

@@ -6,7 +6,6 @@ import pytest
 
 from twoport_cmt import (
     ModelParams,
-    WindowTooNarrowError,
     classify_regime,
     critical_loci,
     find_cpa,
@@ -74,10 +73,6 @@ class TestClassifyRegime:
         assert rep.n_peaks == 0
         assert rep.cpa_frequencies == ()
 
-    def test_rejects_narrow_window(self, headline_params):
-        with pytest.raises(ValueError):
-            classify_regime(headline_params, window=(120.0, 129.0))
-
     def test_peak_just_inside_window(self):
         # the lower peak sits 0.016 meV inside the default window, less than
         # one step of a 1001-point boundary scan
@@ -89,12 +84,17 @@ class TestClassifyRegime:
         assert rep.n_peaks == 2
         assert lo < rep.peak_positions[0] < lo + (hi - lo) / 1000
 
-    def test_boundary_peak_raises(self):
-        # strongly detuned matter oscillator pushes a peak past the window
-        # the rate-based default span considers adequate
+    def test_detuned_peak_beyond_default_window(self):
+        # a strongly detuned matter oscillator puts the upper peak past the
+        # rate-based default window of `count_peaks`, (99.5, 149.5)
         p = ModelParams(124.5, 3.0, 0.0, 5.0, 8.0, delta_m=40.0)
-        with pytest.raises(WindowTooNarrowError):
-            classify_regime(p)
+        rep = classify_regime(p)
+        lo, hi = default_window(p)
+        assert rep.n_peaks == 2
+        assert lo < rep.peak_positions[0] < hi < rep.peak_positions[1]
+        for w in rep.peak_positions:
+            f = _abs_dets(p, w + np.array([-1e-4, 0.0, 1e-4]))
+            assert f[1] < min(f[0], f[2])
 
 
 class TestFindCpa:
@@ -116,18 +116,9 @@ class TestFindCpa:
             # symmetric coupling: in-phase inputs absorb fully
             assert pt.phi_star == pytest.approx(0.0, abs=1e-9)
 
-    def test_off_centre_window(self):
-        # the window (128, 133) lies 3.5 to 8.5 meV above omega0; its zero at
-        # omega0 + sqrt(39) is further from omega0 than the window is wide
-        p = ModelParams(124.5, 5.0, 0.0, 5.0, 8.0)
-        pts = find_cpa(p, window=(128.0, 133.0))
-        assert len(pts) == 1
-        assert pts[0].omega == pytest.approx(124.5 + math.sqrt(39.0), abs=1e-9)
-        assert pts[0].dets_min < 1e-10
-
     def test_weak_critical_single_zero(self):
         p = ModelParams(124.5, 5.0, 1.0, 2.0, math.sqrt(8.0))
-        pts = find_cpa(p, window=(104.5, 144.5))
+        pts = find_cpa(p)
         zeros = [pt for pt in pts if pt.dets_min < 1e-10]
         assert len(zeros) == 1
         assert zeros[0].omega == pytest.approx(124.5, abs=1e-9)
@@ -166,7 +157,7 @@ class TestMinAbsDets:
 
     def test_zero_on_weak_locus(self):
         p = ModelParams(124.5, 5.0, 1.0, 2.0, math.sqrt(8.0))
-        assert min_abs_dets(p, window=(104.5, 144.5)) < 1e-10
+        assert min_abs_dets(p) < 1e-10
 
     def test_bounded_by_grid_minimum(self):
         rng = np.random.default_rng(13)
@@ -257,7 +248,7 @@ class TestCriticalLoci:
 
 
 class TestWindowAndTol:
-    SCANS = [find_cpa, min_abs_dets, count_peaks, classify_regime]
+    SCANS = [count_peaks]  # the one scan that takes a window
 
     @pytest.mark.parametrize("window", [
         (130.0, 120.0), (100.0, 100.0), (math.nan, 200.0), (50.0, math.nan),
@@ -285,10 +276,10 @@ class TestCountPeaks:
         checked = 0
         for _ in range(30):
             p = random_passive_params(rng, rate_lo=0.3, rate_hi=6.0)
-            try:
-                rep = classify_regime(p)
-            except WindowTooNarrowError:
-                continue
+            rep = classify_regime(p)
+            lo, hi = default_window(p)
+            if not all(lo < w < hi for w in rep.peak_positions):
+                continue  # count_peaks scans only the default window
             assert count_peaks(p) == rep.n_peaks
             checked += 1
         assert checked > 15
@@ -432,3 +423,34 @@ class TestClosedFormVsGrid:
         assert pts[0].omega == pytest.approx(102.08743162623952, abs=1e-9)
         self._check(p)
         _assert_local_minima(p)
+
+
+class TestWholeAxis:
+    """Minima of |det S| far outside the rate-based default window, where a
+    detuned matter line puts them."""
+
+    def test_detuned_minimum(self):
+        # the default window (114.5, 134.5) holds only the shallow minimum
+        p = ModelParams(124.5, 3.0, 0.0, 0.5, 1.0, delta_m=40.0)
+        pts = find_cpa(p)
+        assert [pt.omega for pt in pts] == pytest.approx([124.7021, 164.5186],
+                                                         abs=1e-4)
+        assert min_abs_dets(p) == pts[1].dets_min == pytest.approx(0.99258,
+                                                                   abs=1e-5)
+
+    def test_random_detuned_against_scan(self):
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            p = random_passive_params(rng, rate_lo=0.3)
+            p = ModelParams(p.omega0, p.gamma_r, p.gamma_nr, p.gamma_m,
+                            p.omega_rabi, delta_m=float(rng.uniform(-40.0, 40.0)))
+            w = p.omega0 + np.linspace(-120.0, 120.0, 240001)
+            vals = _abs_dets(p, w)
+            idx = np.flatnonzero((vals[1:-1] < vals[:-2])
+                                 & (vals[1:-1] < vals[2:])) + 1
+            # shallower scan minima can be rounding noise of |det S| ~ 1
+            idx = idx[1.0 - vals[idx] ** 2 > 1e-6]
+            found = np.array([pt.omega for pt in find_cpa(p)])
+            for i in idx:
+                assert np.any((w[i - 1] < found) & (found < w[i + 1]))
+            assert min_abs_dets(p) <= vals.min() + 1e-12
