@@ -188,9 +188,9 @@ def _open_output(path: str):
 
 
 def _write_json(path: str, doc: dict) -> None:
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     with _open_output(path) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_output(cfg: dict, command: str, *columns, **extra_meta) -> int:

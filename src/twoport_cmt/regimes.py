@@ -22,8 +22,8 @@ _SWEEPABLE = ("gamma_r", "gamma_nr", "gamma_m", "omega_rabi")
 _PEAK_FLOOR = 1e-9  # minimum absorbance for a countable peak
 _CPA_TOL = 1e-6  # |det S| below which `classify_regime` reports a CPA frequency
 _PEAK_GRID = 601  # points of the `count_peaks` grid, also in every `critical_loci` cell
+_ROOT_ERR = 1e-4  # meV allowed for the error of a root of G (a near-double one)
 _NEWTON_STEPS = 40  # a simple root needs 2-3; a near-double one halves its error per step
-_SCAN_CELLS = 16  # cells per block of the peak scan: small blocks stay in cache
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,10 @@ def _stationary_value(p, u: np.ndarray):
             e * ddb - 2 * p.gamma_nr * b)
 
 
-def _minima(c, tol: float):
+def _minima(c, tol: float, roots: np.ndarray):
     """Local minima of |det S| on the real axis per cell (cells along the
-    last axis): (omega, |det S|), shape (5, n), one unordered row per seed
+    last axis), from the roots of G, `_roots(_stationary_poly(c))`:
+    (omega, |det S|), shape (5, n), one unordered row per seed
     and NaN where a seed found none; and per cell the minimum of |det S|,
     the smaller of 1 (its limit as |omega| -> inf) and those minima. Newton
     on G starts from the real part of every root of G (a near-multiple real
@@ -159,7 +160,6 @@ def _minima(c, tol: float):
     seed of its own); a cell stops, taking zero steps, once all its seeds
     are within tol. A point is a minimum where G' > 0 or |det S| < 1e-12:
     where the zeros of det S meet, G' = 0 to rounding."""
-    roots = _roots(_stationary_poly(c))
     u = roots.real.T
     reach = 2 * np.fmax.reduce(np.abs(roots), axis=1) + 1.0
     size, dg = np.full(u.shape, np.inf), np.zeros(u.shape)
@@ -187,7 +187,9 @@ def _cell_minima(p: ModelParams, tol: float):
     """`_minima` of one model, ascending. Of neighbours closer than tol, or
     with |det S| < 1e-12 at both and midway (one zero of det S, which Newton
     on the flat G there scatters by about 1e-7 meV), the first is kept."""
-    omega, dets = (a[:, 0] for a in _minima(_cells(p), tol)[:2])
+    c = _cells(p)
+    roots = _roots(_stationary_poly(c))
+    omega, dets = (a[:, 0] for a in _minima(c, tol, roots)[:2])
     order = np.argsort(omega)[:np.count_nonzero(~np.isnan(omega))]
     omega, dets = omega[order], dets[order]
     between = np.abs(_det_s_grid(p, 0.5 * (omega[:-1] + omega[1:]))[0])
@@ -230,7 +232,8 @@ def find_cpa(p: ModelParams, tol: float = 1e-10) -> list[CpaPoint]:
 
 def min_abs_dets(p: ModelParams) -> float:
     """Minimum of |det S| over the real axis."""
-    return float(_minima(_cells(p), 1e-10)[2][0])
+    c = _cells(p)
+    return float(_minima(c, 1e-10, _roots(_stationary_poly(c)))[2][0])
 
 
 def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
@@ -239,7 +242,8 @@ def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
     two rates.
 
     All grid points are solved together in row-major order (y outer,
-    x inner); `count_peaks` scans each over its own default window.
+    x inner), from one set of roots of G; `count_peaks` samples each over its
+    own default window.
     """
     for name in (x_param, y_param):
         if name not in _SWEEPABLE:
@@ -252,32 +256,49 @@ def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
         raise ValueError("sweep axes must be finite and non-negative")
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
     c = _cells(base, yy.size, **{x_param: xx.ravel(), y_param: yy.ravel()})
-    lo, hi = default_window(c)
-    n_peaks = np.zeros(yy.size, dtype=int)
-    for i in range(0, yy.size, _SCAN_CELLS):
-        s = slice(i, i + _SCAN_CELLS)
-        block = SimpleNamespace(**{k: v[s] for k, v in vars(c).items()})
-        n_peaks[s] = _peak_counts(block, lo[s], hi[s])
+    roots = _roots(_stationary_poly(c))
     return CriticalLociMap(
         x_param=x_param, y_param=y_param, x_values=xs, y_values=ys,
         scc_residual=scc_residual(c).reshape(yy.shape),
         wcc_residual=wcc_residual(c).reshape(yy.shape),
-        min_abs_dets=_minima(c, 1e-10)[2].reshape(yy.shape),
-        n_peaks=n_peaks.reshape(yy.shape),
+        min_abs_dets=_minima(c, 1e-10, roots)[2].reshape(yy.shape),
+        n_peaks=_peak_counts(c, *default_window(c), roots).reshape(yy.shape),
     )
 
 
-def _peak_counts(c, lo, hi) -> np.ndarray:
-    """Strict interior maxima above _PEAK_FLOOR of B(omega) on _PEAK_GRID
-    points over [lo, hi] of each model (models along the last axis)."""
-    dets, bad = _det_s_grid(c, np.linspace(lo, hi, _PEAK_GRID))
+def _peak_counts(c, lo, hi, roots) -> np.ndarray:
+    """Strict interior maxima above _PEAK_FLOOR of B(omega) on the _PEAK_GRID
+    points of np.linspace(lo, hi) per cell (cells along the last axis).
+
+    A sampled maximum lies within one grid step of a maximum of B, which is
+    a real root of G. So B is tested only at the grid points within
+    1 + _ROOT_ERR / step of the real part of a root of G (roots as for
+    `_minima`), each grid index once per cell: on a `default_window` grid
+    (step at least 1/300 meV) the point nearest each root and one either
+    side. The count is the full scan's wherever the roots are within
+    _ROOT_ERR and B changes by more than rounding from point to point.
+    """
+    last = _PEAK_GRID - 1
+    step = (hi - lo) / last
+    reach = int(min(1.5 + _ROOT_ERR / np.min(step), last))
+    # far roots are clipped off the grid; fmax sends the NaN padding there too
+    near = np.rint(np.fmin(np.fmax((c.omega0 + roots.real.T - lo) / step,
+                                   -reach - 1), last + reach + 1))
+    j = near[:, None] + np.arange(-reach - 1, reach + 2)[:, None]
+    dets, bad = _det_s_grid(c, np.where(j == last, hi, j * step + lo))
     b = np.where(bad, -np.inf, 1.0 - np.abs(dets) ** 2)
-    interior = (b[1:-1] > b[:-2]) & (b[1:-1] > b[2:]) & (b[1:-1] > _PEAK_FLOOR)
-    return np.count_nonzero(interior, axis=0)
+    inner = j[:, 1:-1]
+    peak = ((b[:, 1:-1] > b[:, :-2]) & (b[:, 1:-1] > b[:, 2:])
+            & (b[:, 1:-1] > _PEAK_FLOOR) & (0 < inner) & (inner < last))
+    found = np.sort(np.where(peak, inner, -1).reshape(-1, b.shape[-1]), axis=0)
+    return np.count_nonzero(np.diff(found, axis=0, prepend=-1) > 0, axis=0)
 
 
 def count_peaks(p: ModelParams, window=None) -> int:
-    """Quick strict-maxima count of B(omega) without refinement: the one-model
-    case of the scan `critical_loci` runs over a sweep."""
+    """Strict maxima of B(omega) above _PEAK_FLOOR on the _PEAK_GRID-point grid
+    over the window (default `default_window`), without refinement, sampled
+    only next to the roots of G: the one-model case of the count
+    `critical_loci` makes over a sweep."""
     lo, hi = _window(p, window)
-    return int(_peak_counts(p, lo, hi))
+    c = _cells(p)
+    return int(_peak_counts(c, lo, hi, _roots(_stationary_poly(c)))[0])

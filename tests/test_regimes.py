@@ -12,6 +12,7 @@ from twoport_cmt import (
     min_abs_dets,
     poles_zeros,
 )
+from twoport_cmt.model import _det_s_grid
 from twoport_cmt import regimes
 from twoport_cmt.regimes import count_peaks, default_window, scc_residual, wcc_residual
 from conftest import random_passive_params
@@ -213,14 +214,6 @@ class TestCriticalLoci:
                 cell = ModelParams(**{**vars(base), x_param: x, y_param: y})
                 assert m.n_peaks[j, i] == count_peaks(cell)
 
-    def test_n_peaks_across_scan_blocks(self, monkeypatch):
-        base = ModelParams(124.5, 3.0, 0.5, 5.0, 8.0, delta_m=1.0)
-        xs, ys = np.linspace(0.0, 10.0, 6), np.linspace(0.0, 10.0, 5)
-        whole = critical_loci(base, "gamma_m", xs, "omega_rabi", ys).n_peaks
-        monkeypatch.setattr(regimes, "_SCAN_CELLS", 7)
-        blocks = critical_loci(base, "gamma_m", xs, "omega_rabi", ys).n_peaks
-        assert np.array_equal(blocks, whole)
-
     @pytest.mark.parametrize("x_param, y_param, base, ep", [
         # ep: the (x, y) cell on both critical loci, where the zeros meet
         ("gamma_m", "gamma_r", ModelParams(124.5, 3.0, 0.0, 5.0, 8.0), (8.0, 8.0)),
@@ -263,6 +256,79 @@ class TestWindowAndTol:
     def test_bad_tol_rejected(self, headline_params, tol):
         with pytest.raises(ValueError, match="tol"):
             find_cpa(headline_params, tol=tol)
+
+
+# A narrow minimum of |det S| next to a detuned lossless matter line: G has
+# it and its neighbouring maximum, about 2e-4 meV apart, as one complex pair.
+# The 601-point grid sees the peak (at 99.618 and 76.782 meV).
+NARROW_PAIR_MODELS = [
+    ModelParams(84.72072161822373, 8.615268340791733, 5.225459149669089, 0.0,
+                0.05210296911226091, delta_m=14.89742054944854),
+    ModelParams(58.52344440051208, 9.875717999482056, 1.108429580882418e-4,
+                0.0, 0.05053847481757278, delta_m=18.258614894891295),
+]
+
+
+def _dense_peak_count(p, window=None):
+    """The `count_peaks` grid scanned in full: strict interior maxima above
+    1e-9 of B = 1 - |det S|^2 on all 601 points of np.linspace(lo, hi)."""
+    dets, bad = _det_s_grid(p, np.linspace(*(window or default_window(p)), 601))
+    b = np.where(bad, -np.inf, 1.0 - np.abs(dets) ** 2)
+    return int(np.count_nonzero((b[1:-1] > b[:-2]) & (b[1:-1] > b[2:])
+                                & (b[1:-1] > 1e-9)))
+
+
+class TestPeakGrid:
+    """`count_peaks` and `n_peaks` sample B only next to the roots of G, and
+    must count exactly what the full 601-point scan counts."""
+
+    @pytest.mark.parametrize("p", NARROW_PAIR_MODELS)
+    def test_narrow_pair_peak_counted(self, p):
+        assert count_peaks(p) == _dense_peak_count(p) == 2
+
+    @pytest.mark.parametrize("x_param, y_param, base", [
+        ("gamma_r", "gamma_m", ModelParams(124.5, 3.0, 0.5, 5.0, 8.0)),
+        ("gamma_nr", "omega_rabi", ModelParams(124.5, 3.0, 0.5, 1.0, 8.0, delta_m=6.0)),
+        ("gamma_r", "omega_rabi", ModelParams(90.0, 3.0, 0.0, 1e-4, 2.0, delta_m=-12.0)),
+        ("gamma_nr", "gamma_m", ModelParams(140.0, 4.0, 1.0, 0.05, 5.0, delta_m=17.0)),
+        ("gamma_r", "gamma_nr", NARROW_PAIR_MODELS[0]),
+        ("gamma_r", "gamma_nr", NARROW_PAIR_MODELS[1]),
+    ])
+    def test_n_peaks_is_dense_scan(self, x_param, y_param, base):
+        # log-spaced and random axes from 0, each holding the base's own value
+        rng = np.random.default_rng(47)
+        xs = np.r_[0.0, getattr(base, x_param), np.geomspace(1e-3, 10.0, 7),
+                   rng.uniform(0.0, 10.0, 7)]
+        ys = np.r_[0.0, getattr(base, y_param), np.geomspace(1e-3, 10.0, 6),
+                   rng.uniform(0.0, 10.0, 6)]
+        m = critical_loci(base, x_param, xs, y_param, ys)
+        for j, y in enumerate(ys):
+            for i, x in enumerate(xs):
+                cell = ModelParams(**{**vars(base), x_param: x, y_param: y})
+                assert m.n_peaks[j, i] == _dense_peak_count(cell), (x, y)
+
+    def test_count_peaks_off_centre_windows(self):
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            p = ModelParams(**{**vars(random_passive_params(rng)),
+                               "delta_m": float(rng.uniform(-20.0, 20.0))})
+            lo, hi = default_window(p)
+            window = tuple(np.sort(rng.uniform(lo - 10.0, hi + 10.0, 2)).tolist())
+            for w in (None, window):
+                assert count_peaks(p, w) == _dense_peak_count(p, w), (p, w)
+
+    @pytest.mark.parametrize("half_width", [1e-3, 1e-5, 1e-7])
+    def test_count_peaks_narrow_windows(self, half_width):
+        # on a narrow window the step is no longer large against the error
+        # of a root of G, so more than three points per root are tested
+        rng = np.random.default_rng(59)
+        for _ in range(60):
+            p = ModelParams(**{**vars(random_passive_params(rng)),
+                               "delta_m": float(rng.uniform(-20.0, 20.0))})
+            for x in classify_regime(p).peak_positions:
+                mid = x + rng.uniform(-0.5, 0.5) * half_width
+                w = (mid - half_width, mid + half_width)
+                assert count_peaks(p, w) == _dense_peak_count(p, w), (p, w)
 
 
 class TestCountPeaks:
