@@ -176,10 +176,7 @@ def steady_state_response(p, bg, omega, s_plus):
     a = drive matter / den and b = i Omega drive / den (see `_response`).
     """
     matter, den, bad = _response(p, omega - p.omega0)
-    if bad:
-        raise DegenerateResponseError(
-            f"steady-state system singular at omega={omega} (real pole of a lossless model)"
-        )
+    _check_defined(omega, bad)
     d0 = bg.coupling(p.gamma_r)
     drive = d0 * (s_plus[0] + s_plus[1])
     a = drive * matter / den
@@ -242,10 +239,7 @@ def det_s(p: ModelParams, omega: float) -> complex:
     phase factor e^{2 i theta_b} (r_b + i t_b)^2 which is stripped; |det_s|
     is the contract."""
     val, bad = _det_s_grid(p, omega)
-    if bad:
-        raise DegenerateResponseError(
-            f"omega={omega} coincides with a real pole of a lossless model"
-        )
+    _check_defined(omega, bad)
     return complex(val)
 
 

@@ -22,7 +22,6 @@ _SWEEPABLE = ("gamma_r", "gamma_nr", "gamma_m", "omega_rabi")
 _PEAK_FLOOR = 1e-9  # minimum absorbance for a countable peak
 _CPA_TOL = 1e-6  # |det S| below which `classify_regime` reports a CPA frequency
 _PEAK_GRID = 601  # points of the `count_peaks` grid, also in every `critical_loci` cell
-_ROOT_ERR = 1e-4  # meV allowed for the error of a root of G (a near-double one)
 _NEWTON_STEPS = 40  # a simple root needs 2-3; a near-double one halves its error per step
 
 
@@ -78,17 +77,6 @@ def default_window(p: ModelParams) -> tuple[float, float]:
     span = np.maximum(np.maximum(3 * p.omega_rabi, 3 * (p.gamma_r + p.gamma_nr)),
                       3 * p.gamma_m) + 1.0
     return (p.omega0 - span, p.omega0 + span)
-
-
-def _window(p: ModelParams, window) -> tuple[float, float]:
-    """window, or the default window of p where it is None; a window must be
-    finite with lo < hi."""
-    if window is None:
-        return default_window(p)
-    lo, hi = window
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError(f"window must be finite with lo < hi, got {window}")
-    return lo, hi
 
 
 def _stationary_poly(c) -> np.ndarray:
@@ -262,29 +250,29 @@ def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
         scc_residual=scc_residual(c).reshape(yy.shape),
         wcc_residual=wcc_residual(c).reshape(yy.shape),
         min_abs_dets=_minima(c, 1e-10, roots)[2].reshape(yy.shape),
-        n_peaks=_peak_counts(c, *default_window(c), roots).reshape(yy.shape),
+        n_peaks=_peak_counts(c, roots).reshape(yy.shape),
     )
 
 
-def _peak_counts(c, lo, hi, roots) -> np.ndarray:
+def _peak_counts(c, roots) -> np.ndarray:
     """Strict interior maxima above _PEAK_FLOOR of B(omega) on the _PEAK_GRID
-    points of np.linspace(lo, hi) per cell (cells along the last axis).
+    points of np.linspace over `default_window` per cell (cells along the
+    last axis).
 
     A sampled maximum lies within one grid step of a maximum of B, which is
-    a real root of G. So B is tested only at the grid points within
-    1 + _ROOT_ERR / step of the real part of a root of G (roots as for
-    `_minima`), each grid index once per cell: on a `default_window` grid
-    (step at least 1/300 meV) the point nearest each root and one either
-    side. The count is the full scan's wherever the roots are within
-    _ROOT_ERR and B changes by more than rounding from point to point.
+    a real root of G. So B is tested only at the grid point nearest the real
+    part of each root of G (roots as for `_minima`), one point either side
+    and their neighbours, each grid index once per cell. A `default_window`
+    is at least 2 meV wide, so its step (at least 1/300 meV) is far above
+    the error of a root, about 1e-4 meV at a near-double one.
     """
+    lo, hi = default_window(c)
     last = _PEAK_GRID - 1
     step = (hi - lo) / last
-    reach = int(min(1.5 + _ROOT_ERR / np.min(step), last))
     # far roots are clipped off the grid; fmax sends the NaN padding there too
-    near = np.rint(np.fmin(np.fmax((c.omega0 + roots.real.T - lo) / step,
-                                   -reach - 1), last + reach + 1))
-    j = near[:, None] + np.arange(-reach - 1, reach + 2)[:, None]
+    near = np.rint(np.fmin(np.fmax((c.omega0 + roots.real.T - lo) / step, -2),
+                           last + 2))
+    j = near[:, None] + np.arange(-2, 3)[:, None]
     dets, bad = _det_s_grid(c, np.where(j == last, hi, j * step + lo))
     b = np.where(bad, -np.inf, 1.0 - np.abs(dets) ** 2)
     inner = j[:, 1:-1]
@@ -294,11 +282,9 @@ def _peak_counts(c, lo, hi, roots) -> np.ndarray:
     return np.count_nonzero(np.diff(found, axis=0, prepend=-1) > 0, axis=0)
 
 
-def count_peaks(p: ModelParams, window=None) -> int:
+def count_peaks(p: ModelParams) -> int:
     """Strict maxima of B(omega) above _PEAK_FLOOR on the _PEAK_GRID-point grid
-    over the window (default `default_window`), without refinement, sampled
-    only next to the roots of G: the one-model case of the count
-    `critical_loci` makes over a sweep."""
-    lo, hi = _window(p, window)
+    over `default_window`, without refinement, sampled only next to the roots
+    of G: the one-model case of the count `critical_loci` makes over a sweep."""
     c = _cells(p)
-    return int(_peak_counts(c, lo, hi, _roots(_stationary_poly(c)))[0])
+    return int(_peak_counts(c, _roots(_stationary_poly(c)))[0])

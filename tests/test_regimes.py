@@ -241,17 +241,6 @@ class TestCriticalLoci:
 
 
 class TestWindowAndTol:
-    SCANS = [count_peaks]  # the one scan that takes a window
-
-    @pytest.mark.parametrize("window", [
-        (130.0, 120.0), (100.0, 100.0), (math.nan, 200.0), (50.0, math.nan),
-        (math.nan, 130.0), (-math.inf, 200.0), (50.0, math.inf),
-    ])
-    @pytest.mark.parametrize("scan", SCANS, ids=lambda f: f.__name__)
-    def test_bad_window_rejected(self, headline_params, scan, window):
-        with pytest.raises(ValueError, match="window"):
-            scan(headline_params, window)
-
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_tol_rejected(self, headline_params, tol):
         with pytest.raises(ValueError, match="tol"):
@@ -269,10 +258,11 @@ NARROW_PAIR_MODELS = [
 ]
 
 
-def _dense_peak_count(p, window=None):
+def _dense_peak_count(p):
     """The `count_peaks` grid scanned in full: strict interior maxima above
-    1e-9 of B = 1 - |det S|^2 on all 601 points of np.linspace(lo, hi)."""
-    dets, bad = _det_s_grid(p, np.linspace(*(window or default_window(p)), 601))
+    1e-9 of B = 1 - |det S|^2 on all 601 points of np.linspace over
+    `default_window`."""
+    dets, bad = _det_s_grid(p, np.linspace(*default_window(p), 601))
     b = np.where(bad, -np.inf, 1.0 - np.abs(dets) ** 2)
     return int(np.count_nonzero((b[1:-1] > b[:-2]) & (b[1:-1] > b[2:])
                                 & (b[1:-1] > 1e-9)))
@@ -308,27 +298,13 @@ class TestPeakGrid:
                 assert m.n_peaks[j, i] == _dense_peak_count(cell), (x, y)
 
     def test_count_peaks_off_centre_windows(self):
+        # detuned matter lines put peaks off the centre of the default window
         rng = np.random.default_rng(53)
         for _ in range(300):
             p = ModelParams(**{**vars(random_passive_params(rng)),
                                "delta_m": float(rng.uniform(-20.0, 20.0))})
-            lo, hi = default_window(p)
-            window = tuple(np.sort(rng.uniform(lo - 10.0, hi + 10.0, 2)).tolist())
-            for w in (None, window):
-                assert count_peaks(p, w) == _dense_peak_count(p, w), (p, w)
-
-    @pytest.mark.parametrize("half_width", [1e-3, 1e-5, 1e-7])
-    def test_count_peaks_narrow_windows(self, half_width):
-        # on a narrow window the step is no longer large against the error
-        # of a root of G, so more than three points per root are tested
-        rng = np.random.default_rng(59)
-        for _ in range(60):
-            p = ModelParams(**{**vars(random_passive_params(rng)),
-                               "delta_m": float(rng.uniform(-20.0, 20.0))})
-            for x in classify_regime(p).peak_positions:
-                mid = x + rng.uniform(-0.5, 0.5) * half_width
-                w = (mid - half_width, mid + half_width)
-                assert count_peaks(p, w) == _dense_peak_count(p, w), (p, w)
+            rng.random(2)  # two unused draws per model keep seed 53's model list
+            assert count_peaks(p) == _dense_peak_count(p), p
 
 
 class TestCountPeaks:
