@@ -104,15 +104,35 @@ def _stationary_poly(c) -> np.ndarray:
 
 
 def _roots(g: np.ndarray) -> np.ndarray:
-    """NaN-padded roots of each row of ascending coefficients: one eigvals
-    call per trimmed degree. Real roots have an imaginary part of exactly 0."""
+    """NaN-padded roots of each row of ascending coefficients of G, shape
+    (n, 6). Real roots have an imaginary part of exactly 0.
+
+    Where delta_m = 0, g0 = g2 = g4 = 0 exactly and G = u H(u^2) with
+    H(v) = g5 v^2 + g3 v + g1 (linear where gamma_nr = 0, and there g3 = 0
+    forces G = 0, so G never has degree 1): its roots are 0 and +-sqrt of
+    the roots of H, in closed form. Other rows (delta_m != 0) take one
+    eigvals call per trimmed degree."""
     n, m = g.shape
     out = np.full((n, m - 1), complex(math.nan, math.nan))
     nonzero = g != 0
     deg = np.where(nonzero.any(axis=1),
                    m - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    for d in np.unique(deg[deg > 0]):
-        rows = np.flatnonzero(deg == d)
+    odd = (deg > 0) & ~nonzero[:, 0::2].any(axis=1)
+    if odd.any():
+        h0, h1, h2 = g[odd, 1], g[odd, 3], g[odd, 5]
+        quad = h2 != 0
+        # cancellation-free: the roots of H are h0 / q and q / h2 (none for
+        # a linear H, where q = -h1); q = 0 only where h1 = h0 = 0, roots 0
+        q = np.where(quad, -0.5 * (h1 + np.copysign(1.0, h1)
+                                   * np.sqrt(h1 * h1 - 4 * h2 * h0 + 0j)), -h1)
+        r = np.sqrt(np.stack([h0 / np.where(q == 0, 1.0, q),
+                              np.where(quad, q, math.nan)
+                              / np.where(quad, h2, 1.0)], axis=-1))
+        out[odd] = np.stack([np.zeros(q.size), r[:, 0], -r[:, 0],
+                             r[:, 1], -r[:, 1]], axis=-1)
+    eig = (deg > 0) & ~odd
+    for d in np.unique(deg[eig]):
+        rows = np.flatnonzero(eig & (deg == d))
         comp = np.zeros((rows.size, d, d))
         comp[:, 1:, :-1] = np.eye(d - 1)
         comp[:, :, -1] = -g[rows, :d] / g[rows, d:d + 1]
@@ -143,13 +163,13 @@ def _minima(c, tol: float, roots: np.ndarray):
     on G starts from the real part of every root of G (a near-multiple real
     root can come out of `_roots` as a complex pair). A seed is dropped once
     its step stops shrinking short of tol (it cycles) or it lands further
-    from omega0 than twice the largest root of G plus 1 meV (Newton on the
-    degree-5 G only creeps back from there, and every real root of G is a
-    seed of its own); a cell stops, taking zero steps, once all its seeds
-    are within tol. A point is a minimum where G' > 0 or |det S| < 1e-12:
-    where the zeros of det S meet, G' = 0 to rounding."""
+    from omega0 than twice the largest |real part| of a root of G plus 1 meV
+    (Newton on the degree-5 G only creeps back from there, and every real
+    root of G is a seed of its own); a cell stops, taking zero steps, once
+    all its seeds are within tol. A point is a minimum where G' > 0 or
+    |det S| < 1e-12: where the zeros of det S meet, G' = 0 to rounding."""
     u = roots.real.T
-    reach = 2 * np.fmax.reduce(np.abs(roots), axis=1) + 1.0
+    reach = 2 * np.fmax.reduce(np.abs(u), axis=0) + 1.0
     size, dg = np.full(u.shape, np.inf), np.zeros(u.shape)
     run = np.ones(u.shape[1], dtype=bool)
     for _ in range(_NEWTON_STEPS):

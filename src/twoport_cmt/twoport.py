@@ -147,9 +147,7 @@ def dephasing_defined(s11, s12, s22):
 
 
 def observable(s11, s12, s22, kind: str):
-    """One observable kind from the S elements.  dpsi and the joint kinds
-    compute only that kind; an intensity kind forms all five intensity
-    kinds and returns one."""
+    """One observable kind from the S elements; only that kind is formed."""
     if kind not in KINDS:
         raise ValueError(f"unknown observable kind {kind!r}")
     if kind == "dpsi":
@@ -157,8 +155,9 @@ def observable(s11, s12, s22, kind: str):
     if kind in ("A_joint_max", "A_joint_min"):
         a_avg, z = _avg_and_z(s11, s12, s22)
         return a_avg + np.abs(z) if kind == "A_joint_max" else a_avg - np.abs(z)
-    R1, R2, T = np.abs(s11) ** 2, np.abs(s22) ** 2, np.abs(s12) ** 2
-    return {"R1": R1, "R2": R2, "T": T, "A1": 1.0 - R1 - T, "A2": 1.0 - R2 - T}[kind]
+    if kind in ("R1", "R2", "T"):
+        return np.abs({"R1": s11, "R2": s22, "T": s12}[kind]) ** 2
+    return 1.0 - np.abs(s11 if kind == "A1" else s22) ** 2 - np.abs(s12) ** 2
 
 
 def observable_grad(s11, s12, s22, ds, kind: str):

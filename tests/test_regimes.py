@@ -1,5 +1,6 @@
 """Regime classification, CPA frequency finding, critical loci sweeps."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -465,6 +466,114 @@ class TestClosedFormVsGrid:
         assert pts[0].omega == pytest.approx(102.08743162623952, abs=1e-9)
         self._check(p)
         _assert_local_minima(p)
+
+    def test_tiny_gamma_nr_seeds_dropped(self, monkeypatch):
+        # gamma_nr = 3e-10 gives G a complex root pair of modulus about
+        # Omega sqrt(2 gamma_m / gamma_nr); a reach taken from it would let
+        # thrown seeds creep back for many Newton steps
+        p = ModelParams(68.09028570191892, 6.747812890781496,
+                        3.1802085268857503e-10, 2.6456983692218285,
+                        5.649571538589734, delta_m=1.978772409401266)
+        calls = []
+        value = regimes._stationary_value
+        monkeypatch.setattr(regimes, "_stationary_value",
+                            lambda p, u: calls.append(1) or value(p, u))
+        pts = find_cpa(p)
+        assert len(calls) <= 5
+        assert len(pts) == 1
+        self._check(p)
+        _assert_local_minima(p)
+
+
+def _companion_roots(g):
+    """np.linalg.eigvals of the companion matrix of one row of ascending
+    coefficients, trimmed to its degree; no roots where the row is 0."""
+    if not g.any():
+        return np.array([], dtype=complex)
+    d = np.flatnonzero(g)[-1]
+    comp = np.zeros((d, d))
+    comp[1:, :-1] = np.eye(d - 1)
+    comp[:, -1] = -g[:d] / g[d]
+    return np.linalg.eigvals(comp)
+
+
+def _stationary_rows(models):
+    """`_stationary_poly` of a list of models, one row each."""
+    return regimes._stationary_poly(SimpleNamespace(**{
+        k: np.array([float(getattr(p, k)) for p in models])
+        for k in vars(models[0])}))
+
+
+class TestClosedFormRoots:
+    """Resonant rows of `_roots` (G = u H(u^2)) against the eigenvalues of
+    the companion matrix, matched as multisets."""
+
+    def _check(self, models, tol=1e-9):
+        g = _stationary_rows(models)
+        roots = regimes._roots(g)
+        for row, got in zip(g, roots):
+            want = _companion_roots(row)
+            # NaN padding after the trimmed degree, which is never 1
+            assert want.size in (0, 3, 5)
+            assert not np.isnan(got[:want.size]).any()
+            assert np.isnan(got[want.size:]).all()
+            left = list(got[:want.size])
+            for w in want:
+                i = int(np.argmin(np.abs(np.array(left) - w)))
+                assert abs(left[i] - w) <= tol * (1 + abs(w)), (got, want)
+                # a real root has an imaginary part of exactly 0
+                assert w.imag != 0 or left[i].imag == 0, (got, want)
+                left.pop(i)
+        return g, roots
+
+    def test_random_resonant(self):
+        rng = np.random.default_rng(59)
+        models = [random_passive_params(rng) for _ in range(200)]
+        models += [ModelParams(**{**vars(random_passive_params(rng)),
+                                  "gamma_nr": 0.0}) for _ in range(100)]
+        g, roots = self._check(models)
+        assert (g[:, 0::2] == 0).all()
+        assert {int(np.count_nonzero(~np.isnan(r))) for r in roots} == {3, 5}
+
+    def test_no_stationary_points(self):
+        # gamma_r = 0 (N = D) and lossless models: G = 0, all roots NaN
+        g, roots = self._check([ModelParams(124.5, 0.0, 2.0, 5.0, 8.0),
+                                ModelParams(124.5, 3.0, 0.0, 0.0, 8.0),
+                                ModelParams(124.5, 0.0, 0.0, 0.0, 0.0)])
+        assert not g.any() and np.isnan(roots).all()
+
+    def test_uncoupled_matter(self):
+        # Omega = 0: the matter rate is 1 (`_matter_rate`), G = 2 gamma_nr u
+        # (u^2 + 1)^2 and H has a double root at v = -1, which eigvals splits
+        # by about sqrt(eps); G = 0 where gamma_nr = 0 as well
+        g, roots = self._check([ModelParams(124.5, 3.0, 1.0, 5.0, 0.0),
+                                ModelParams(124.5, 3.0, 0.0, 5.0, 0.0)],
+                               tol=1e-7)
+        assert np.sort_complex(roots[0]) == pytest.approx([-1j, -1j, 0, 1j, 1j],
+                                                          abs=1e-15)
+        assert np.isnan(roots[1]).all()
+
+    def test_exceptional_point(self):
+        # both critical loci at once: the zeros of det S meet at omega0 and G
+        # has a triple root at u = 0
+        models = _coalescent_zeros(np.random.default_rng(61), 40)
+        g, roots = self._check(models)
+        assert (np.sort(np.abs(roots), axis=1)[:, :3] < 1e-6).all()
+
+    def test_mixed_batch(self):
+        # detuned rows keep the eigenvalue solve and resonant rows the closed
+        # form, in the same batch: each row as in a one-row call
+        rng = np.random.default_rng(67)
+        models = []
+        for i in range(60):
+            p = random_passive_params(rng)
+            dm = float(rng.uniform(-20.0, 20.0)) if i % 2 else 0.0
+            models.append(ModelParams(**{**vars(p), "delta_m": dm,
+                                         "gamma_nr": p.gamma_nr * (i % 3 > 0)}))
+        g, roots = self._check(models)
+        for row, got in zip(g, roots):
+            assert np.array_equal(got, regimes._roots(row[None])[0],
+                                  equal_nan=True)
 
 
 class TestWholeAxis:
