@@ -157,44 +157,64 @@ def _stationary_value(p, u: np.ndarray):
 def _minima(c, tol: float, roots: np.ndarray):
     """Local minima of |det S| on the real axis per cell (cells along the
     last axis), from the roots of G, `_roots(_stationary_poly(c))`:
-    (omega, |det S|), shape (5, n), one unordered row per seed
-    and NaN where a seed found none; and per cell the minimum of |det S|,
-    the smaller of 1 (its limit as |omega| -> inf) and those minima. Newton
-    on G starts from the real part of every root of G (a near-multiple real
-    root can come out of `_roots` as a complex pair). A seed is dropped once
+    (omega, |det S|), shape (k, n), one unordered row per seed and NaN where
+    a seed found none; and per cell the minimum of |det S|, the smaller of 1
+    (its limit as |omega| -> inf) and those minima.
+
+    A resonant cell (delta_m = 0) takes its minima from the roots in closed
+    form, with no Newton step: G = u H(u^2) with H(v) = g5 v^2 + g3 v + g1,
+    g5 = 2 gamma_nr >= 0 and g3 = 4 e0 >= 0, so H has a positive root v+
+    exactly where g1 = G'(0) < 0, and G' = 2 v+ H'(v+) > 0 there. The minima
+    are +-sqrt(v+), the nonzero real roots of G, if there are any (a
+    doublet), else u = 0, and none where G = 0.
+
+    Other cells run Newton on G from the real part of every root of G (a
+    near-multiple real root can come out of `_roots` as a complex pair) and,
+    for a root with 0 < |Im| < 1e-4 (1 + |Re|), also from Re + Im, so that a
+    conjugate pair seeds Re +- |Im| (a maximum and a minimum of |det S| a
+    few 1e-4 meV apart come out as one such pair). A seed is dropped once
     its step stops shrinking short of tol (it cycles) or it lands further
     from omega0 than twice the largest |real part| of a root of G plus 1 meV
     (Newton on the degree-5 G only creeps back from there, and every real
     root of G is a seed of its own); a cell stops, taking zero steps, once
     all its seeds are within tol. A point is a minimum where G' > 0 or
     |det S| < 1e-12: where the zeros of det S meet, G' = 0 to rounding."""
-    u = roots.real.T
-    reach = 2 * np.fmax.reduce(np.abs(u), axis=0) + 1.0
-    size, dg = np.full(u.shape, np.inf), np.zeros(u.shape)
-    run = np.ones(u.shape[1], dtype=bool)
-    for _ in range(_NEWTON_STEPS):
-        g, d = _stationary_value(c, u)
-        step = np.divide(g, d, out=np.zeros_like(g), where=run & (d != 0))
-        new, moved = u - step, np.abs(step)
-        keep = ((moved <= tol) | (moved < size)) & (np.abs(new) <= reach)
-        u, size = np.where(keep, new, np.nan), np.where(keep, moved, np.nan)
-        dg = np.where(run, d, dg)
-        run = np.any(size > tol, axis=0)
-        if not run.any():
-            break
+    resonant = c.delta_m == 0
+    re, im = roots.real.T, roots.imag.T
+    # a resonant cell's minima: +-sqrt(v+), its nonzero real roots, or else
+    # u = 0, row 0 of `_roots` (NaN where G = 0); each is exact, of size 0
+    real = (im == 0) & (re != 0)
+    u = np.where(resonant & ~real, np.nan, re)
+    u[0] = np.where(resonant & real.any(axis=0), np.nan, re[0])
+    size, dg, run = np.where(resonant, 0.0, np.inf), 0.0, ~resonant
+    if run.any():  # Newton on the detuned cells
+        near = run & (im != 0) & (np.abs(im) < 1e-4 * (1 + np.abs(re)))
+        u = np.concatenate([u, np.where(near, re + im, np.nan)[near.any(axis=1)]])
+        reach = 2 * np.fmax.reduce(np.abs(re), axis=0) + 1.0
+        for _ in range(_NEWTON_STEPS):
+            g, d = _stationary_value(c, u)
+            step = np.divide(g, d, out=np.zeros_like(g), where=run & (d != 0))
+            new, moved = u - step, np.abs(step)
+            keep = ((moved <= tol) | (moved < size)) & (np.abs(new) <= reach)
+            u, size = np.where(keep, new, np.nan), np.where(keep, moved, np.nan)
+            dg = np.where(run, d, dg)
+            run = np.any(size > tol, axis=0)
+            if not run.any():
+                break
     omega = c.omega0 + u
     # a dropped seed (NaN) is evaluated at omega0 and then discarded
     dets = np.abs(_det_s_grid(c, np.where(np.isnan(u), c.omega0, omega))[0])
-    ok = (size <= tol) & ((dg > 0) | (dets < 1e-12))
+    ok = (size <= tol) & ~np.isnan(u) & (resonant | (dg > 0) | (dets < 1e-12))
     dets = np.where(ok, dets, np.nan)
     return (np.where(ok, omega, np.nan), dets,
-            np.fmin(1.0, np.fmin.reduce(dets)))
+            np.fmin.reduce(dets, axis=0, initial=1.0))
 
 
 def _cell_minima(p: ModelParams, tol: float):
     """`_minima` of one model, ascending. Of neighbours closer than tol, or
-    with |det S| < 1e-12 at both and midway (one zero of det S, which Newton
-    on the flat G there scatters by about 1e-7 meV), the first is kept."""
+    with |det S| < 1e-12 at both and midway (one zero of det S, where G is
+    flat: a g1 that rounds below 0 splits it into +-sqrt(v+), and Newton
+    scatters it, by about 1e-7 meV), the first is kept."""
     c = _cells(p)
     roots = _roots(_stationary_poly(c))
     omega, dets = (a[:, 0] for a in _minima(c, tol, roots)[:2])
@@ -250,8 +270,9 @@ def critical_loci(base: ModelParams, x_param: str, x_values, y_param: str,
     two rates.
 
     All grid points are solved together in row-major order (y outer,
-    x inner), from one set of roots of G; `count_peaks` samples each over its
-    own default window.
+    x inner), from one set of roots of G: `_minima` takes the minima of
+    |det S| from it in closed form where delta_m = 0, by Newton otherwise,
+    and `count_peaks` samples each cell over its own default window.
     """
     for name in (x_param, y_param):
         if name not in _SWEEPABLE:

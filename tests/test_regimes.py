@@ -1,5 +1,7 @@
 """Regime classification, CPA frequency finding, critical loci sweeps."""
+import decimal
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,6 +139,8 @@ class TestFindCpa:
             pts = find_cpa(p)
             assert len(pts) == 1
             assert abs(pts[0].omega - p.omega0) < 1e-6
+            w, _, idx = _grid_minima(p, n=20001)
+            assert idx.size == 1 and w[idx[0] - 1] < pts[0].omega < w[idx[0] + 1]
             assert pts[0].dets_min <= 1e-12
             assert classify_regime(p).n_peaks == count_peaks(p) == 1
             assert min_abs_dets(p) <= 1e-12
@@ -392,11 +396,16 @@ class TestClosedFormVsGrid:
         ModelParams(124.5, 0.0, 2.0, 5.0, 8.0, delta_m=1.0),  # gamma_r = 0
         ModelParams(124.5, 3.0, 0.0, 0.0, 8.0, delta_m=1.0),  # lossless
         ModelParams(124.5, 0.0, 0.0, 0.0, 8.0),  # lossless, uncoupled ports
+        ModelParams(124.5, 0.0, 2.0, 5.0, 8.0),  # resonant: gamma_r = 0
+        ModelParams(124.5, 3.0, 0.0, 0.0, 8.0),  # lossless
+        ModelParams(124.5, 3.0, 0.0, 5.0, 0.0),  # lossless cavity, matter uncoupled
     ])
     def test_unit_determinant(self, p):
         # |det S| = 1 on the whole real axis: no stationary points at all
+        dets, bad = _det_s_grid(p, np.linspace(*default_window(p), 200001))
+        assert np.abs(np.abs(dets[~bad]) - 1.0).max() < 1e-12
         assert find_cpa(p) == []
-        assert min_abs_dets(p) == pytest.approx(1.0, abs=1e-12)
+        assert min_abs_dets(p) == 1.0
 
     def test_flat_minimum(self):
         # |det S|^2 has a relative curvature of only 2.4e-5 / meV^2 at omega0
@@ -497,11 +506,15 @@ def _companion_roots(g):
     return np.linalg.eigvals(comp)
 
 
+def _batch(models):
+    """A list of models as one batch of cells, for `regimes` internals."""
+    return SimpleNamespace(**{k: np.array([float(getattr(p, k)) for p in models])
+                              for k in vars(models[0])})
+
+
 def _stationary_rows(models):
     """`_stationary_poly` of a list of models, one row each."""
-    return regimes._stationary_poly(SimpleNamespace(**{
-        k: np.array([float(getattr(p, k)) for p in models])
-        for k in vars(models[0])}))
+    return regimes._stationary_poly(_batch(models))
 
 
 class TestClosedFormRoots:
@@ -605,3 +618,134 @@ class TestWholeAxis:
             for i in idx:
                 assert np.any((w[i - 1] < found) & (found < w[i + 1]))
             assert min_abs_dets(p) <= vals.min() + 1e-12
+
+
+class TestNearRealPair:
+    """A maximum and a minimum of |det S| about 2e-4 meV apart beside a
+    detuned, nearly lossless matter line come out of `_roots` as one complex
+    pair; Newton from Re +- |Im| finds the minimum."""
+
+    @pytest.mark.parametrize("p", NARROW_PAIR_MODELS)
+    def test_both_minima_found(self, p):
+        w = p.omega0 + np.linspace(-30.0, 30.0, 1_000_001)
+        vals = np.abs(_det_s_grid(p, w)[0])
+        idx = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])) + 1
+        pts = find_cpa(p)
+        assert len(pts) == idx.size == 2
+        for pt, i in zip(pts, idx):
+            assert w[i - 1] < pt.omega < w[i + 1]
+            assert pt.dets_min <= vals[i] + 1e-12
+        assert classify_regime(p).n_peaks == 2
+
+
+def _resonant_g1(p):
+    """G'(0) = H(0) = 2 (e0 b2 - gamma_nr b0) of a resonant model, from the
+    coefficients in the `_stationary_poly` docstring at delta_m = 0."""
+    g_m = p.gamma_m if p.omega_rabi else 1.0
+    g_c, r2 = p.gamma_r + p.gamma_nr, p.omega_rabi**2
+    e0 = p.gamma_nr * g_m**2 + r2 * g_m
+    return 2 * (e0 * (g_m**2 + g_c**2 - 2 * r2) - p.gamma_nr * (g_c * g_m + r2) ** 2)
+
+
+def _doublet(gamma_r, gamma_m, excess, rng):
+    """A model with gamma_nr = 0 and 2 Omega^2 = (1 + excess) (gamma_r^2 +
+    gamma_m^2), and the exact half-splitting sqrt(Omega^2 - (gamma_r^2 +
+    gamma_m^2) / 2) of its float inputs, correctly rounded."""
+    om = math.sqrt((gamma_r**2 + gamma_m**2) / 2 * (1 + excess))
+    v = Fraction(om) ** 2 - (Fraction(gamma_r) ** 2 + Fraction(gamma_m) ** 2) / 2
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        half = float((decimal.Decimal(v.numerator) / v.denominator).sqrt())
+    return ModelParams(float(rng.uniform(50.0, 150.0)), gamma_r, 0.0, gamma_m, om), half
+
+
+class TestResonantClosedForm:
+    """Where delta_m = 0, G = u H(u^2) with H(v) = g5 v^2 + g3 v + g1 and
+    g5, g3 >= 0: the minima of |det S| are +-sqrt(v+) where g1 < 0, else
+    u = 0, and there are none where G = 0 (`TestClosedFormVsGrid::
+    test_unit_determinant`). The closed form against a dense scan; the
+    exceptional point is in `TestFindCpa::test_coalescent_zeros`."""
+
+    @pytest.mark.parametrize("override", [{}, {"gamma_nr": 0.0}, {"omega_rabi": 0.0}],
+                             ids=["random", "gamma_nr=0", "Omega=0"])
+    def test_minima_against_scan(self, override):
+        rng = np.random.default_rng(79)
+        counts = set()
+        for _ in range(30):
+            p = ModelParams(**{**vars(random_passive_params(rng, rate_lo=0.3)),
+                               **override})
+            want = 2 if _resonant_g1(p) < 0 else 1
+            counts.add(want)
+            w, vals, idx = _grid_minima(p)
+            pts = find_cpa(p)
+            assert len(pts) == idx.size == want, p
+            for pt, i in zip(pts, idx):
+                assert w[i - 1] < pt.omega < w[i + 1]
+                assert pt.dets_min <= vals[i] + 1e-12
+            # |det S| is even in omega - omega0
+            assert sum(pt.omega - p.omega0 for pt in pts) == pytest.approx(0.0, abs=1e-12)
+            assert min_abs_dets(p) == min(pt.dets_min for pt in pts)
+        assert counts == ({1} if "omega_rabi" in override else {1, 2})
+
+    @pytest.mark.parametrize("excess, tol", [(1e-12, 1e-9), (1e-10, 1e-10), (1e-8, 1e-10),
+                                             (1e-6, 1e-10), (1e-3, 1e-10), (0.5, 1e-10)])
+    def test_doublet_threshold(self, excess, tol):
+        # gamma_nr = 0: a doublet omega0 +- sqrt(Omega^2 - (gamma_r^2 +
+        # gamma_m^2) / 2) for 2 Omega^2 > gamma_r^2 + gamma_m^2, here just
+        # above that threshold, where sqrt(v+) magnifies the error of v+ to
+        # about eps Omega^2 / sqrt(v+): 1e-9 meV at an excess of 1e-12
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            p, half = _doublet(*(float(x) for x in rng.uniform(0.1, 10.0, 2)),
+                               excess, rng)
+            pts = find_cpa(p)
+            assert [pt.omega for pt in pts] == pytest.approx(
+                [p.omega0 - half, p.omega0 + half], abs=tol)
+            assert classify_regime(p).n_peaks == 2
+
+
+class TestNewtonOnlyWhenDetuned:
+    """Resonant cells take their minima in closed form: no `_stationary_value`
+    (Newton) and no `np.linalg.eigvals` call; detuned cells keep both."""
+
+    @pytest.mark.parametrize("delta_m", [0.0, 2.0])
+    def test_calls(self, monkeypatch, delta_m):
+        calls = {"newton": 0, "eigvals": 0}
+        value, eigvals = regimes._stationary_value, np.linalg.eigvals
+
+        def counted(key, f):
+            def wrapper(*args):
+                calls[key] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(regimes, "_stationary_value", counted("newton", value))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", eigvals))
+        axis = np.linspace(0.0, 10.0, 21)
+        for base in (ModelParams(124.5, 3.0, 0.0, 5.0, 8.0, delta_m=delta_m),
+                     ModelParams(124.5, 3.0, 1.5, 5.0, 8.0, delta_m=delta_m)):
+            for run in (lambda: critical_loci(base, "gamma_m", axis, "gamma_r", axis),
+                        lambda: critical_loci(base, "gamma_nr", axis, "omega_rabi", axis),
+                        lambda: min_abs_dets(base), lambda: find_cpa(base),
+                        lambda: classify_regime(base)):
+                calls.update(newton=0, eigvals=0)
+                run()
+                assert (calls["newton"] > 0) == (calls["eigvals"] > 0) == (delta_m != 0)
+
+    def test_mixed_batch(self):
+        # resonant and detuned cells in one batch: each as in a one-cell call
+        rng = np.random.default_rng(73)
+        models = [ModelParams(**{**vars(random_passive_params(rng)),
+                                 "delta_m": float(rng.uniform(-20.0, 20.0)) * (i % 2)})
+                  for i in range(40)]
+        models += NARROW_PAIR_MODELS
+        c = _batch(models)
+        omega, _, least = regimes._minima(
+            c, 1e-10, regimes._roots(regimes._stationary_poly(c)))
+        assert least.tolist() == [min_abs_dets(p) for p in models]
+        for k, p in enumerate(models):
+            # several seeds can reach one minimum, which `find_cpa` reports once
+            got = omega[:, k][~np.isnan(omega[:, k])]
+            want = np.array([pt.omega for pt in find_cpa(p)])
+            assert np.abs(got[:, None] - want).min(axis=1).max() <= 1e-10
+            assert np.abs(got[:, None] - want).min(axis=0).max() <= 1e-10
