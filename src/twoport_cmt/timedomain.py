@@ -95,8 +95,8 @@ def integrate(p: ModelParams, bg: Background, drive: DriveSpec,
     The drive resolution guard dt <= 0.05 / max(frequency scales) is enforced;
     a fully undamped driven model triggers a non-decaying-transient warning.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    if not (0 < dt < math.inf and 0 < t_end < math.inf):
+        raise ValueError("dt and t_end must be positive and finite")
     guard = _STEP_GUARD / _frequency_scale(p, drive)
     if dt > guard * (1 + 1e-9):
         raise ValueError(f"dt={dt} too coarse; need dt <= {guard:.3e}")
@@ -128,9 +128,11 @@ def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
     The ODE is linear, so one step is the 3x3 map T of (a, b, ph):
     (a, b) <- M (a, b) + v ph, then ph <- ph e^{i omega dt}. M and v are read
     off the stage formulas, which stay the one definition of the step, at the
-    unit inputs. With blk = isqrt(n) + 1, the powers T^0..T^blk are formed by
-    repeated multiplication by T, the block starts x_{m blk} = (T^blk)^m x_0
-    by repeated multiplication by T^blk, and every stored state as
+    unit inputs. With blk = isqrt(n) + 1, the powers T^0..T^blk are formed in
+    one pass over the seven entries of T^j that can be nonzero, as
+    T^(j + 1) = T T^j without the products with the two exact zeros of T^j's
+    last row. The block starts x_{m blk} = (T^blk)^m x_0 follow by repeated
+    multiplication by T^blk, and every stored state as
     x_{m blk + j} = T^j x_{m blk} in one array product: O(sqrt n) Python-level
     steps, not n. Each state is still T applied k times to the start state,
     grouped differently, so it differs from one-step-at-a-time iteration in
@@ -166,33 +168,32 @@ def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
         return (a + h6 * (d1a + 2 * d2a + 2 * d3a + d4a),
                 b + h6 * (d1b + 2 * d2b + 2 * d3b + d4b))
 
-    def orbit(m, x, k):
-        """x = (a, b, ph) and its k images under the map with the rows
-        (m0 m1 m2), (m3 m4 m5), (0 0 m6)."""
-        xs = [x]
-        for _ in range(k):
-            a, b, ph = xs[-1]
-            xs.append((m[0] * a + m[1] * b + m[2] * ph,
-                       m[3] * a + m[4] * b + m[5] * ph, m[6] * ph))
-        return xs
-
     (m_aa, m_ba), (m_ab, m_bb), (v_a, v_b) = step(1, 0, 0), step(0, 1, 0), step(0, 0, 1)
     blk = math.isqrt(n) + 1
-    # column c of T^j is the unit state e_c after j steps; T^blk has T's form
-    cols = [orbit((m_aa, m_ab, v_a, m_ba, m_bb, v_b, ef), e, blk)
-            for e in ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))]
-    ta, tb, tp = (col[blk] for col in cols)
-    starts = orbit((ta[0], tb[0], tp[0], ta[1], tb[1], tp[1], tp[2]), state,
-                   n // blk)  # x_{m blk} = (T^blk)^m x_0
+    # T^j has the rows (p0 p1 p2), (p3 p4 p5), (0 0 p6); T^(j+1) = T T^j
+    p0, p1, p2, p3, p4, p5, p6 = 1 + 0j, 0j, 0j, 0j, 1 + 0j, 0j, 1 + 0j
+    pows = [(p0, p1, p2, p3, p4, p5, p6)]
+    for _ in range(blk):
+        p0, p1, p2, p3, p4, p5, p6 = (
+            m_aa * p0 + m_ab * p3, m_aa * p1 + m_ab * p4,
+            m_aa * p2 + m_ab * p5 + v_a * p6,
+            m_ba * p0 + m_bb * p3, m_ba * p1 + m_bb * p4,
+            m_ba * p2 + m_bb * p5 + v_b * p6, ef * p6)
+        pows.append((p0, p1, p2, p3, p4, p5, p6))
+    # x_{m blk} = (T^blk)^m x_0, T^blk being the last entry of pows
+    starts = [state]
+    for _ in range(n // blk):
+        a, b, ph = starts[-1]
+        starts.append((p0 * a + p1 * b + p2 * ph, p3 * a + p4 * b + p5 * ph, p6 * ph))
     first = keep // blk
     # x_{m blk + j} = T^j x_{m blk} for the blocks m that meet keep..n; the
     # grid starts at the call's first step, so the states do not depend on keep
-    pw = np.array([col[:blk] for col in cols]).transpose(2, 0, 1)  # T^j[r, c]
-    xs = np.array(starts[first:])[:, :, None]
+    pw = np.array(pows[:blk], dtype=complex).T  # pw[e] = entry e of T^0..T^(blk-1)
+    xs = np.array(starts[first:], dtype=complex)[:, :, None]
     lo, hi = keep - first * blk, n + 1 - first * blk
-    a_t, b_t = ((pw[r, 0] * xs[:, 0] + pw[r, 1] * xs[:, 1]
-                 + pw[r, 2] * xs[:, 2]).ravel()[lo:hi] for r in (0, 1))
-    ph = cols[2][n % blk][2] * starts[-1][2]  # the phasor of x_n
+    a_t, b_t = ((pw[r] * xs[:, 0] + pw[r + 1] * xs[:, 1]
+                 + pw[r + 2] * xs[:, 2]).ravel()[lo:hi] for r in (0, 3))
+    ph = pows[n % blk][6] * starts[-1][2]  # the phasor of x_n
     return a_t, b_t, (complex(a_t[-1]), complex(b_t[-1]), ph)
 
 

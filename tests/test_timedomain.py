@@ -182,6 +182,16 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(headline_params, default_bg, drive, 1.0, 0.01)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("arg", ["t_end", "dt"])
+    def test_rejects_nonpositive_or_nonfinite(self, headline_params, default_bg,
+                                              arg, bad):
+        drive = DriveSpec(omega=124.5)
+        kwargs = {"t_end": 1.0, "dt": suggested_time_step(headline_params, drive)}
+        kwargs[arg] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate(headline_params, default_bg, drive, **kwargs)
+
     def test_undamped_drive_warns(self, default_bg):
         p = ModelParams(100.0, 0.0, 0.0, 0.0, 8.0)
         drive = DriveSpec(omega=100.0)
@@ -229,6 +239,23 @@ class TestIterate:
                                               1600, keep)
         assert np.array_equal(a_k, a[keep:]) and np.array_equal(b_k, b[keep:])
         assert end_k == end
+
+    # blk = isqrt(n) + 1, so the last state x_n is the last of its block for
+    # n = k^2 - 1, the second or third for k^2 and k^2 + 1, and the first for 2
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 15, 16, 17, 99, 100, 101])
+    def test_block_edges(self, n):
+        bg = Background(0.8, 0.4)
+        dt = suggested_time_step(self.P, self.DRIVE)
+        start = (0.4 - 0.2j, -0.1 + 0.3j, timedomain._drive_phasor(self.P, bg, self.DRIVE))
+        ref_a, ref_b = _stage_rk4(self.P, bg, self.DRIVE, n * dt, dt, *start[:2])
+        a, b, end = timedomain._iterate(self.P, self.DRIVE, dt, start, n, 0)
+        for got, ref in ((a, ref_a), (b, ref_b)):
+            assert got.size == n + 1
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        for keep in (0, 1, n // 2, n):
+            a_k, b_k, end_k = timedomain._iterate(self.P, self.DRIVE, dt, start, n, keep)
+            assert np.array_equal(a_k, a[keep:]) and np.array_equal(b_k, b[keep:])
+            assert end_k == end
 
     def test_continuation(self):
         # the oracle extends its horizon by stepping on from the final state,
