@@ -24,7 +24,7 @@ _STEP_GUARD = 0.05  # coarsest step `integrate` accepts, in the same units
 _DRIFT_TOL = 1e-6  # largest demodulated drift over the tail, per unit rms drive
 _EXTENSION = 0.25  # oracle horizon added per chunk while the tail drifts, x settling_time
 _MAX_EXTENSIONS = 4  # chunks before the oracle gives up: at most 2x settling_time
-_MAX_STEPS = 10_000_000  # oracle steps with every extension: > 30x criterion 7's most
+_MAX_STEPS = 10_000_000  # per integrate call or oracle drive: > 30x criterion 7's most
 
 _log = logging.getLogger(__name__)
 
@@ -92,11 +92,16 @@ def integrate(p: ModelParams, bg: Background, drive: DriveSpec,
               t_end: float, dt: float, a0: complex = 0j, b0: complex = 0j) -> Trajectory:
     """Fixed-step RK4 integration of the complex ODE pair from t = 0.
 
-    The drive resolution guard dt <= 0.05 / max(frequency scales) is enforced;
+    The drive resolution guard dt <= 0.05 / max(frequency scales) is enforced,
+    and so is the oracle's step budget: t_end / dt <= `_MAX_STEPS`;
     a fully undamped driven model triggers a non-decaying-transient warning.
     """
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise ValueError("dt and t_end must be positive and finite")
+    # before any step count or array is formed: t_end / dt may overflow to inf
+    if not t_end / dt <= _MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end / dt:.3g} steps, more than the "
+                         f"budget of {_MAX_STEPS:.0e}")
     guard = _STEP_GUARD / _frequency_scale(p, drive)
     if dt > guard * (1 + 1e-9):
         raise ValueError(f"dt={dt} too coarse; need dt <= {guard:.3e}")
@@ -121,9 +126,10 @@ def _drive_phasor(p: ModelParams, bg: Background, drive: DriveSpec) -> complex:
 
 
 def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
-             n: int, keep: int):
+             n: int, keep: int, b_states: bool = True):
     """n RK4 steps from state = (a, b, drive phasor); returns the states
-    k = keep..n as arrays of a and of b, and the final state.
+    k = keep..n as arrays of a and of b (None without b_states), and the
+    final state.
 
     The ODE is linear, so one step is the 3x3 map T of (a, b, ph):
     (a, b) <- M (a, b) + v ph, then ph <- ph e^{i omega dt}. M and v are read
@@ -131,14 +137,16 @@ def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
     unit inputs. With blk = isqrt(n) + 1, the powers T^0..T^blk are formed in
     one pass over the seven entries of T^j that can be nonzero, as
     T^(j + 1) = T T^j without the products with the two exact zeros of T^j's
-    last row. The block starts x_{m blk} = (T^blk)^m x_0 follow by repeated
-    multiplication by T^blk, and every stored state as
-    x_{m blk + j} = T^j x_{m blk} in one array product: O(sqrt n) Python-level
-    steps, not n. Each state is still T applied k times to the start state,
-    grouped differently, so it differs from one-step-at-a-time iteration in
-    rounding only. No eigendecomposition, matrix exponential or steady-state
-    formula enters, and no BLAS call, so the states do not depend on the
-    BLAS build.
+    last row, into one flat table. The block starts x_{m blk} = (T^blk)^m x_0
+    follow by repeated multiplication by T^blk, and every stored state as
+    x_{m blk + j} = T^j x_{m blk} in one array product: O(sqrt n)
+    Python-level steps, not n. Without b_states that product forms a for the
+    stored blocks and b for the last block only, which holds x_n, so the
+    values are those of the run with b_states. Each state is still T applied
+    k times to the start state, grouped differently, so it differs from
+    one-step-at-a-time iteration in rounding only. No eigendecomposition,
+    matrix exponential or steady-state formula enters, and no BLAS call, so
+    the states do not depend on the BLAS build.
     """
     maa = 1j * p.omega0 - p.gamma_c
     mbb = 1j * p.omega_m - p.gamma_m
@@ -170,17 +178,18 @@ def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
 
     (m_aa, m_ba), (m_ab, m_bb), (v_a, v_b) = step(1, 0, 0), step(0, 1, 0), step(0, 0, 1)
     blk = math.isqrt(n) + 1
-    # T^j has the rows (p0 p1 p2), (p3 p4 p5), (0 0 p6); T^(j+1) = T T^j
+    # T^j has the rows (p0 p1 p2), (p3 p4 p5), (0 0 p6); T^(j+1) = T T^j;
+    # pows holds the seven entries of T^0, T^1, ... one after another
     p0, p1, p2, p3, p4, p5, p6 = 1 + 0j, 0j, 0j, 0j, 1 + 0j, 0j, 1 + 0j
-    pows = [(p0, p1, p2, p3, p4, p5, p6)]
+    pows = [p0, p1, p2, p3, p4, p5, p6]
     for _ in range(blk):
-        p0, p1, p2, p3, p4, p5, p6 = (
+        p0, p1, p2, p3, p4, p5, p6 = entries = (
             m_aa * p0 + m_ab * p3, m_aa * p1 + m_ab * p4,
             m_aa * p2 + m_ab * p5 + v_a * p6,
             m_ba * p0 + m_bb * p3, m_ba * p1 + m_bb * p4,
             m_ba * p2 + m_bb * p5 + v_b * p6, ef * p6)
-        pows.append((p0, p1, p2, p3, p4, p5, p6))
-    # x_{m blk} = (T^blk)^m x_0, T^blk being the last entry of pows
+        pows += entries
+    # x_{m blk} = (T^blk)^m x_0, T^blk being the last power formed
     starts = [state]
     for _ in range(n // blk):
         a, b, ph = starts[-1]
@@ -188,13 +197,21 @@ def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
     first = keep // blk
     # x_{m blk + j} = T^j x_{m blk} for the blocks m that meet keep..n; the
     # grid starts at the call's first step, so the states do not depend on keep
-    pw = np.array(pows[:blk], dtype=complex).T  # pw[e] = entry e of T^0..T^(blk-1)
+    # pw[e] = entry e of T^0..T^(blk-1)
+    pw = np.fromiter(pows, complex, 7 * blk).reshape(blk, 7).T
     xs = np.array(starts[first:], dtype=complex)[:, :, None]
     lo, hi = keep - first * blk, n + 1 - first * blk
-    a_t, b_t = ((pw[r] * xs[:, 0] + pw[r + 1] * xs[:, 1]
-                 + pw[r + 2] * xs[:, 2]).ravel()[lo:hi] for r in (0, 3))
-    ph = pows[n % blk][6] * starts[-1][2]  # the phasor of x_n
-    return a_t, b_t, (complex(a_t[-1]), complex(b_t[-1]), ph)
+
+    def row(r, x):  # component r // 3 of the states of the blocks x
+        return (pw[r] * x[:, 0] + pw[r + 1] * x[:, 1] + pw[r + 2] * x[:, 2]).ravel()
+
+    a_t = row(0, xs)[lo:hi]
+    # without b_states, b is formed for the last block only, by the same
+    # array product, so the end state does not depend on b_states either
+    b_t = row(3, xs if b_states else xs[-1:])
+    ph = pows[7 * (n % blk) + 6] * starts[-1][2]  # the phasor of x_n
+    end = (complex(a_t[-1]), complex(b_t[n % blk - blk]), ph)
+    return a_t, (b_t[lo:hi] if b_states else None), end
 
 
 def _tail_start(n_states: int) -> int:
@@ -203,30 +220,45 @@ def _tail_start(n_states: int) -> int:
 
 
 def _demodulate(p: ModelParams, bg: Background, drive: DriveSpec,
-                t: np.ndarray, a_t: np.ndarray):
-    """Mean complex port outputs over the window (t, a_t), and their drift:
-    |least-squares slope| x span.
+                k: int, dt: float, a_t: np.ndarray):
+    """Mean complex port outputs over the window a_t of the states at steps
+    k, k + 1, ... (times dt x step), and their drift: |least-squares slope|
+    x span.
 
-    Output k is the direct term (C s+)_k plus d0 w with w = a e^{-i omega t}.
+    Output j is the direct term (C s+)_j plus d0 w with w = a e^{-i omega t}.
     The two differ by a constant, so they share the mean of w and one drift,
     |d0| x that of w. The linear drift fit converts transient contamination
-    into an explicit error instead of a bias.
+    into an explicit error instead of a bias; it is made against the step
+    index, so the span is the window's steps and dt drops out. The times
+    are an arithmetic progression, so with B = isqrt(size) + 1 the phases
+    e^{-i omega dt (k + m B + j)}, j < B, are the products of the phases at
+    the steps k + m B and of e^{-i omega dt j}: about 2 sqrt(size)
+    exponentials, their arguments formed as omega x dt x step count.
     """
     d0 = bg.coupling(p.gamma_r)
     direct = bg.matrix() @ [drive.amp1, drive.amp2 * cmath.exp(1j * drive.phi)]
-    w = a_t * np.exp(-1j * drive.omega * t)
-    mean = w.mean()
-    tc = t - t.mean()
-    slope = np.dot(tc, w - mean) / np.dot(tc, tc)
-    drift = abs(d0) * abs(slope) * (t[-1] - t[0])
-    return [complex(z + d0 * mean) for z in direct], drift
+    size = a_t.size
+    blk = math.isqrt(size) + 1
+    spaced = np.exp(-1j * drive.omega * (dt * np.arange(k, k + size, blk)))
+    within = np.exp(-1j * drive.omega * (dt * np.arange(blk)))
+    w = a_t * (spaced[:, None] * within).ravel()[:size]
+    total = w.sum()
+    # slope per step sum_j (j - jc) w_j / sum_j (j - jc)^2, jc the mean index:
+    # the j - jc sum to 0, so w need not be centred, and their squares to
+    # size (size^2 - 1) / 12
+    jc = (size - 1) / 2
+    slope = (np.dot(np.arange(size), w) - jc * total) / (size * (size * size - 1) / 12)
+    drift = abs(d0) * abs(slope) * (size - 1)
+    return [complex(z + d0 * total / size) for z in direct], drift
 
 
 def _demodulated_tail(p: ModelParams, bg: Background, drive: DriveSpec,
                       traj: Trajectory):
     """Complex steady-state outputs from the final 20% of the trajectory."""
     k0 = _tail_start(traj.times.size)
-    (s1m, s2m), drift = _demodulate(p, bg, drive, traj.times[k0:], traj.a_t[k0:])
+    # times[k] = dt k, so times[1] is the step; a run of 0 steps has only t = 0
+    dt = traj.times[1] if traj.times.size > 1 else 0.0
+    (s1m, s2m), drift = _demodulate(p, bg, drive, k0, dt, traj.a_t[k0:])
     drift /= drive.rms_amplitude
     if drift > _DRIFT_TOL:
         raise SteadyStateNotConvergedError(
@@ -240,7 +272,10 @@ def oracle_scattering(p: ModelParams, bg: Background,
     """Steady-state port outputs and joint absorbance from the time domain.
 
     Steps with `suggested_time_step` from rest to `settling_time` and
-    demodulates the final 20% of the states, the only ones stored. Near an
+    demodulates the final 20% of the states of a, the only ones stored
+    besides the final state (a, b, drive phasor) that stepping goes on from;
+    the drive phases of the window are products of two sets of about
+    sqrt(window) exponentials (see `_demodulate`). Near an
     exceptional point the transient decays like t e^{-gamma t} and can
     outlast that horizon: while the window drifts by more than `_DRIFT_TOL`
     x the drive's `rms_amplitude`, stepping continues from the last state in
@@ -259,16 +294,15 @@ def oracle_scattering(p: ModelParams, bg: Background,
             f"steps, more than the budget of {_MAX_STEPS:.0e}")
     k0 = _tail_start(n + 1)
     a_t, _, state = _iterate(p, drive, dt, (0j, 0j, _drive_phasor(p, bg, drive)),
-                             n, k0)
+                             n, k0, b_states=False)
     extensions = 0
     while True:
         k = _tail_start(n + 1)
-        (s1m, s2m), drift = _demodulate(p, bg, drive, dt * np.arange(k, n + 1),
-                                        a_t[k - k0:])
+        (s1m, s2m), drift = _demodulate(p, bg, drive, k, dt, a_t[k - k0:])
         drift /= amp
         if drift <= _DRIFT_TOL or extensions == _MAX_EXTENSIONS:
             break
-        a_more, _, state = _iterate(p, drive, dt, state, chunk, 1)
+        a_more, _, state = _iterate(p, drive, dt, state, chunk, 1, b_states=False)
         a_t = np.concatenate((a_t, a_more))
         n += chunk
         extensions += 1

@@ -3,6 +3,7 @@ import cmath
 import logging
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,15 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="positive and finite"):
             integrate(headline_params, default_bg, drive, **kwargs)
 
+    # t_end / dt overflows to inf, exceeds numpy's largest array, or is
+    # finite and far past the budget: refused before any array is formed
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 1e-320), (1.0, 1e-200),
+                                           (1e300, 1e-3)])
+    def test_rejects_past_step_budget(self, t_end, dt):
+        with pytest.raises(ValueError, match="budget"):
+            integrate(ModelParams(124.5, 3, 1, 5, 8), Background(),
+                      DriveSpec(omega=124.5), t_end, dt)
+
     def test_undamped_drive_warns(self, default_bg):
         p = ModelParams(100.0, 0.0, 0.0, 0.0, 8.0)
         drive = DriveSpec(omega=100.0)
@@ -275,6 +285,44 @@ class TestIterate:
         for got, ref in zip(parts[-1][2], end):
             assert abs(got - ref) <= 1e-13 * abs(ref)
 
+    def test_a_only_run(self):
+        # without b_states only a is stored, and the end state, b included,
+        # is bit for bit that of the run storing both
+        rng = np.random.default_rng(2303)
+        for i in range(320):
+            p = random_passive_params(rng)
+            if i % 4 == 0:
+                p = replace(p, delta_m=float(rng.uniform(-20.0, 20.0)))
+            drive = DriveSpec(omega=p.omega0 + float(rng.uniform(-10.0, 10.0)))
+            dt = suggested_time_step(p, drive)
+            # blk = isqrt(n) + 1 = B: x_n last, first or second of its block
+            root = int(rng.integers(2, 60))
+            n = (1, 2, 3, root * root - 1, root * root, root * root + 1,
+                 int(rng.integers(1, 5000)))[i % 7]
+            keep = (0, n, int(rng.integers(0, n + 1)))[i % 3]
+            start = tuple(complex(*rng.normal(size=2)) for _ in range(3))
+            a, b_t, end = timedomain._iterate(p, drive, dt, start, n, keep)
+            a_only, none, end_a = timedomain._iterate(p, drive, dt, start, n, keep,
+                                                      b_states=False)
+            assert none is None and b_t.size == n + 1 - keep
+            assert end[:2] == (a[-1], b_t[-1])
+            assert np.array_equal(a_only, a) and end_a == end
+
+    @pytest.mark.parametrize("n", [1, 1600, 15_000])
+    def test_integrate_is_the_b_run(self, n):
+        # integrate keeps the states of a and b from the start, as stored by
+        # the run with b_states; the oracle's a-only run has the same a
+        dt = suggested_time_step(self.P, self.DRIVE)
+        bg = Background(0.8, 0.4)
+        traj = integrate(self.P, bg, self.DRIVE, n * dt, dt, *self.START[:2])
+        start = (*self.START[:2], timedomain._drive_phasor(self.P, bg, self.DRIVE))
+        a, b, _ = timedomain._iterate(self.P, self.DRIVE, dt, start, n, 0)
+        a_only, _, _ = timedomain._iterate(self.P, self.DRIVE, dt, start, n, 0,
+                                           b_states=False)
+        assert np.array_equal(traj.times, dt * np.arange(n + 1))
+        assert np.array_equal(traj.a_t, a) and np.array_equal(traj.b_t, b)
+        assert np.array_equal(a_only, a)
+
 
 class TestDemodulation:
     def test_transient_contamination_raises(self, headline_params, default_bg):
@@ -290,14 +338,53 @@ class TestDemodulation:
         bg = Background(r_b=0.7, theta_b=0.4)
         drive = DriveSpec(omega=120.0, phi=0.7, amp1=1.0, amp2=0.6)
         c, s = 0.3 - 0.2j, 1e-3 + 2e-3j
-        t = 10.0 + 0.01 * np.arange(1001)
+        k, dt = 1000, 0.01
+        t = dt * np.arange(k, k + 1001)
         a_t = np.exp(1j * drive.omega * t) * (c + s * t)
-        outputs, drift = timedomain._demodulate(headline_params, bg, drive, t, a_t)
+        outputs, drift = timedomain._demodulate(headline_params, bg, drive, k, dt, a_t)
         d0 = bg.coupling(headline_params.gamma_r)
         direct = bg.matrix() @ [drive.amp1, drive.amp2 * cmath.exp(1j * drive.phi)]
         assert drift == pytest.approx(abs(d0) * abs(s) * (t[-1] - t[0]), abs=1e-12)
         for out, z in zip(outputs, direct):
             assert abs(out - (z + d0 * (c + s * t.mean()))) < 1e-12
+
+    @staticmethod
+    def _direct(p, bg, drive, t, a_t):
+        """Reference: one exponential per time, the slope against t."""
+        d0 = bg.coupling(p.gamma_r)
+        direct = bg.matrix() @ [drive.amp1, drive.amp2 * cmath.exp(1j * drive.phi)]
+        w = a_t * np.exp(-1j * drive.omega * t)
+        mean = w.mean()
+        tc = t - t.mean()
+        slope = np.dot(tc, w - mean) / np.dot(tc, tc)
+        drift = abs(d0) * abs(slope) * (t[-1] - t[0])
+        return [complex(z + d0 * mean) for z in direct], drift
+
+    # the phases come in blocks of B = isqrt(size) + 1: sizes B^2 - 1, B^2
+    # and B^2 + 1 about two values of B, one state, two, and random sizes
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 9, 10, 2499, 2500, 2501])
+    def test_block_phases_equal_direct(self, headline_params, size):
+        bg = Background(r_b=0.7, theta_b=0.4)
+        rng = np.random.default_rng(size)
+        for n in [size] + [int(s) for s in rng.integers(1, 4000, size=4)]:
+            drive = DriveSpec(omega=float(rng.uniform(-150.0, 150.0)),
+                              phi=float(rng.uniform(-3.0, 3.0)), amp2=0.6)
+            k = int(rng.integers(0, 20_000))
+            dt = suggested_time_step(headline_params, drive)
+            t = dt * np.arange(k, k + n)
+            # a steady phasor with a slow drift and a decaying transient
+            a_t = np.exp(1j * drive.omega * t) * (0.3 - 0.2j + 1e-4j * t) \
+                + 0.1 * np.exp((2j - 0.5) * t)
+            with np.errstate(invalid="ignore"):  # no drift fits one state
+                got, drift = timedomain._demodulate(headline_params, bg, drive,
+                                                    k, dt, a_t)
+                want, ref_drift = self._direct(headline_params, bg, drive, t, a_t)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12
+            if n == 1:
+                assert math.isnan(drift) and math.isnan(ref_drift)
+            else:
+                assert abs(drift - ref_drift) <= 1e-12
 
 
 class TestOracleHorizon:
@@ -309,9 +396,9 @@ class TestOracleHorizon:
         windows = []
         demodulate = timedomain._demodulate
 
-        def spy(p, bg, drive, t, a_t):
-            windows.append((t, a_t))
-            return demodulate(p, bg, drive, t, a_t)
+        def spy(p, bg, drive, k, dt, a_t):
+            windows.append((k, dt, a_t))
+            return demodulate(p, bg, drive, k, dt, a_t)
         monkeypatch.setattr(timedomain, "_demodulate", spy)
         drive = DriveSpec(omega=120.0, phi=0.7, amp1=1.0, amp2=0.6)
         with caplog.at_level(logging.DEBUG, logger="twoport_cmt.timedomain"):
@@ -320,8 +407,8 @@ class TestOracleHorizon:
         traj = integrate(headline_params, default_bg, drive,
                          settling_time(headline_params), dt)
         k0 = int(0.8 * traj.times.size)
-        ((t, a_t),) = windows
-        assert np.array_equal(t, traj.times[k0:])
+        ((k, step, a_t),) = windows
+        assert (k, k + a_t.size) == (k0, traj.times.size) and step == dt
         assert np.array_equal(a_t, traj.a_t[k0:])
         s1m, s2m = _demodulated_tail(headline_params, default_bg, drive, traj)
         assert res.out1 == abs(s1m) ** 2 and res.out2 == abs(s2m) ** 2
