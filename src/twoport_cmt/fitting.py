@@ -7,6 +7,7 @@ least squares on the weighted residual vector, with positive rates.
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,6 +19,8 @@ from .twoport import (INTENSITY_KINDS, KINDS, observable, observable_grad,
 
 FITTABLE = ("omega0", "gamma_r", "gamma_nr", "gamma_m", "omega_rabi",
             "delta_m")
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -41,10 +44,11 @@ class SpectrumDataset:
                 raise ValueError(f"dataset {name} column must be finite")
         if np.any(self.sigma <= 0):
             raise ValueError("sigma must be > 0")
-        for k in self.kind:
-            if k not in KINDS:
-                raise ValueError(f"unknown observable kind {k!r}")
-        intensity = np.array([k in INTENSITY_KINDS for k in self.kind])
+        unknown = set(self.kind).difference(KINDS)
+        if unknown:
+            first = next(k for k in self.kind if k in unknown)
+            raise ValueError(f"unknown observable kind {first!r}")
+        intensity = np.isin(np.array(self.kind), INTENSITY_KINDS)
         v = self.value[intensity]
         if v.size and (np.any(v < -1e-12) or np.any(v > 1 + 1e-12)):
             raise ValueError("intensity observables must lie in [0, 1]")
@@ -54,21 +58,26 @@ class SpectrumDataset:
 
     @classmethod
     def from_csv(cls, path) -> "SpectrumDataset":
-        omegas, kinds, values, sigmas = [], [], [], []
+        """Read the `synth` CSV format; a row without 4 fields is named by
+        its line number, a field that is not a number is a ValueError."""
         with open(path, newline="") as fh:
             rd = csv.reader(fh)
             header = next(rd, None)
             if header != ["omega_meV", "kind", "value", "sigma"]:
                 raise ValueError(f"unexpected dataset header {header}")
-            for row in rd:
-                if len(row) != 4:
-                    raise ValueError(f"dataset row {rd.line_num} has "
-                                     f"{len(row)} fields, expected 4")
-                omegas.append(float(row[0]))
-                kinds.append(row[1])
-                values.append(float(row[2]))
-                sigmas.append(float(row[3]))
-        return cls(np.array(omegas), tuple(kinds), np.array(values), np.array(sigmas))
+            rows = list(rd)
+            if set(map(len, rows)) - {4}:
+                # read again for the line number: a quoted field may span lines
+                fh.seek(0)
+                rd = csv.reader(fh)
+                next(rd)
+                for row in rd:
+                    if len(row) != 4:
+                        raise ValueError(f"dataset row {rd.line_num} has "
+                                         f"{len(row)} fields, expected 4")
+        omega, kind, value, sigma = zip(*rows) if rows else ((),) * 4
+        return cls(np.array(omega, dtype=float), kind,
+                   np.array(value, dtype=float), np.array(sigma, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -117,29 +126,44 @@ def synth_dataset(p: ModelParams, bg: Background, grid, kinds,
     )
 
 
-def _residuals(p: ModelParams, bg: Background, data: SpectrumDataset,
-               groups) -> np.ndarray:
-    """Weighted residuals (value - model) / sigma in dataset row order, from
-    one S evaluation; groups maps each kind to its rows.  dpsi residuals are
-    wrapped."""
-    s = _defined_elements(p, bg, data.omega)
+def _row_layout(data: SpectrumDataset):
+    """The distinct frequencies of data, sorted, and for each kind its rows
+    and their positions in that grid: the fit builds S on the grid alone.
+    A run of consecutive indices is kept as a slice, which indexes by view
+    (a `synth` dataset is one such run per kind, on the whole grid)."""
+    grid, inverse = np.unique(data.omega, return_inverse=True)
+    kinds = np.array(data.kind)
+    rows = {k: np.flatnonzero(kinds == k) for k in dict.fromkeys(data.kind)}
+    return grid, [(k, _run_as_slice(idx), _run_as_slice(inverse[idx]))
+                  for k, idx in rows.items()]
+
+
+def _run_as_slice(idx: np.ndarray):
+    start = int(idx[0])
+    if np.array_equal(idx, np.arange(start, start + idx.size)):
+        return slice(start, start + idx.size)
+    return idx
+
+
+def _residuals_and_jacobian(p: ModelParams, bg: Background,
+                            data: SpectrumDataset, layout, free):
+    """Weighted residuals (value - model) / sigma in dataset row order and
+    their Jacobian -d model / d theta / sigma for the names in free, one row
+    per data point, from one S evaluation on the grid of `_row_layout`.
+    Each kind gathers its S elements once for both; dpsi residuals are
+    wrapped.  With free empty the Jacobian has no columns and no gradient
+    is formed."""
+    grid, kinds = layout
+    s, du = _elements_and_grad(p, bg, grid, free)
     resid = np.empty(len(data))
-    for kind, idx in groups.items():
-        r = data.value[idx] - observable(*(e[idx] for e in s), kind)
-        resid[idx] = wrap_phase(r) if kind == "dpsi" else r
-    return resid / data.sigma
-
-
-def _jacobian(p: ModelParams, bg: Background, data: SpectrumDataset,
-              groups, free) -> np.ndarray:
-    """d `_residuals` / d theta for the names in free: -d model / d theta /
-    sigma in dataset row order, one row per data point, from one S
-    evaluation; groups maps each kind to its rows."""
-    s, du = _elements_and_grad(p, bg, data.omega, free)
     jac = np.empty((len(data), len(free)))
-    for kind, idx in groups.items():
-        jac[idx] = observable_grad(*(e[idx] for e in s), du[:, idx], kind).T
-    return -jac / data.sigma[:, None]
+    for kind, rows, pos in kinds:
+        e = [x[pos] for x in s]
+        r = data.value[rows] - observable(*e, kind)
+        resid[rows] = wrap_phase(r) if kind == "dpsi" else r
+        if free:
+            jac[rows] = observable_grad(*e, du[:, pos], kind).T
+    return resid / data.sigma, -jac / data.sigma[:, None]
 
 
 def fit_params(data: SpectrumDataset, init: ModelParams,
@@ -147,22 +171,25 @@ def fit_params(data: SpectrumDataset, init: ModelParams,
                background: Background | None = None) -> FitResult:
     """Weighted least squares by the bounded trust-region-reflective solver
     (Branch, Coleman and Li, SIAM J. Sci. Comput. 21, 1 (1999)): rates >= 0,
-    omega0 > 0, delta_m free, with the analytic Jacobian of `_jacobian`.
-    `param_sigma` is the covariance sd sqrt(diag((J^T J)^-1)) at the
-    solution, inf along a direction the data do not constrain; `chi2_dof`
-    is residual / (rows - free parameters); `n_iter` counts residual
-    evaluations.  Frozen parameters pass through bit-identical."""
+    omega0 > 0, delta_m free, with the analytic Jacobian of
+    `_residuals_and_jacobian`, formed with the residuals at each trial point
+    and kept for scipy's Jacobian call at that point.  `param_sigma` is the
+    covariance sd sqrt(diag((J^T J)^-1)) at the solution, inf along a
+    direction the data do not constrain; `chi2_dof` is residual / (rows -
+    free parameters); `n_iter` counts residual evaluations.  Frozen
+    parameters pass through bit-identical.  Logs nfev, njev, rows, distinct
+    frequencies, chi2_dof and convergence at DEBUG."""
     for name in free:
         if name not in FITTABLE:
             raise ValueError(f"unknown fit parameter {name!r}")
     if len(set(free)) != len(free):
         raise ValueError(f"duplicate fit parameter in {tuple(free)}")
     bg = background if background is not None else Background()
-    kinds = np.array(data.kind)
-    groups = {k: np.flatnonzero(kinds == k) for k in set(data.kind)}
+    layout = _row_layout(data)
     if not free:
-        r = _residuals(init, bg, data, groups)
+        r = _residuals_and_jacobian(init, bg, data, layout, ())[0]
         chi2 = float(r @ r)
+        _log_fit(0, 0, data, layout, chi2 / len(data), True)
         return FitResult(params=init, background=bg, residual=chi2,
                          chi2_dof=chi2 / len(data), n_iter=0, converged=True,
                          param_sigma={})
@@ -177,18 +204,40 @@ def fit_params(data: SpectrumDataset, init: ModelParams,
     def unpack(x):
         return replace(init, **dict(zip(free, x.tolist())))
 
+    def evaluate(x):
+        return _residuals_and_jacobian(unpack(x), bg, data, layout, free)
+
+    # the Jacobian at the last trial point: scipy asks for it at that point
+    # once the step there is accepted
+    kept = {"x": None}
+
+    def fun(x):
+        r, kept["jac"] = evaluate(x)
+        kept["x"] = x.copy()
+        return r
+
+    def jac(x):
+        if np.array_equal(x, kept["x"]):
+            return kept["jac"]
+        return evaluate(x)[1]
+
     lower = [-np.inf if name == "delta_m" else 0.0 for name in free]
-    res = least_squares(lambda x: _residuals(unpack(x), bg, data, groups),
-                        [getattr(init, name) for name in free],
-                        jac=lambda x: _jacobian(unpack(x), bg, data, groups,
-                                                free),
+    res = least_squares(fun, [getattr(init, name) for name in free], jac=jac,
                         bounds=(lower, np.inf), method="trf", x_scale="jac")
     sigma = _covariance_sd(res.jac).tolist()
     chi2 = float(res.fun @ res.fun)
+    chi2_dof = chi2 / (len(data) - len(free))
+    _log_fit(res.nfev, res.njev, data, layout, chi2_dof, res.success)
     return FitResult(params=unpack(res.x), background=bg, residual=chi2,
-                     chi2_dof=chi2 / (len(data) - len(free)),
-                     n_iter=int(res.nfev), converged=bool(res.success),
+                     chi2_dof=chi2_dof, n_iter=int(res.nfev),
+                     converged=bool(res.success),
                      param_sigma=dict(zip(free, sigma)))
+
+
+def _log_fit(nfev, njev, data, layout, chi2_dof, converged):
+    _log.debug("fit: nfev=%d njev=%d rows=%d frequencies=%d chi2_dof=%.6g "
+               "converged=%s", nfev, njev, len(data), layout[0].size, chi2_dof,
+               bool(converged))
 
 
 def _covariance_sd(jac: np.ndarray) -> np.ndarray:

@@ -254,10 +254,16 @@ def _demodulate(p: ModelParams, bg: Background, drive: DriveSpec,
 
 def _demodulated_tail(p: ModelParams, bg: Background, drive: DriveSpec,
                       traj: Trajectory):
-    """Complex steady-state outputs from the final 20% of the trajectory."""
+    """Complex steady-state outputs from the final 20% of the trajectory; a
+    window of fewer than 2 states has no drift to check and is refused as
+    not converged."""
     k0 = _tail_start(traj.times.size)
-    # times[k] = dt k, so times[1] is the step; a run of 0 steps has only t = 0
-    dt = traj.times[1] if traj.times.size > 1 else 0.0
+    if traj.times.size - k0 < 2:
+        raise SteadyStateNotConvergedError(
+            f"the demodulation window holds {traj.times.size - k0} state, "
+            "and a drift needs 2; increase t_end")
+    # times[k] = dt k, so times[1] is the step
+    dt = traj.times[1]
     (s1m, s2m), drift = _demodulate(p, bg, drive, k0, dt, traj.a_t[k0:])
     drift /= drive.rms_amplitude
     if drift > _DRIFT_TOL:

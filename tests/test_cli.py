@@ -301,7 +301,10 @@ class TestConfigHandling:
         "omega_meV,kind,value,sigma\n",
         "omega_meV,kind,value,sigma\n"
         + "".join(f"{120 + i},R1,0.5,0.01,0.01\n" for i in range(12)),
-    ], ids=["nan value", "3 fields", "empty file", "header only", "5 fields"])
+        "omega_meV,kind,value,sigma\n120,R1,0.5,0.01\n121,R1,high,0.01\n",
+        "omega_meV,kind,value,sigma\n120,R1,0.5,0.01\n121,R1,0.5,wide\n",
+    ], ids=["nan value", "3 fields", "empty file", "header only", "5 fields",
+            "non-numeric value", "non-numeric sigma"])
     def test_non_finite_dataset_rejected(self, tmp_path, monkeypatch, text):
         data = tmp_path / "data.csv"
         data.write_text(text)

@@ -1,5 +1,7 @@
 """Synthetic datasets and parameter recovery."""
+import logging
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -17,7 +19,7 @@ from twoport_cmt import (
     synth_dataset,
 )
 from twoport_cmt import cli, fitting
-from twoport_cmt.model import _defined_elements
+from twoport_cmt.model import _defined_elements, _elements_and_grad
 from twoport_cmt.twoport import (INTENSITY_KINDS, KINDS, delta_psi,
                                  joint_extrema, observable, wrap_phase)
 
@@ -148,6 +150,49 @@ class TestSynthDataset:
             SpectrumDataset(np.array([1.0, 2.0]), ("R1", "dpsi"), **cols)
 
 
+class TestFromCsv:
+    HEADER = "omega_meV,kind,value,sigma\n"
+
+    def _read(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_text(self.HEADER + body)
+        return SpectrumDataset.from_csv(path)
+
+    @pytest.mark.parametrize("bad,n", [("122,R1,0.4", 3),
+                                       ("122,R1,0.4,0.01,7", 5)])
+    def test_field_count_names_its_row(self, tmp_path, bad, n):
+        body = f"120,R1,0.5,0.01\n121,T,0.5,0.01\n{bad}\n123,R1,0.4,0.01\n"
+        with pytest.raises(ValueError,
+                           match=f"^dataset row 4 has {n} fields, expected 4$"):
+            self._read(tmp_path, body)
+
+    def test_row_number_counts_lines(self, tmp_path):
+        # a quoted field spanning two lines: the row is named by the line
+        # the reader stopped on
+        body = '120,R1,0.5,0.01\n121,"T\nx",0.5\n122,R1,0.4,0.01\n'
+        with pytest.raises(ValueError, match="^dataset row 4 has 3 fields"):
+            self._read(tmp_path, body)
+
+    @pytest.mark.parametrize("bad", ["120,R1,abc,0.01", "120,R1,0.5,",
+                                     "1e2x,R1,0.5,0.01"])
+    def test_non_numeric_rejected(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="could not convert"):
+            self._read(tmp_path, f"119,R1,0.5,0.01\n{bad}\n")
+
+    def test_unknown_kind_named(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown observable kind 'Q'"):
+            self._read(tmp_path, "120,R1,0.5,0.01\n121,Q,0.5,0.01\n"
+                                 "122,Z,0.5,0.01\n")
+
+    def test_columns(self, tmp_path):
+        d = self._read(tmp_path, "120,R1,0.5,0.01\n119.5,dpsi,-3,1\n")
+        assert d.kind == ("R1", "dpsi")
+        for col, want in ((d.omega, [120.0, 119.5]), (d.value, [0.5, -3.0]),
+                          (d.sigma, [0.01, 1.0])):
+            assert col.dtype == np.float64
+            assert np.array_equal(col, want)
+
+
 class TestFitParams:
     def test_noiseless_recovery(self, headline_params, default_bg):
         data = synth_dataset(headline_params, default_bg, GRID,
@@ -221,9 +266,22 @@ class TestFitParams:
         assert res.residual == pytest.approx(0.0, abs=1e-20)
 
 
-def _kind_rows(data):
+def _evaluate(p, bg, data, free=()):
+    """`_residuals_and_jacobian` on data's own layout."""
+    return fitting._residuals_and_jacobian(p, bg, data,
+                                           fitting._row_layout(data), free)
+
+
+def _reference_residuals(p, bg, data):
+    """Weighted residuals from `model_values`, one kind at a time."""
     kinds = np.array(data.kind)
-    return {k: np.flatnonzero(kinds == k) for k in set(data.kind)}
+    model = np.empty(len(data))
+    for kind in set(data.kind):
+        rows = kinds == kind
+        model[rows] = model_values(p, bg, data.omega[rows], kind)
+    r = data.value - model
+    r[kinds == "dpsi"] = wrap_phase(r[kinds == "dpsi"])
+    return r / data.sigma
 
 
 class TestResiduals:
@@ -232,16 +290,18 @@ class TestResiduals:
 
     def test_one_s_evaluation_per_call(self, headline_params, default_bg,
                                        monkeypatch):
+        # one S build on the distinct frequencies for residuals and Jacobian
         data = synth_dataset(headline_params, default_bg, GRID, self.KINDS,
                              0.01, seed=5)
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return _defined_elements(*args)
-        monkeypatch.setattr(fitting, "_defined_elements", counted)
-        fitting._residuals(self.TRIAL, default_bg, data, _kind_rows(data))
+        def counted(p, bg, omega, free):
+            calls.append(np.array(omega))
+            return _elements_and_grad(p, bg, omega, free)
+        monkeypatch.setattr(fitting, "_elements_and_grad", counted)
+        _evaluate(self.TRIAL, default_bg, data, fitting.FITTABLE)
         assert len(calls) == 1
+        assert np.array_equal(calls[0], GRID)
 
     def test_row_order_with_interleaved_kinds(self, headline_params,
                                               default_bg):
@@ -251,11 +311,102 @@ class TestResiduals:
         shuffled = SpectrumDataset(data.omega[perm],
                                    tuple(data.kind[i] for i in perm),
                                    data.value[perm], data.sigma[perm])
-        want = fitting._residuals(self.TRIAL, default_bg, data,
-                                  _kind_rows(data))
-        got = fitting._residuals(self.TRIAL, default_bg, shuffled,
-                                 _kind_rows(shuffled))
-        assert np.array_equal(got, want[perm])
+        free = ("omega0", "gamma_m", "delta_m")
+        want_r, want_j = _evaluate(self.TRIAL, default_bg, data, free)
+        got_r, got_j = _evaluate(self.TRIAL, default_bg, shuffled, free)
+        assert np.array_equal(got_r, want_r[perm])
+        assert np.array_equal(got_j, want_j[perm])
+
+    def test_free_empty_forms_no_gradient(self, headline_params, default_bg,
+                                          monkeypatch):
+        data = synth_dataset(headline_params, default_bg, GRID, self.KINDS,
+                             0.01, seed=5)
+
+        def refused(*args):
+            raise AssertionError("observable_grad called with free empty")
+        monkeypatch.setattr(fitting, "observable_grad", refused)
+        r, jac = _evaluate(self.TRIAL, default_bg, data)
+        assert jac.shape == (len(data), 0)
+        assert np.array_equal(r, _reference_residuals(self.TRIAL, default_bg,
+                                                      data))
+
+
+class TestMixedLayout:
+    """Interleaved kinds, repeated and unsorted frequencies, and kinds on
+    different grids: every row is the row a dataset of that row alone
+    gives, and its residual the one of `model_values` at that row."""
+
+    P = ModelParams(124.5, 3.0, 0.7, 5.0, 8.0, delta_m=1.5)
+    BG = Background(0.8, 0.3)
+
+    def _data(self):
+        rng = np.random.default_rng(21)
+        coarse = np.linspace(105.0, 145.0, 9)
+        fine = np.linspace(118.0, 131.0, 27)
+        rows = ([(w, "A1") for w in coarse] + [(w, "dpsi") for w in fine]
+                + [(w, "A_joint_max") for w in rng.choice(fine, 12)]
+                + [(w, "T") for w in rng.uniform(105.0, 145.0, 10)]
+                + [(w, "R2") for w in (130.0, 110.0, 130.0, 130.0)])
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        omega = np.array([w for w, _ in rows])
+        kind = tuple(k for _, k in rows)
+        clean = np.array([model_values(self.P, self.BG, [w], k)[0]
+                          for w, k in rows])
+        value = clean + rng.normal(0.0, 0.01, omega.size)
+        intensity = np.isin(np.array(kind), INTENSITY_KINDS)
+        value[intensity] = np.clip(value[intensity], 0.0, 1.0)
+        sigma = rng.uniform(0.005, 0.02, omega.size)
+        return SpectrumDataset(omega, kind, value, sigma)
+
+    def test_layout(self):
+        data = self._data()
+        grid, kinds = fitting._row_layout(data)
+        assert np.array_equal(grid, np.unique(data.omega))
+        assert sorted(k for k, _, _ in kinds) == sorted(set(data.kind))
+        every = np.arange(len(data))
+        covered = np.concatenate([every[rows] for _, rows, _ in kinds])
+        assert np.array_equal(np.sort(covered), every)
+        for kind, rows, pos in kinds:
+            assert all(data.kind[i] == kind for i in every[rows])
+            assert np.array_equal(grid[pos], data.omega[rows])
+
+    def test_runs_index_by_slice(self, headline_params, default_bg):
+        # a synth dataset is one run per kind on the whole grid: slices,
+        # with the same rows as index arrays give
+        data = synth_dataset(headline_params, default_bg, GRID,
+                             ("R1", "dpsi"), 0.01, seed=4)
+        layout = fitting._row_layout(data)
+        n = GRID.size
+        assert [(k, rows, pos) for k, rows, pos in layout[1]] == [
+            ("R1", slice(0, n), slice(0, n)),
+            ("dpsi", slice(n, 2 * n), slice(0, n))]
+        as_arrays = (layout[0], [(k, np.arange(len(data))[rows],
+                                  np.arange(n)[pos])
+                                 for k, rows, pos in layout[1]])
+        for got, want in zip(
+                fitting._residuals_and_jacobian(self.P, self.BG, data, layout,
+                                                fitting.FITTABLE),
+                fitting._residuals_and_jacobian(self.P, self.BG, data,
+                                                as_arrays, fitting.FITTABLE)):
+            assert np.array_equal(got, want)
+
+    def test_rows_match_per_row_reference(self):
+        data = self._data()
+        trial = replace(self.P, omega0=124.0, omega_rabi=7.5)
+        resid, jac = _evaluate(trial, self.BG, data, fitting.FITTABLE)
+        for i in range(len(data)):
+            w, k = data.omega[i], data.kind[i]
+            r = data.value[i] - model_values(trial, self.BG, [w], k)[0]
+            if k == "dpsi":
+                r = wrap_phase(r)
+            assert resid[i] == pytest.approx(r / data.sigma[i], rel=1e-13,
+                                             abs=1e-12)
+            one = SpectrumDataset(np.array([w]), (k,), data.value[i:i + 1],
+                                  data.sigma[i:i + 1])
+            r1, j1 = _evaluate(trial, self.BG, one, fitting.FITTABLE)
+            assert r1[0] == pytest.approx(resid[i], rel=1e-13, abs=1e-12)
+            assert np.abs(j1[0] - jac[i]).max() \
+                <= 1e-13 * max(1.0, np.abs(jac[i]).max())
 
 
 class TestJacobian:
@@ -264,19 +415,19 @@ class TestJacobian:
     GRID = np.linspace(105.0, 145.0, 201)
 
     def _all_kinds(self, p, bg):
-        data = synth_dataset(p, bg, self.GRID, KINDS, 0.01, seed=0)
-        return data, _kind_rows(data)
+        return synth_dataset(p, bg, self.GRID, KINDS, 0.01, seed=0)
 
     @pytest.mark.parametrize("bg", [Background(), Background(0.8, 0.3)])
     def test_matches_central_differences(self, bg):
-        data, groups = self._all_kinds(self.DETUNED, bg)
-        jac = fitting._jacobian(self.DETUNED, bg, data, groups,
-                                fitting.FITTABLE)
+        data = self._all_kinds(self.DETUNED, bg)
+        jac = _evaluate(self.DETUNED, bg, data, fitting.FITTABLE)[1]
+        kinds = np.array(data.kind)
         for j, name in enumerate(fitting.FITTABLE):
             x = getattr(self.DETUNED, name)
             h = 1e-6 * max(1.0, abs(x))
             fd = np.empty(len(data))
-            for kind, idx in groups.items():
+            for kind in set(data.kind):
+                idx = np.flatnonzero(kinds == kind)
                 up, down = (model_values(replace(self.DETUNED, **{name: v}),
                                          bg, data.omega[idx], kind)
                             for v in (x + h, x - h))
@@ -287,9 +438,9 @@ class TestJacobian:
 
     def test_matter_columns_vanish_without_coupling(self, default_bg):
         p = replace(self.DETUNED, omega_rabi=0.0)
-        data, groups = self._all_kinds(p, default_bg)
-        jac = fitting._jacobian(p, default_bg, data, groups,
-                                ("gamma_m", "delta_m", "omega_rabi"))
+        data = self._all_kinds(p, default_bg)
+        jac = _evaluate(p, default_bg, data,
+                        ("gamma_m", "delta_m", "omega_rabi"))[1]
         assert np.all(jac == 0.0)
 
     @pytest.mark.parametrize("p", [
@@ -303,9 +454,80 @@ class TestJacobian:
                                np.full(len(KINDS) * self.GRID.size, 0.01))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            jac = fitting._jacobian(p, default_bg, data, _kind_rows(data),
-                                    fitting.FITTABLE)
+            jac = _evaluate(p, default_bg, data, fitting.FITTABLE)[1]
         assert np.all(np.isfinite(jac))
+
+
+class TestSharedEvaluation:
+    """A trial point is evaluated once: scipy's Jacobian call at the point of
+    the last residual call takes the Jacobian formed with those residuals."""
+
+    FREE = ("omega0", "gamma_r", "gamma_m", "omega_rabi")
+    INIT = ModelParams(122.0, 2.0, 0.0, 4.0, 7.0)
+
+    def _data(self, p, bg, kinds=("A_joint_max", "A_joint_min", "dpsi")):
+        return synth_dataset(p, bg, np.linspace(105.0, 145.0, 201), kinds,
+                             0.005, seed=2)
+
+    def test_one_s_build_per_residual_call(self, headline_params, default_bg,
+                                           monkeypatch):
+        data = self._data(headline_params, default_bg)
+        calls = {"grad": 0, "defined": 0}
+
+        def grad(*args):
+            calls["grad"] += 1
+            return _elements_and_grad(*args)
+
+        def defined(*args):
+            calls["defined"] += 1
+            return _defined_elements(*args)
+        monkeypatch.setattr(fitting, "_elements_and_grad", grad)
+        monkeypatch.setattr(fitting, "_defined_elements", defined)
+        res = fit_params(data, self.INIT, self.FREE)
+        assert res.converged
+        assert calls == {"grad": res.n_iter, "defined": 0}
+
+    def test_jacobian_elsewhere_is_evaluated_there(self, headline_params,
+                                                   default_bg, monkeypatch):
+        # a Jacobian asked for away from the last residual point is formed
+        # at the point asked for, not taken from the last residual call
+        import scipy.optimize
+        data = self._data(headline_params, default_bg)
+        real = scipy.optimize.least_squares
+        seen = []
+
+        def spy(fun, x0, jac, **kwargs):
+            x0 = np.asarray(x0, dtype=float)
+            x1 = x0 * 1.01
+            fun(x0)
+            seen.append((jac(x1), jac(x0)))
+            return real(fun, x0, jac=jac, **kwargs)
+        monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+        fit_params(data, self.INIT, self.FREE)
+        (at_x1, at_x0), = seen
+        x1 = replace(self.INIT, **{n: 1.01 * getattr(self.INIT, n)
+                                   for n in self.FREE})
+        assert np.array_equal(at_x1, _evaluate(x1, default_bg, data,
+                                               self.FREE)[1])
+        assert np.array_equal(at_x0, _evaluate(self.INIT, default_bg, data,
+                                               self.FREE)[1])
+
+    def test_debug_line_per_fit(self, headline_params, default_bg, caplog):
+        data = self._data(headline_params, default_bg, ("R1", "T", "dpsi"))
+        with caplog.at_level(logging.DEBUG, logger="twoport_cmt.fitting"):
+            res = fit_params(data, self.INIT, self.FREE)
+            fit_params(data, headline_params, free=())
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "twoport_cmt.fitting"]
+        assert len(lines) == 2
+        fields = [dict(re.findall(r"(\w+)=(\S+)", line)) for line in lines]
+        assert fields[0] == {"nfev": str(res.n_iter), "njev": fields[0]["njev"],
+                             "rows": "603", "frequencies": "201",
+                             "chi2_dof": f"{res.chi2_dof:.6g}",
+                             "converged": "True"}
+        assert 1 <= int(fields[0]["njev"]) <= res.n_iter
+        assert fields[1]["nfev"] == fields[1]["njev"] == "0"
+        assert fields[1]["frequencies"] == "201"
 
 
 class TestFitEquivalence:
@@ -324,12 +546,10 @@ class TestFitEquivalence:
             data = synth_dataset(headline_params, default_bg,
                                  np.linspace(105.0, 145.0, 201), kinds, 0.005,
                                  seed=seed)
-            groups = _kind_rows(data)
             res = fit_params(data, init, free)
             ref = least_squares(
-                lambda x: fitting._residuals(
-                    replace(init, **dict(zip(free, x))), default_bg, data,
-                    groups),
+                lambda x: _reference_residuals(
+                    replace(init, **dict(zip(free, x))), default_bg, data),
                 [getattr(init, name) for name in free],
                 bounds=(0.0, np.inf), method="trf", x_scale="jac")
             ref_sigma = fitting._covariance_sd(ref.jac)

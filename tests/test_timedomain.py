@@ -3,6 +3,7 @@ import cmath
 import logging
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -331,6 +332,29 @@ class TestDemodulation:
         traj = integrate(headline_params, default_bg, drive, 2.0, dt)
         with pytest.raises(SteadyStateNotConvergedError):
             _demodulated_tail(headline_params, default_bg, drive, traj)
+
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    def test_one_state_window_refused(self, default_bg, steps):
+        # a run of 4 steps or fewer leaves one state in the final 20%: no
+        # drift can be fitted, so it is not taken as settled
+        p = ModelParams(124.5, 3.0, 0.0, 5.0, 8.0)
+        drive = DriveSpec(omega=120.0)
+        dt = suggested_time_step(p, drive)
+        traj = integrate(p, default_bg, drive, steps * dt, dt)
+        assert traj.times.size == steps + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SteadyStateNotConvergedError, match="holds 1 state"):
+                _demodulated_tail(p, default_bg, drive, traj)
+
+    def test_two_state_window_demodulated(self, default_bg):
+        # 5 steps leave the final 2 states, the fewest with a drift
+        p = ModelParams(124.5, 3.0, 0.0, 5.0, 8.0)
+        drive = DriveSpec(omega=120.0)
+        dt = suggested_time_step(p, drive)
+        traj = integrate(p, default_bg, drive, 5 * dt, dt)
+        with pytest.raises(SteadyStateNotConvergedError, match="exceeds"):
+            _demodulated_tail(p, default_bg, drive, traj)
 
     def test_known_window(self, headline_params):
         # a(t) = e^{i omega t} (c + s t): the window mean of the demodulated
