@@ -314,6 +314,27 @@ class TestConfigHandling:
             == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["phase-diagram", "--config", "ov.json"],
+        ["phase-diagram", "--config", "ov.json", "--delta-m", "1"],
+        ["cpa", "--gamma-r", "1e200"],
+        ["cpa", "--gamma-r", "1e200", "--delta-m", "1"],
+    ], ids=["resonant sweep", "detuned sweep", "resonant cpa", "detuned cpa"])
+    def test_overflowing_rates_rejected(self, tmp_path, monkeypatch, capsys,
+                                        argv):
+        # rates whose stationary-polynomial coefficients overflow: exit 2 with
+        # one message that names the overflow, no warning and no output file
+        (tmp_path / "ov.json").write_text(json.dumps({"phase_diagram": {
+            "x_param": "gamma_m", "x_min": 0.0, "x_max": 1e200, "x_n": 3,
+            "y_param": "gamma_r", "y_min": 0.0, "y_max": 1e160, "y_n": 3}}))
+        monkeypatch.chdir(tmp_path)
+        assert run(tmp_path, monkeypatch, argv + ["--output", "out.csv"]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rates too large")
+        assert "overflow" in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ov.json"]
+
 
 class TestWriter:
     """The bytes of the one table writer, on hand-built columns."""

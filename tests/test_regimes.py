@@ -1,6 +1,9 @@
 """Regime classification, CPA frequency finding, critical loci sweeps."""
 import decimal
+import logging
 import math
+import re
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -288,6 +291,12 @@ class TestPeakGrid:
         ("gamma_nr", "gamma_m", ModelParams(140.0, 4.0, 1.0, 0.05, 5.0, delta_m=17.0)),
         ("gamma_r", "gamma_nr", NARROW_PAIR_MODELS[0]),
         ("gamma_r", "gamma_nr", NARROW_PAIR_MODELS[1]),
+        # resonant bases: zero rates, lossless, Omega = 0, and the
+        # exceptional point of the zeros at the base's own (x, y) cell
+        ("gamma_r", "gamma_nr", ModelParams(124.5, 0.0, 0.0, 0.0, 8.0)),
+        ("gamma_nr", "gamma_m", ModelParams(124.5, 3.0, 0.0, 0.0, 8.0)),
+        ("gamma_r", "gamma_nr", ModelParams(124.5, 3.0, 1.0, 5.0, 0.0)),
+        ("gamma_m", "omega_rabi", ModelParams(124.5, 8.0, 3.0, 5.0, 5.0)),
     ])
     def test_n_peaks_is_dense_scan(self, x_param, y_param, base):
         # log-spaced and random axes from 0, each holding the base's own value
@@ -518,64 +527,66 @@ def _stationary_rows(models):
 
 
 class TestClosedFormRoots:
-    """Resonant rows of `_roots` (G = u H(u^2)) against the eigenvalues of
-    the companion matrix, matched as multisets."""
+    """Resonant minima (`_resonant_minima`, from G = u H(u^2)) against the
+    eigenvalues of the companion matrix of G: each minimum is a root of G,
+    +-sqrt(v+) where g1 = G'(0) < 0, else u = 0, and none where G = 0."""
 
     def _check(self, models, tol=1e-9):
         g = _stationary_rows(models)
-        roots = regimes._roots(g)
-        for row, got in zip(g, roots):
+        c = _batch(models)
+        omega, dets = regimes._resonant_minima(c)
+        u = omega - c.omega0
+        for row, got in zip(g, u.T):
             want = _companion_roots(row)
-            # NaN padding after the trimmed degree, which is never 1
+            # G = u H(u^2) is 0 or of degree 3 or 5
             assert want.size in (0, 3, 5)
-            assert not np.isnan(got[:want.size]).any()
-            assert np.isnan(got[want.size:]).all()
-            left = list(got[:want.size])
-            for w in want:
-                i = int(np.argmin(np.abs(np.array(left) - w)))
-                assert abs(left[i] - w) <= tol * (1 + abs(w)), (got, want)
-                # a real root has an imaginary part of exactly 0
-                assert w.imag != 0 or left[i].imag == 0, (got, want)
-                left.pop(i)
-        return g, roots
+            count = 0 if want.size == 0 else 2 if row[1] < 0 else 1
+            assert np.count_nonzero(~np.isnan(got)) == count
+            if count == 2:  # the doublet, symmetric about omega0
+                assert got[0] < 0 < got[1]
+                assert got[0] == pytest.approx(-got[1], abs=1e-12)
+            for x in got[:count]:
+                assert np.abs(want - x).min() <= tol * (1 + abs(x)), (got, want)
+        assert np.array_equal(np.isnan(dets), np.isnan(omega))
+        return g, u
 
     def test_random_resonant(self):
         rng = np.random.default_rng(59)
         models = [random_passive_params(rng) for _ in range(200)]
         models += [ModelParams(**{**vars(random_passive_params(rng)),
                                   "gamma_nr": 0.0}) for _ in range(100)]
-        g, roots = self._check(models)
+        g, u = self._check(models)
         assert (g[:, 0::2] == 0).all()
-        assert {int(np.count_nonzero(~np.isnan(r))) for r in roots} == {3, 5}
+        assert {_companion_roots(row).size for row in g} == {3, 5}
+        assert {int(np.count_nonzero(~np.isnan(x))) for x in u.T} == {1, 2}
 
     def test_no_stationary_points(self):
-        # gamma_r = 0 (N = D) and lossless models: G = 0, all roots NaN
-        g, roots = self._check([ModelParams(124.5, 0.0, 2.0, 5.0, 8.0),
-                                ModelParams(124.5, 3.0, 0.0, 0.0, 8.0),
-                                ModelParams(124.5, 0.0, 0.0, 0.0, 0.0)])
-        assert not g.any() and np.isnan(roots).all()
+        # gamma_r = 0 (N = D) and lossless models: G = 0, no minima
+        g, u = self._check([ModelParams(124.5, 0.0, 2.0, 5.0, 8.0),
+                            ModelParams(124.5, 3.0, 0.0, 0.0, 8.0),
+                            ModelParams(124.5, 0.0, 0.0, 0.0, 0.0)])
+        assert not g.any() and np.isnan(u).all()
 
     def test_uncoupled_matter(self):
         # Omega = 0: the matter rate is 1 (`_matter_rate`), G = 2 gamma_nr u
         # (u^2 + 1)^2 and H has a double root at v = -1, which eigvals splits
         # by about sqrt(eps); G = 0 where gamma_nr = 0 as well
-        g, roots = self._check([ModelParams(124.5, 3.0, 1.0, 5.0, 0.0),
-                                ModelParams(124.5, 3.0, 0.0, 5.0, 0.0)],
-                               tol=1e-7)
-        assert np.sort_complex(roots[0]) == pytest.approx([-1j, -1j, 0, 1j, 1j],
-                                                          abs=1e-15)
-        assert np.isnan(roots[1]).all()
+        g, u = self._check([ModelParams(124.5, 3.0, 1.0, 5.0, 0.0),
+                            ModelParams(124.5, 3.0, 0.0, 5.0, 0.0)], tol=1e-7)
+        assert np.array_equal(u[:, 0], [0.0, np.nan], equal_nan=True)
+        assert np.isnan(u[:, 1]).all()
 
     def test_exceptional_point(self):
         # both critical loci at once: the zeros of det S meet at omega0 and G
-        # has a triple root at u = 0
+        # has a triple root at u = 0; g1 can round below 0 and split it
         models = _coalescent_zeros(np.random.default_rng(61), 40)
-        g, roots = self._check(models)
-        assert (np.sort(np.abs(roots), axis=1)[:, :3] < 1e-6).all()
+        g, u = self._check(models)
+        assert (np.abs(u[0]) < 1e-6).all()
+        assert np.nan_to_num(np.abs(u[1])).max() < 1e-6
 
     def test_mixed_batch(self):
-        # detuned rows keep the eigenvalue solve and resonant rows the closed
-        # form, in the same batch: each row as in a one-row call
+        # resonant rows through `_resonant_minima` and detuned rows through
+        # `_roots`, each in one batch: each row as in a one-row call
         rng = np.random.default_rng(67)
         models = []
         for i in range(60):
@@ -583,8 +594,15 @@ class TestClosedFormRoots:
             dm = float(rng.uniform(-20.0, 20.0)) if i % 2 else 0.0
             models.append(ModelParams(**{**vars(p), "delta_m": dm,
                                          "gamma_nr": p.gamma_nr * (i % 3 > 0)}))
-        g, roots = self._check(models)
-        for row, got in zip(g, roots):
+        resonant = models[0::2]
+        self._check(resonant)
+        omega, dets = regimes._resonant_minima(_batch(resonant))
+        for k, p in enumerate(resonant):
+            one = regimes._resonant_minima(_batch([p]))
+            assert np.array_equal(omega[:, k], one[0][:, 0], equal_nan=True)
+            assert np.array_equal(dets[:, k], one[1][:, 0], equal_nan=True)
+        g = _stationary_rows(models[1::2])
+        for row, got in zip(g, regimes._roots(g)):
             assert np.array_equal(got, regimes._roots(row[None])[0],
                                   equal_nan=True)
 
@@ -705,13 +723,13 @@ class TestResonantClosedForm:
 
 
 class TestNewtonOnlyWhenDetuned:
-    """Resonant cells take their minima in closed form: no `_stationary_value`
-    (Newton) and no `np.linalg.eigvals` call; detuned cells keep both."""
+    """Resonant cells take their minima in closed form: no `_roots` call, no
+    `_stationary_value` (Newton) and no `np.linalg.eigvals` call; detuned
+    cells keep all three."""
 
     @pytest.mark.parametrize("delta_m", [0.0, 2.0])
     def test_calls(self, monkeypatch, delta_m):
-        calls = {"newton": 0, "eigvals": 0}
-        value, eigvals = regimes._stationary_value, np.linalg.eigvals
+        calls = {"roots": 0, "newton": 0, "eigvals": 0}
 
         def counted(key, f):
             def wrapper(*args):
@@ -719,33 +737,111 @@ class TestNewtonOnlyWhenDetuned:
                 return f(*args)
             return wrapper
 
-        monkeypatch.setattr(regimes, "_stationary_value", counted("newton", value))
-        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", eigvals))
+        monkeypatch.setattr(regimes, "_roots", counted("roots", regimes._roots))
+        monkeypatch.setattr(regimes, "_stationary_value",
+                            counted("newton", regimes._stationary_value))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
         axis = np.linspace(0.0, 10.0, 21)
         for base in (ModelParams(124.5, 3.0, 0.0, 5.0, 8.0, delta_m=delta_m),
                      ModelParams(124.5, 3.0, 1.5, 5.0, 8.0, delta_m=delta_m)):
             for run in (lambda: critical_loci(base, "gamma_m", axis, "gamma_r", axis),
                         lambda: critical_loci(base, "gamma_nr", axis, "omega_rabi", axis),
                         lambda: min_abs_dets(base), lambda: find_cpa(base),
-                        lambda: classify_regime(base)):
-                calls.update(newton=0, eigvals=0)
+                        lambda: classify_regime(base), lambda: count_peaks(base)):
+                calls.update(roots=0, newton=0, eigvals=0)
                 run()
-                assert (calls["newton"] > 0) == (calls["eigvals"] > 0) == (delta_m != 0)
+                assert ((calls["roots"] > 0) == (calls["newton"] > 0)
+                        == (calls["eigvals"] > 0) == (delta_m != 0)), calls
 
     def test_mixed_batch(self):
-        # resonant and detuned cells in one batch: each as in a one-cell call
+        # resonant and detuned cells, each kind in one batch through `_solve`:
+        # each cell as in a one-cell call
         rng = np.random.default_rng(73)
         models = [ModelParams(**{**vars(random_passive_params(rng)),
                                  "delta_m": float(rng.uniform(-20.0, 20.0)) * (i % 2)})
                   for i in range(40)]
         models += NARROW_PAIR_MODELS
-        c = _batch(models)
-        omega, _, least = regimes._minima(
-            c, 1e-10, regimes._roots(regimes._stationary_poly(c)))
-        assert least.tolist() == [min_abs_dets(p) for p in models]
-        for k, p in enumerate(models):
-            # several seeds can reach one minimum, which `find_cpa` reports once
-            got = omega[:, k][~np.isnan(omega[:, k])]
-            want = np.array([pt.omega for pt in find_cpa(p)])
-            assert np.abs(got[:, None] - want).min(axis=1).max() <= 1e-10
-            assert np.abs(got[:, None] - want).min(axis=0).max() <= 1e-10
+        for batch in ([p for p in models if p.delta_m == 0],
+                      [p for p in models if p.delta_m != 0]):
+            omega, _, least, _ = regimes._solve(_batch(batch), 1e-10)
+            assert least.tolist() == [min_abs_dets(p) for p in batch]
+            for k, p in enumerate(batch):
+                # several seeds can reach one minimum, which `find_cpa` reports once
+                got = omega[:, k][~np.isnan(omega[:, k])]
+                want = np.array([pt.omega for pt in find_cpa(p)])
+                assert np.abs(got[:, None] - want).min(axis=1).max() <= 1e-10
+                assert np.abs(got[:, None] - want).min(axis=0).max() <= 1e-10
+
+
+class TestOverflow:
+    """Rates that overflow the coefficients of G are a ValueError that names
+    the overflow, with no RuntimeWarning, on the resonant and detuned paths."""
+
+    @pytest.mark.parametrize("delta_m", [0.0, 1.0])
+    def test_rejected(self, delta_m):
+        p = ModelParams(124.5, 1e200, 0.0, 5.0, 8.0, delta_m=delta_m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: critical_loci(p, "gamma_m", [0.0, 1e200],
+                                              "gamma_r", [0.0, 1e160]),
+                        lambda: critical_loci(p, "gamma_m", [0.0, 1e100],
+                                              "gamma_r", [0.0, 1e80]),
+                        lambda: min_abs_dets(p), lambda: find_cpa(p),
+                        lambda: classify_regime(p), lambda: count_peaks(p)):
+                with pytest.raises(ValueError, match="overflow"):
+                    run()
+
+    def test_unit_determinant_cells_kept(self):
+        # gamma_r = 0: G = 0 whatever the other rates, so nothing overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = critical_loci(ModelParams(124.5, 0.0, 1.0, 5.0, 8.0), "gamma_m",
+                              [1.0, 1e100], "omega_rabi", [1.0, 2.0])
+        assert (m.min_abs_dets == 1.0).all() and (m.n_peaks == 0).all()
+
+
+class TestDebugLine:
+    """One DEBUG line on the `twoport_cmt.regimes` logger per `critical_loci`
+    and per `_cell_minima` call: cells, closed-form and eigvals cells,
+    Newton steps and minima found."""
+
+    def _lines(self, caplog, run):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="twoport_cmt.regimes"):
+            run()
+        return [dict(re.findall(r"(\w+)=(\S+)", r.getMessage()))
+                for r in caplog.records if r.name == "twoport_cmt.regimes"]
+
+    def test_resonant_sweep(self, caplog):
+        axis = np.linspace(0.0, 10.0, 6)
+        base = ModelParams(124.5, 3.0, 0.0, 5.0, 8.0)
+        lines = self._lines(caplog, lambda: critical_loci(
+            base, "gamma_m", axis, "gamma_r", axis))
+        c = regimes._cells(base, 36, gamma_m=np.tile(axis, 6),
+                           gamma_r=np.repeat(axis, 6))
+        minima = np.count_nonzero(~np.isnan(regimes._resonant_minima(c)[0]))
+        assert lines == [{"cells": "36", "closed_form": "36", "eigvals": "0",
+                          "newton_steps": "0", "minima": str(minima)}]
+        assert minima > 36
+
+    def test_detuned_sweep(self, caplog):
+        axis = np.linspace(0.0, 10.0, 6)
+        lines = self._lines(caplog, lambda: critical_loci(
+            ModelParams(124.5, 3.0, 0.5, 5.0, 8.0, delta_m=2.0),
+            "gamma_m", axis, "gamma_r", axis))
+        assert len(lines) == 1
+        assert lines[0]["cells"] == "36" and lines[0]["closed_form"] == "0"
+        # cells with gamma_r = 0 have G = 0 and take no eigvals call
+        assert lines[0]["eigvals"] == "30"
+        assert 0 < int(lines[0]["newton_steps"]) <= regimes._NEWTON_STEPS
+
+    @pytest.mark.parametrize("p, closed", [
+        (ModelParams(124.5, 3.0, 0.0, 5.0, 8.0), "1"),
+        (ModelParams(124.5, 3.0, 0.0, 5.0, 8.0, delta_m=2.0), "0"),
+    ])
+    def test_one_line_per_model(self, caplog, p, closed):
+        lines = self._lines(caplog, lambda: find_cpa(p))
+        assert len(lines) == 1
+        assert lines[0]["cells"] == "1" and lines[0]["closed_form"] == closed
+        assert int(lines[0]["minima"]) >= len(find_cpa(p)) == 2
+        assert len(self._lines(caplog, lambda: classify_regime(p))) == 1
