@@ -169,16 +169,15 @@ def _residuals_and_jacobian(p: ModelParams, bg: Background,
 def fit_params(data: SpectrumDataset, init: ModelParams,
                free=("omega0", "gamma_r", "gamma_m", "omega_rabi"),
                background: Background | None = None) -> FitResult:
-    """Weighted least squares by the bounded trust-region-reflective solver
-    (Branch, Coleman and Li, SIAM J. Sci. Comput. 21, 1 (1999)): rates >= 0,
-    omega0 > 0, delta_m free, with the analytic Jacobian of
-    `_residuals_and_jacobian`, formed with the residuals at each trial point
-    and kept for scipy's Jacobian call at that point.  `param_sigma` is the
-    covariance sd sqrt(diag((J^T J)^-1)) at the solution, inf along a
-    direction the data do not constrain; `chi2_dof` is residual / (rows -
-    free parameters); `n_iter` counts residual evaluations.  Frozen
-    parameters pass through bit-identical.  Logs nfev, njev, rows, distinct
-    frequencies, chi2_dof and convergence at DEBUG."""
+    """Weighted least squares by `_levenberg_marquardt`, with rates >= 0,
+    omega0 > 0 and delta_m free, on the residuals and analytic Jacobian of
+    `_residuals_and_jacobian`, both formed once per trial point.
+    `param_sigma` is the covariance sd sqrt(diag((J^T J)^-1)) at the
+    solution, inf along a direction the data do not constrain; `chi2_dof` is
+    residual / (rows - free parameters); `n_iter` counts trial points
+    evaluated; `converged` is a tolerance stop, not the evaluation cap.
+    Frozen parameters pass through bit-identical.  Logs nfev, njev (equal),
+    rows, distinct frequencies, chi2_dof and convergence at DEBUG."""
     for name in free:
         if name not in FITTABLE:
             raise ValueError(f"unknown fit parameter {name!r}")
@@ -189,7 +188,7 @@ def fit_params(data: SpectrumDataset, init: ModelParams,
     if not free:
         r = _residuals_and_jacobian(init, bg, data, layout, ())[0]
         chi2 = float(r @ r)
-        _log_fit(0, 0, data, layout, chi2 / len(data), True)
+        _log_fit(0, data, layout, chi2 / len(data), True)
         return FitResult(params=init, background=bg, residual=chi2,
                          chi2_dof=chi2 / len(data), n_iter=0, converged=True,
                          param_sigma={})
@@ -198,45 +197,81 @@ def fit_params(data: SpectrumDataset, init: ModelParams,
             f"need at least {3 * len(free)} data points for {len(free)} free "
             f"parameters, got {len(data)}")
 
-    # imported here: scipy.optimize costs most of the package's import time
-    from scipy.optimize import least_squares
-
     def unpack(x):
         return replace(init, **dict(zip(free, x.tolist())))
 
-    def evaluate(x):
-        return _residuals_and_jacobian(unpack(x), bg, data, layout, free)
-
-    # the Jacobian at the last trial point: scipy asks for it at that point
-    # once the step there is accepted
-    kept = {"x": None}
-
-    def fun(x):
-        r, kept["jac"] = evaluate(x)
-        kept["x"] = x.copy()
-        return r
-
-    def jac(x):
-        if np.array_equal(x, kept["x"]):
-            return kept["jac"]
-        return evaluate(x)[1]
-
-    lower = [-np.inf if name == "delta_m" else 0.0 for name in free]
-    res = least_squares(fun, [getattr(init, name) for name in free], jac=jac,
-                        bounds=(lower, np.inf), method="trf", x_scale="jac")
-    sigma = _covariance_sd(res.jac).tolist()
-    chi2 = float(res.fun @ res.fun)
+    # the least positive float for omega0, as ModelParams needs omega0 > 0
+    lower = np.array([-np.inf if name == "delta_m" else
+                      5e-324 if name == "omega0" else 0.0 for name in free])
+    x, r, jac, nfev, converged = _levenberg_marquardt(
+        lambda x: _residuals_and_jacobian(unpack(x), bg, data, layout, free),
+        np.array([getattr(init, name) for name in free], dtype=float), lower)
+    sigma = _covariance_sd(jac).tolist()
+    chi2 = float(r @ r)
     chi2_dof = chi2 / (len(data) - len(free))
-    _log_fit(res.nfev, res.njev, data, layout, chi2_dof, res.success)
-    return FitResult(params=unpack(res.x), background=bg, residual=chi2,
-                     chi2_dof=chi2_dof, n_iter=int(res.nfev),
-                     converged=bool(res.success),
+    _log_fit(nfev, data, layout, chi2_dof, converged)
+    return FitResult(params=unpack(x), background=bg, residual=chi2,
+                     chi2_dof=chi2_dof, n_iter=nfev, converged=converged,
                      param_sigma=dict(zip(free, sigma)))
 
 
-def _log_fit(nfev, njev, data, layout, chi2_dof, converged):
+_FTOL = 1e-8  # an accepted step that lowers chi2 by less than this share stops
+_XTOL = 1e-10  # a scaled step below this share of the scaled x stops
+_MAX_EVALS = 200  # trial points before the fit gives up, as scipy's max_nfev
+_LAMBDA_MAX = 1e16  # damping far past the point where the step is rounding
+
+
+def _levenberg_marquardt(evaluate, x, lower):
+    """Levenberg-Marquardt on evaluate(x) -> (r, J), minimising |r|^2 for
+    x >= lower, from the start x: (x, r, J, evaluations, converged).
+
+    Each iteration solves (J^T J + lam D^2) p = -J^T r, with D the running
+    maximum of J's column norms (More, LNM 630, 105 (1978)), 1 where a
+    column has been exactly 0 so far (the Omega column at Omega = 0, as S
+    depends on Omega^2 only).  A variable at its bound whose gradient points
+    out of the box is held there, and the trial point x + p is clipped to
+    the bounds (projected LM: Kanzow, Yamashita and Fukushima, J. Comput.
+    Appl. Math. 172, 375 (2004)).  The gain ratio of the actual to the
+    predicted fall of |r|^2 accepts the trial point and sets lam (Nielsen,
+    IMM-REP-1999-05).  Converged: an accepted step lowered |r|^2 by less
+    than _FTOL of it, or the next scaled step |D p| is below _XTOL |D x|,
+    which ends the fit without evaluating it."""
+    r, jac = evaluate(x)
+    nfev, lam, nu, d = 1, 1e-3, 2.0, np.zeros(x.size)
+    while nfev < _MAX_EVALS:
+        chi2, a, g = r @ r, jac.T @ jac, jac.T @ r
+        d = np.maximum(d, np.sqrt(a.diagonal()))
+        scale = np.where(d > 0, d, 1.0)
+        held = (x <= lower) & (g > 0)
+        m = a + np.diag(lam * scale**2)
+        m[held], m[:, held], m[held, held] = 0.0, 0.0, 1.0
+        trial = np.maximum(x + np.linalg.solve(m, np.where(held, 0.0, -g)),
+                           lower)
+        step = trial - x
+        if np.linalg.norm(scale * step) <= _XTOL * (
+                _XTOL + np.linalg.norm(scale * x)):
+            return x, r, jac, nfev, True
+        r_new, jac_new = evaluate(trial)
+        nfev += 1
+        chi2_new = r_new @ r_new
+        # the fall of |r|^2 the linear model predicts, chi2 - |r + J step|^2
+        predicted = -step @ (2 * g + a @ step)
+        rho = (chi2 - chi2_new) / predicted if predicted > 0 else -1.0
+        if rho > 1e-4:
+            x, r, jac = trial, r_new, jac_new
+            if chi2 - chi2_new <= _FTOL * chi2:
+                return x, r, jac, nfev, True
+            lam *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
+            nu = 2.0
+        else:
+            lam, nu = min(lam * nu, _LAMBDA_MAX), 2 * nu
+    return x, r, jac, nfev, False
+
+
+def _log_fit(nfev, data, layout, chi2_dof, converged):
+    # one Jacobian per trial point: njev = nfev
     _log.debug("fit: nfev=%d njev=%d rows=%d frequencies=%d chi2_dof=%.6g "
-               "converged=%s", nfev, njev, len(data), layout[0].size, chi2_dof,
+               "converged=%s", nfev, nfev, len(data), layout[0].size, chi2_dof,
                bool(converged))
 
 

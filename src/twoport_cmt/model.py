@@ -142,15 +142,17 @@ def _matter_rate(p):
 def _response(p, u):
     """Matter factor, pole quadratic D = (i u + gamma_c) matter + Omega^2 and
     degenerate mask (real pole of a lossless model) at u = omega - omega0,
-    with matter = i (u - delta_m) + `_matter_rate`. The zero quadratic is
-    N = D - 2 gamma_r matter. p is a `ModelParams` or a batch of models
-    whose fields broadcast against u."""
+    with matter = i (u - delta_m) + `_matter_rate`. A point is degenerate
+    where |D| <= 1e-12 (|(i u + gamma_c) matter| + Omega^2): the two terms of
+    D cancel to rounding, a test free of the scale of u and the rates. The
+    zero quadratic is N = D - 2 gamma_r matter. p is a `ModelParams` or a
+    batch of models whose fields broadcast against u."""
     u = np.asarray(u, dtype=float)
     g_c = p.gamma_r + p.gamma_nr
     matter = 1j * (u - p.delta_m) + _matter_rate(p)
-    den = (1j * u + g_c) * matter + p.omega_rabi**2
-    scale = (1.0 + np.abs(u) + g_c + p.gamma_m + p.omega_rabi) ** 2
-    return matter, den, np.abs(den) < 1e-12 * scale
+    product, r2 = (1j * u + g_c) * matter, p.omega_rabi**2
+    den = product + r2
+    return matter, den, np.abs(den) <= 1e-12 * (np.abs(product) + r2)
 
 
 def s_elements(p: ModelParams, bg: Background, omega):

@@ -26,6 +26,7 @@ _PEAK_FLOOR = 1e-9  # minimum absorbance for a countable peak
 _CPA_TOL = 1e-6  # |det S| below which `classify_regime` reports a CPA frequency
 _PEAK_GRID = 601  # points of the `count_peaks` grid, also in every `critical_loci` cell
 _NEWTON_STEPS = 40  # a simple root needs 2-3; a near-double one halves its error per step
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -189,22 +190,26 @@ def _minima(c, tol: float, roots: np.ndarray):
     real root can come out of `_roots` as a complex pair) and, for a root
     with 0 < |Im| < 1e-4 (1 + |Re|), also from Re + Im, so that a conjugate
     pair seeds Re +- |Im| (a maximum and a minimum of |det S| a few 1e-4 meV
-    apart come out as one such pair). A seed is dropped once its step stops
-    shrinking short of tol (it cycles) or it lands further from omega0 than
-    twice the largest |real part| of a root of G plus 1 meV (Newton on the
-    degree-5 G only creeps back from there, and every real root of G is a
-    seed of its own); a cell stops, taking zero steps, once all its seeds
-    are within tol. A point is a minimum where G' > 0 or |det S| < 1e-12:
+    apart come out as one such pair). A step within 4 eps (|u| + |delta_m| +
+    rates), the rounding of the terms of G, counts as 0: at large rates tol
+    lies below the spacing of u, and Newton cycles a few ulp apart. A seed
+    is dropped once its step stops shrinking short of tol (it cycles) or it
+    lands further from omega0 than twice the largest |real part| of a root
+    of G plus 1 meV (Newton on the degree-5 G only creeps back from there,
+    and every real root of G is a seed of its own); a cell stops, taking
+    zero steps, once all its seeds are within tol. A point is a minimum where G' > 0 or |det S| < 1e-12:
     where the zeros of det S meet, G' = 0 to rounding."""
     re, im = roots.real.T, roots.imag.T
     near = (im != 0) & (np.abs(im) < 1e-4 * (1 + np.abs(re)))
     u = np.concatenate([re, np.where(near, re + im, np.nan)[near.any(axis=1)]])
     reach = 2 * np.fmax.reduce(np.abs(re), axis=0) + 1.0
+    scale = np.abs(c.delta_m) + c.gamma_r + c.gamma_nr + c.gamma_m + c.omega_rabi
     size, dg, run, steps = np.inf, 0.0, np.full(re.shape[1], True), 0
     while run.any() and steps < _NEWTON_STEPS:
         g, d = _stationary_value(c, u)
         step = np.divide(g, d, out=np.zeros_like(g), where=run & (d != 0))
         new, moved = u - step, np.abs(step)
+        moved[moved <= 4 * _EPS * (np.abs(u) + scale)] = 0.0
         keep = ((moved <= tol) | (moved < size)) & (np.abs(new) <= reach)
         u, size = np.where(keep, new, np.nan), np.where(keep, moved, np.nan)
         dg = np.where(run, d, dg)

@@ -736,6 +736,27 @@ class TestCpa:
         meta = json.loads((tmp_path / "cpa.csv.meta.json").read_text())
         assert meta["empty_result"] is False
 
+    @pytest.mark.parametrize("model", [
+        ["--gamma-r", "1e13"],
+        # quality factors of about 1e9: rates of 1e-7 (3, 1, 5, 8, 1.5)
+        ["--gamma-r", "3e-7", "--gamma-nr", "1e-7", "--gamma-m", "5e-7",
+         "--omega-rabi", "8e-7", "--delta-m", "1.5e-7"],
+    ])
+    def test_extreme_scales_finite(self, tmp_path, monkeypatch, model):
+        # no field of `cpa`, nor of `spectrum` over the lines, is NaN
+        out = tmp_path / "cpa.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["cpa", "--output", str(out), *model]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert rows and all(math.isfinite(float(x)) for r in rows for x in r)
+        spec = tmp_path / "spec.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["spectrum", "--output", str(spec), *model, "--grid-min",
+                    "124.499998", "--grid-max", "124.500002",
+                    "--grid-n", "41"]) == EXIT_OK
+        _, rows = read_csv(spec)
+        assert all(math.isfinite(float(x)) for r in rows for x in r)
+
     def test_empty_result_flagged(self, tmp_path, monkeypatch):
         out = tmp_path / "cpa.csv"
         code = run(tmp_path, monkeypatch,
@@ -837,13 +858,22 @@ class TestSynthAndFit:
             docs.append((cwd / "fit.json").read_bytes())
         assert docs[0] == docs[1]
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # only `fit` needs the solver, and importing it dominates start-up
+    def test_import_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # the package needs no scipy: not on import, and not for a fit
         env = {**os.environ, "PYTHONPATH": str(
             Path(twoport_cmt.__file__).resolve().parents[1])}
+        env.pop("TWOPORT_CMT_OUTDIR", None)
         code = ("import sys, twoport_cmt.cli; "
-                "sys.exit('scipy.optimize' in sys.modules)")
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+                "assert 'scipy.optimize' not in sys.modules; "
+                "from twoport_cmt.cli import main; "
+                "assert main(['synth', '--grid-n', '41', '--output', "
+                "'data.csv']) == 0; "
+                "assert main(['fit', '--data', 'data.csv', '--omega0', '122', "
+                "'--output', 'fit.json']) == 0; "
+                "loaded = [m for m in sys.modules if m.split('.')[0] == "
+                "'scipy']; assert not loaded, loaded")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       cwd=tmp_path)
 
     def test_fit_requires_data(self, tmp_path, monkeypatch):
         assert run(tmp_path, monkeypatch, ["fit"]) == EXIT_CONFIG

@@ -17,6 +17,7 @@ from twoport_cmt import (
     find_cpa,
     min_abs_dets,
     poles_zeros,
+    single_beam_spectrum,
 )
 from twoport_cmt.model import _det_s_grid
 from twoport_cmt import regimes
@@ -845,3 +846,50 @@ class TestDebugLine:
         assert lines[0]["cells"] == "1" and lines[0]["closed_form"] == closed
         assert int(lines[0]["minima"]) >= len(find_cpa(p)) == 2
         assert len(self._lines(caplog, lambda: classify_regime(p))) == 1
+
+
+class TestScaleFreeThresholds:
+    """The degeneracy mask of `model._response` and the Newton convergence
+    of `_minima` are relative: narrow lines (quality factors of 1e9) and
+    large rates give finite minima, as at unit scale."""
+
+    SHAPE = np.array([3.0, 1.0, 5.0, 8.0])  # gamma_r, gamma_nr, gamma_m, Omega
+
+    def _scaled(self, lam):
+        return ModelParams(124.5, *(lam * self.SHAPE), delta_m=1.5 * lam)
+
+    def test_narrow_lines_defined(self, default_bg):
+        # |D| at omega0 is about lam^2, far below the old absolute floor
+        lam = 1e-7
+        p = self._scaled(lam)
+        table = single_beam_spectrum(p, default_bg,
+                                     124.5 + lam * np.linspace(-20, 20, 41))
+        assert not table.degenerate.any()
+        assert np.isfinite(table.R1).all() and np.isfinite(table.B).all()
+        got, want = find_cpa(p), find_cpa(self._scaled(1.0))
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert (g.omega - 124.5) / lam == pytest.approx(w.omega - 124.5,
+                                                            rel=1e-7)
+            assert g.dets_min == pytest.approx(w.dets_min, rel=1e-9)
+            assert g.phi_star == w.phi_star
+        assert min_abs_dets(p) == pytest.approx(0.2304126067672, rel=1e-9)
+
+    def test_large_rate_defined(self):
+        # gamma_r = 1e13 once made omega0 itself "degenerate"
+        p = ModelParams(124.5, 1e13, 0.0, 5.0, 8.0)
+        pts = find_cpa(p)
+        assert [q.omega for q in pts] == [124.5]
+        assert 0 < pts[0].dets_min < 1 and math.isfinite(pts[0].phi_star)
+        assert min_abs_dets(p) == pts[0].dets_min
+
+    @pytest.mark.parametrize("lam", [1e10, 1e30])
+    def test_large_rates_keep_doublet(self, lam):
+        # Newton steps at |u| ~ 8e9 cycle a few ulp apart, above tol: both
+        # minima are found, as for the same model at delta_m = 0
+        got = find_cpa(ModelParams(124.5, lam, lam, lam, lam, delta_m=1.0))
+        want = find_cpa(ModelParams(124.5, lam, lam, lam, lam))
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert g.omega == pytest.approx(w.omega, rel=1e-9)
+            assert g.dets_min == pytest.approx(w.dets_min, rel=1e-9)
