@@ -22,8 +22,9 @@ from . import fitting, regimes, timedomain
 from .model import (Background, DegenerateResponseError, ModelParams,
                     _defined_elements, _det_s_grid, single_beam_spectrum)
 from .timedomain import DriveSpec, SteadyStateNotConvergedError
-from .twoport import (dephasing_defined, dets_from_observables, observable,
-                      output_dephasing, two_beam_extrema, two_beam_outputs)
+from .twoport import (_avg_and_z, _port_intensities, dephasing_defined,
+                      dets_from_observables, observable, output_dephasing,
+                      two_beam_outputs)
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "TWOPORT_CMT_OUTDIR"
@@ -237,22 +238,22 @@ def cmd_sweep_phase(cfg: dict, p: ModelParams, bg: Background) -> int:
 def cmd_joint(cfg: dict, p: ModelParams, bg: Background) -> int:
     grid = _build_grid(cfg)
     s11, s12, s22 = _defined_elements(p, bg, grid)
-    ext = two_beam_extrema(s11, s12, s22)
+    a_avg, z = _avg_and_z(s11, s12, s22)
+    a_mod = np.abs(z)  # the extrema over phi are a_avg -+ |z|
     defined = dephasing_defined(s11, s12, s22)
     # the same dephasing measured instead: the phase offset of the two output
     # intensities A + B sin(phi + c) over the input dephasing phi, fitted for
-    # every (port, omega) column at once; on n_phi >= 3 phases equispaced over
-    # a period, 1, sin and cos are orthogonal, so the least-squares c is the
-    # angle of the projections onto cos and sin
+    # every omega of each port's table at once; on n_phi >= 3 phases
+    # equispaced over a period, 1, sin and cos are orthogonal, so the
+    # least-squares c is the angle of the projections onto cos and sin
     phis = np.linspace(0.0, 2 * math.pi, cfg["joint"]["n_phi"], endpoint=False)
-    _, out1, out2 = two_beam_outputs(s11, s12, s22, phis[:, None])
-    out = np.hstack([out1, out2])
-    c1, c2 = np.split(np.arctan2(np.sum(np.cos(phis)[:, None] * out, axis=0),
-                                 np.sum(np.sin(phis)[:, None] * out, axis=0)), 2)
+    cos, sin = np.cos(phis)[:, None], np.sin(phis)[:, None]
+    c1, c2 = (np.arctan2(np.sum(cos * out, axis=0), np.sum(sin * out, axis=0))
+              for out in _port_intensities(s11, s12, s22, phis[:, None]))
     recon = dets_from_observables(
         *(observable(s11, s12, s22, k) for k in ("T", "R1", "R2")), c2 - c1)
     return write_output(
-        cfg, "joint", grid, ext.a_min, ext.a_max, ext.a_avg,
+        cfg, "joint", grid, a_avg - a_mod, a_avg + a_mod, a_avg,
         np.where(defined, output_dephasing(s11, s12, s22), math.nan),
         np.abs(_det_s_grid(p, grid)[0]), np.where(defined, recon, math.nan))
 
@@ -366,6 +367,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:  # a ConfigError, or a range the library rejects
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OverflowError as exc:  # Python float arithmetic on huge rates
+        print(f"config error: rates too large: arithmetic overflow ({exc})",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

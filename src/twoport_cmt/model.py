@@ -150,9 +150,25 @@ def _response(p, u):
     u = np.asarray(u, dtype=float)
     g_c = p.gamma_r + p.gamma_nr
     matter = 1j * (u - p.delta_m) + _matter_rate(p)
-    product, r2 = (1j * u + g_c) * matter, p.omega_rabi**2
+    # Omega * Omega, not Omega ** 2, which raises OverflowError on a float
+    product, r2 = (1j * u + g_c) * matter, p.omega_rabi * p.omega_rabi
     den = product + r2
     return matter, den, np.abs(den) <= 1e-12 * (np.abs(product) + r2)
+
+
+def _response_at(p, omega):
+    """`_response` at the frequencies omega, as the S-matrix builders take
+    it: values so large that D overflows at a frequency that is not NaN are
+    a ValueError that names the overflow, with no numpy warning, not NaN in
+    S. (`regimes` calls `_response` itself: it rejects rates that overflow
+    G, and its offsets are bounded by the roots of G.)"""
+    u = np.asarray(omega, dtype=float) - p.omega0
+    with np.errstate(over="ignore", invalid="ignore"):
+        matter, den, bad = _response(p, u)
+    if not (cmath.isfinite(den.sum())
+            or np.all(np.isfinite(den) | np.isnan(u))):
+        raise ValueError("rates too large: the pole quadratic D overflows")
+    return matter, den, bad
 
 
 def s_elements(p: ModelParams, bg: Background, omega):
@@ -163,7 +179,7 @@ def s_elements(p: ModelParams, bg: Background, omega):
     (temporal coupled-mode theory: Fan, Suh and Joannopoulos, JOSA A 20, 569
     (2003)). Degenerate points hold NaN.
     """
-    matter, den, bad = _response(p, np.asarray(omega, dtype=float) - p.omega0)
+    matter, den, bad = _response_at(p, omega)
     d0 = bg.coupling(p.gamma_r)
     u = np.where(bad, np.nan, d0 * d0 * matter / np.where(bad, 1.0, den))
     C = bg.matrix()
@@ -210,7 +226,7 @@ def _elements_and_grad(p: ModelParams, bg: Background, omega, free):
     gamma_m and delta_m rows are exactly 0, as `_matter_rate` takes matter
     out of S there."""
     w = np.asarray(omega, dtype=float)
-    matter, den, bad = _response(p, w - p.omega0)
+    matter, den, bad = _response_at(p, w)
     _check_defined(w, bad)
     e_ia = bg.coupling(1.0) ** 2
     d0 = bg.coupling(p.gamma_r)

@@ -179,6 +179,12 @@ def _resonant_minima(c):
     return _at_offsets(c, np.stack([np.where(split, -u, single), u]))
 
 
+def _rate_scale(c):
+    """|delta_m| + rates, which with |u| sizes the terms of G: Newton on G
+    cannot place u more finely than their rounding, 4 eps (|u| + this)."""
+    return np.abs(c.delta_m) + c.gamma_r + c.gamma_nr + c.gamma_m + c.omega_rabi
+
+
 def _minima(c, tol: float, roots: np.ndarray):
     """Local minima of |det S| on the real axis of detuned cells (cells along
     the last axis), by Newton on G from the roots of G,
@@ -203,7 +209,7 @@ def _minima(c, tol: float, roots: np.ndarray):
     near = (im != 0) & (np.abs(im) < 1e-4 * (1 + np.abs(re)))
     u = np.concatenate([re, np.where(near, re + im, np.nan)[near.any(axis=1)]])
     reach = 2 * np.fmax.reduce(np.abs(re), axis=0) + 1.0
-    scale = np.abs(c.delta_m) + c.gamma_r + c.gamma_nr + c.gamma_m + c.omega_rabi
+    scale = _rate_scale(c)
     size, dg, run, steps = np.inf, 0.0, np.full(re.shape[1], True), 0
     while run.any() and steps < _NEWTON_STEPS:
         g, d = _stationary_value(c, u)
@@ -250,15 +256,22 @@ def _solve(c, tol: float):
 
 def _cell_minima(p: ModelParams, tol: float):
     """The minima of |det S| of one model (`_solve`), ascending. Of
-    neighbours closer than tol, or with |det S| < 1e-12 at both and midway
-    (one zero of det S, where G is flat: a g1 that rounds below 0 splits it
-    into +-sqrt(v+), and Newton scatters it, by about 1e-7 meV), the first
-    is kept."""
+    neighbours closer than tol or than 16 eps (|u| + `_rate_scale`) at the
+    further one (below), or with |det S| < 1e-12 at both and midway (one
+    zero of det S, where G is flat: a g1 that rounds below 0 splits it into
+    +-sqrt(v+), and Newton scatters it, by about 1e-7 meV), the first is
+    kept."""
     omega, dets = (a[:, 0] for a in _solve(_cells(p), tol)[:2])
     order = np.argsort(omega)[:np.count_nonzero(~np.isnan(omega))]
     omega, dets = omega[order], dets[order]
     between = np.abs(_det_s_grid(p, 0.5 * (omega[:-1] + omega[1:]))[0])
-    same = ((np.diff(omega) <= tol)
+    # `_minima` takes a point once its step is within 4 eps (|u| + rates),
+    # so the points of one minimum scatter over a few such windows (up to
+    # 9 eps on 2,000 random models scaled to 1e15); four windows merge them
+    far = np.abs(omega - p.omega0)
+    gap = np.fmax(tol, 16 * _EPS * (np.fmax(far[:-1], far[1:])
+                                     + _rate_scale(p)))
+    same = ((np.diff(omega) <= gap)
             | (np.max([dets[:-1], dets[1:], between], axis=0) < 1e-12))
     keep = np.r_[True, ~same][:omega.size]
     return omega[keep], dets[keep]

@@ -105,12 +105,25 @@ def decompose(S: SMatrix2) -> ReciprocalDecomposition:
     return ReciprocalDecomposition(theta, rho1, rho2, tau, psi1, psi2)
 
 
+def _port_intensities(s11, s12, s22, phi):
+    """(out1, out2), the output intensities |s11 + s12 e^{i phi}|^2 and
+    |s12 + s22 e^{i phi}|^2 of the equal-intensity input pair (1, e^{i phi}),
+    broadcast over the S elements and phi."""
+    e = np.exp(1j * phi)
+    # each |.| squared in place: on a large (phi, omega) table a second
+    # table per port costs freshly mapped pages, more than the arithmetic
+    out1 = np.abs(s11 + s12 * e)
+    out1 **= 2
+    out2 = np.abs(s12 + s22 * e)
+    out2 **= 2
+    return out1, out2
+
+
 def two_beam_outputs(s11, s12, s22, phi):
     """(a_joint, out1, out2) for the equal-intensity input pair (1, e^{i phi}),
-    out_k = |s_k^-|^2, broadcast over the S elements and phi."""
-    e = np.exp(1j * phi)
-    out1 = np.abs(s11 + s12 * e) ** 2
-    out2 = np.abs(s12 + s22 * e) ** 2
+    out_k = |s_k^-|^2 (`_port_intensities`), broadcast over the S elements
+    and phi."""
+    out1, out2 = _port_intensities(s11, s12, s22, phi)
     return 1.0 - 0.5 * (out1 + out2), out1, out2
 
 

@@ -319,7 +319,18 @@ class TestConfigHandling:
         ["phase-diagram", "--config", "ov.json", "--delta-m", "1"],
         ["cpa", "--gamma-r", "1e200"],
         ["cpa", "--gamma-r", "1e200", "--delta-m", "1"],
-    ], ids=["resonant sweep", "detuned sweep", "resonant cpa", "detuned cpa"])
+        *([cmd, "--omega-rabi", "1e200"] for cmd in
+          ("spectrum", "sweep-phase", "joint", "oracle-check", "synth")),
+        ["oracle-check", "--gamma-r", "1e200"],
+        ["oracle-check", "--gamma-m", "1e200"],
+        *([cmd, "--omega0", "1e200"] for cmd in
+          ("spectrum", "sweep-phase", "joint", "oracle-check", "synth")),
+    ], ids=["resonant sweep", "detuned sweep", "resonant cpa", "detuned cpa",
+            *(f"{cmd} rabi" for cmd in ("spectrum", "sweep-phase", "joint",
+                                        "oracle-check", "synth")),
+            "oracle gamma_r", "oracle gamma_m",
+            *(f"{cmd} omega0" for cmd in ("spectrum", "sweep-phase", "joint",
+                                          "oracle-check", "synth"))])
     def test_overflowing_rates_rejected(self, tmp_path, monkeypatch, capsys,
                                         argv):
         # rates whose stationary-polynomial coefficients overflow: exit 2 with
@@ -632,6 +643,71 @@ class TestJoint:
         for r in rows:
             assert math.isnan(float(r[4])) and math.isnan(float(r[6]))
             assert float(r[5]) == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def _stacked_reference(p, bg, grid, n_phi):
+        """The joint columns as the stacked form computes them: the a_joint
+        grid of `two_beam_outputs`, both port tables in one 2n-wide copy,
+        projected and split, and the extrema of `two_beam_extrema`."""
+        from twoport_cmt.model import _det_s_grid, s_elements
+        from twoport_cmt.twoport import (dephasing_defined,
+                                         dets_from_observables, observable,
+                                         output_dephasing, two_beam_extrema,
+                                         two_beam_outputs)
+        s11, s12, s22, _ = s_elements(p, bg, grid)
+        ext = two_beam_extrema(s11, s12, s22)
+        defined = dephasing_defined(s11, s12, s22)
+        phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
+        _, out1, out2 = two_beam_outputs(s11, s12, s22, phis[:, None])
+        out = np.hstack([out1, out2])
+        c1, c2 = np.split(np.arctan2(
+            np.sum(np.cos(phis)[:, None] * out, axis=0),
+            np.sum(np.sin(phis)[:, None] * out, axis=0)), 2)
+        recon = dets_from_observables(
+            *(observable(s11, s12, s22, k) for k in ("T", "R1", "R2")),
+            c2 - c1)
+        return [grid, ext.a_min, ext.a_max, ext.a_avg,
+                np.where(defined, output_dephasing(s11, s12, s22), math.nan),
+                np.abs(_det_s_grid(p, grid)[0]),
+                np.where(defined, recon, math.nan)]
+
+    @pytest.mark.parametrize("n_phi", [3, 4, 5, 64, 257])
+    def test_columns_bit_identical_to_stacked_form(self, tmp_path,
+                                                   monkeypatch, n_phi):
+        # one intensity table per port, projected on its own, and the
+        # extrema from a_avg -+ |z|: every column equals, bit for bit and
+        # NaN for NaN, the stacked form with its a_joint grid and phases
+        from twoport_cmt import Background, cli
+        seen = []
+        monkeypatch.setattr(cli, "write_output",
+                            lambda cfg, command, *cols, **meta:
+                            seen.append(cols) or EXIT_OK)
+        # the joint absorbance over phi is never formed
+        monkeypatch.setattr(cli, "two_beam_outputs", None)
+        rng = np.random.default_rng(27)
+        models = [(ModelParams(124.5, 0.0, 1.0, 5.0, 8.0), Background())]
+        for i in range(24):
+            rates = rng.uniform(0.0, 10.0, 4)
+            delta = float(rng.uniform(-10.0, 10.0)) if i % 2 else 0.0
+            bg = (Background(float(rng.uniform(0.0, 1.0)),
+                             float(rng.uniform(-math.pi, math.pi)))
+                  if i % 3 else Background())
+            models.append((ModelParams(float(rng.uniform(100.0, 150.0)),
+                                       *rates.tolist(), delta_m=delta), bg))
+        for p, bg in models:
+            argv = ["joint", "--output", str(tmp_path / "j.csv"),
+                    "--grid-n", "41", "--n-phi", str(n_phi),
+                    "--r-b", repr(bg.r_b), "--theta-b", repr(bg.theta_b)]
+            for name, value in dataclasses.asdict(p).items():
+                argv += [f"--{name.replace('_', '-')}", repr(value)]
+            assert run(tmp_path, monkeypatch, argv) == EXIT_OK
+            (got,) = seen
+            seen.clear()
+            want = self._stacked_reference(p, bg, np.asarray(got[0]), n_phi)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w, strict=True)
+            if p.gamma_r == 0:  # S = C with tau = 0: no dephasing
+                assert np.isnan(got[4]).all() and np.isnan(got[6]).all()
 
     def test_undamped_decoupled_matter(self, tmp_path, monkeypatch):
         # Omega = gamma_m = 0 puts an undriven, undamped matter line on the

@@ -849,9 +849,10 @@ class TestDebugLine:
 
 
 class TestScaleFreeThresholds:
-    """The degeneracy mask of `model._response` and the Newton convergence
-    of `_minima` are relative: narrow lines (quality factors of 1e9) and
-    large rates give finite minima, as at unit scale."""
+    """The degeneracy mask of `model._response`, the Newton convergence of
+    `_minima` and the merge of `_cell_minima` are relative: narrow lines
+    (quality factors of 1e9) and large rates give finite minima, as at unit
+    scale, each reported once."""
 
     SHAPE = np.array([3.0, 1.0, 5.0, 8.0])  # gamma_r, gamma_nr, gamma_m, Omega
 
@@ -893,3 +894,51 @@ class TestScaleFreeThresholds:
         for g, w in zip(got, want):
             assert g.omega == pytest.approx(w.omega, rel=1e-9)
             assert g.dets_min == pytest.approx(w.dets_min, rel=1e-9)
+
+    def test_detuned_large_rates_one_row(self):
+        # Newton leaves the points of one minimum at |u| ~ 6e9 a few
+        # eps (|u| + rates) apart, far above tol: they are one row, as for
+        # the same model at unit scale
+        shape = np.array([2.78294616, 1.33133135, 3.84564085, 0.64253698])
+        delta = 1.9222227464482984
+        want = find_cpa(ModelParams(124.5, *shape, delta_m=delta))
+        got = find_cpa(ModelParams(124.5, *(1e12 * shape), delta_m=1e12 * delta))
+        assert len(got) == len(want) == 1
+        assert (got[0].omega - 124.5) / 1e12 == pytest.approx(
+            want[0].omega - 124.5, rel=1e-9)
+        assert got[0].dets_min == pytest.approx(want[0].dets_min, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e3, 1e6, 1e12])
+    def test_scaled_detuned_models_match_unit_scale(self, lam):
+        # the minima of |det S| at omega0 + lam u are those at omega0 + u:
+        # no minimum is reported twice, and each one reported is one of
+        # unit scale, its offset / lam equal to 1e-12 of the model's size
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            shape = rng.uniform(0.0, 10.0, 4)
+            delta = float(rng.uniform(-10.0, 10.0))
+            unit = ModelParams(124.5, *shape, delta_m=delta)
+            scaled = ModelParams(124.5, *(lam * shape), delta_m=lam * delta)
+            size = abs(delta) + shape.sum()
+            want = [(q.omega - 124.5, q.dets_min) for q in find_cpa(unit)]
+            got = find_cpa(scaled)
+            assert len(got) <= len(want)
+            for q in got:
+                u = (q.omega - 124.5) / lam
+                w, dets = min(want, key=lambda m: abs(m[0] - u))
+                assert abs(u - w) <= 1e-12 * (abs(w) + size)
+                assert q.dets_min == pytest.approx(dets, rel=1e-9)
+            assert (classify_regime(scaled).n_peaks
+                    <= classify_regime(unit).n_peaks)
+
+    @pytest.mark.xfail(strict=True, reason="Newton drops a simple minimum "
+                       "of G at large rates (its steps stay above the "
+                       "4 eps window, so the seed counts as cycling)")
+    def test_scaled_model_keeps_every_minimum(self):
+        shape = np.array([0.27122094524571705, 9.748166908535595,
+                          0.30357964641581914, 0.518069464734765])
+        delta = -0.8296280257159978
+        want = find_cpa(ModelParams(124.5, *shape, delta_m=delta))
+        got = find_cpa(ModelParams(124.5, *(1e6 * shape), delta_m=1e6 * delta))
+        assert len(want) == 2
+        assert len(got) == len(want)
