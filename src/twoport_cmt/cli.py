@@ -22,8 +22,8 @@ from . import fitting, regimes, timedomain
 from .model import (Background, DegenerateResponseError, ModelParams,
                     _defined_elements, _det_s_grid, single_beam_spectrum)
 from .timedomain import DriveSpec, SteadyStateNotConvergedError
-from .twoport import (_avg_and_z, _port_intensities, dephasing_defined,
-                      dets_from_observables, observable, output_dephasing,
+from .twoport import (_joint, _port_intensities, dephasing_defined,
+                      dets_from_observables, observables, output_dephasing,
                       two_beam_outputs)
 
 SCHEMA_VERSION = 1
@@ -197,17 +197,30 @@ def _write_json(path: str, doc: dict) -> None:
 def write_output(cfg: dict, command: str, *columns, **extra_meta) -> int:
     """Write the command's table, its columns in HEADERS order, with its
     provenance; returns EXIT_OK.  A CSV column is written %d, %s or %.17g by
-    its dtype kind; a JSON cell is a float unless it is a string."""
+    its dtype kind; a float64 column whose cells all have one bit pattern
+    (not merely compare equal: 0.0 and -0.0 differ) is formatted once and
+    that text repeated.  A JSON cell is a float unless it is a string."""
     header = HEADERS[command]
     path = _resolve_output(cfg)
     meta = _meta(cfg, command, **extra_meta)
     cols = [np.asarray(c) for c in columns]
     if cfg["output"]["format"] == "csv":
-        line = ",".join({"i": "%d", "u": "%d", "U": "%s"}.get(
-            c.dtype.kind, "%.17g") for c in cols) + "\n"
+        fields, cells = [], []
+        for c in cols:
+            col = c.tolist()
+            if c.dtype.char == "d" and col and _one_bit_pattern(c, col):
+                fields.append("%.17g" % col[0])  # no "%" in a float's text
+            else:
+                fields.append({"i": "%d", "u": "%d", "U": "%s"}.get(
+                    c.dtype.kind, "%.17g"))
+                cells.append(col)
+        line = ",".join(fields) + "\n"
         with _open_output(path) as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(line % r for r in zip(*(c.tolist() for c in cols)))
+            if cells:
+                fh.writelines(line % r for r in zip(*cells))
+            else:  # every column constant
+                fh.write(line * len(cols[0]))
         try:
             _write_json(path + ".meta.json", meta)
         except ConfigError:
@@ -218,6 +231,17 @@ def write_output(cfg: dict, command: str, *columns, **extra_meta) -> int:
                      for c in cols))
         _write_json(path, {"meta": meta, "columns": header, "rows": list(rows)})
     return EXIT_OK
+
+
+def _one_bit_pattern(c: np.ndarray, cells: list) -> bool:
+    """Whether the cells of the non-empty float64 column c, given also as
+    the floats of c.tolist(), all share one bit pattern."""
+    # first and last cells differ and the first is not NaN (NaN != NaN):
+    # the common case, told without a numpy call
+    if cells[0] != cells[-1] and cells[0] == cells[0]:
+        return False
+    bits = c.view(np.uint64)
+    return bool((bits == bits[0]).all())
 
 
 def cmd_spectrum(cfg: dict, p: ModelParams, bg: Background) -> int:
@@ -238,7 +262,9 @@ def cmd_sweep_phase(cfg: dict, p: ModelParams, bg: Background) -> int:
 def cmd_joint(cfg: dict, p: ModelParams, bg: Background) -> int:
     grid = _build_grid(cfg)
     s11, s12, s22 = _defined_elements(p, bg, grid)
-    a_avg, z = _avg_and_z(s11, s12, s22)
+    t, r1, r2, a1, a2 = observables(s11, s12, s22,
+                                    ("T", "R1", "R2", "A1", "A2"))[0]
+    a_avg, z = _joint(a1, a2, s11, s12, s22)
     a_mod = np.abs(z)  # the extrema over phi are a_avg -+ |z|
     defined = dephasing_defined(s11, s12, s22)
     # the same dephasing measured instead: the phase offset of the two output
@@ -250,8 +276,7 @@ def cmd_joint(cfg: dict, p: ModelParams, bg: Background) -> int:
     cos, sin = np.cos(phis)[:, None], np.sin(phis)[:, None]
     c1, c2 = (np.arctan2(np.sum(cos * out, axis=0), np.sum(sin * out, axis=0))
               for out in _port_intensities(s11, s12, s22, phis[:, None]))
-    recon = dets_from_observables(
-        *(observable(s11, s12, s22, k) for k in ("T", "R1", "R2")), c2 - c1)
+    recon = dets_from_observables(t, r1, r2, c2 - c1)
     return write_output(
         cfg, "joint", grid, a_avg - a_mod, a_avg + a_mod, a_avg,
         np.where(defined, output_dephasing(s11, s12, s22), math.nan),

@@ -8,17 +8,19 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .model import (Background, ModelParams, _defined_elements,
                     _elements_and_grad)
-from .twoport import (INTENSITY_KINDS, KINDS, observable, observable_grad,
+from .twoport import (INTENSITY_KINDS, KINDS, observable, observables,
                       wrap_phase)
 
 FITTABLE = ("omega0", "gamma_r", "gamma_nr", "gamma_m", "omega_rabi",
             "delta_m")
+_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+_DPSI = _KIND_CODE["dpsi"]  # every other kind is an intensity
 
 _log = logging.getLogger(__name__)
 
@@ -26,12 +28,14 @@ _log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class SpectrumDataset:
     """Rows of (omega, kind, value, sigma).  Intensity-like kinds live in
-    [0, 1]; the `dpsi` kind is a phase in radians."""
+    [0, 1]; the `dpsi` kind is a phase in radians.  `kind_code` is derived:
+    each row's kind as its index in `twoport.KINDS`."""
 
     omega: np.ndarray
     kind: tuple[str, ...]
     value: np.ndarray
     sigma: np.ndarray
+    kind_code: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.omega.size
@@ -44,12 +48,14 @@ class SpectrumDataset:
                 raise ValueError(f"dataset {name} column must be finite")
         if np.any(self.sigma <= 0):
             raise ValueError("sigma must be > 0")
-        unknown = set(self.kind).difference(KINDS)
-        if unknown:
-            first = next(k for k in self.kind if k in unknown)
-            raise ValueError(f"unknown observable kind {first!r}")
-        intensity = np.isin(np.array(self.kind), INTENSITY_KINDS)
-        v = self.value[intensity]
+        try:
+            code = np.fromiter(map(_KIND_CODE.__getitem__, self.kind),
+                               dtype=np.intp, count=n)
+        except KeyError as exc:
+            raise ValueError(f"unknown observable kind {exc.args[0]!r}") \
+                from None
+        object.__setattr__(self, "kind_code", code)
+        v = self.value[code != _DPSI]
         if v.size and (np.any(v < -1e-12) or np.any(v > 1 + 1e-12)):
             raise ValueError("intensity observables must lie in [0, 1]")
 
@@ -111,11 +117,11 @@ def synth_dataset(p: ModelParams, bg: Background, grid, kinds,
     rng = np.random.default_rng(seed)
     w = np.asarray(grid, dtype=float)
     sigma = noise_sigma if noise_sigma > 0 else 1e-3
-    s = _defined_elements(p, bg, w)
+    clean = observables(*_defined_elements(p, bg, w), kinds)[0]
     noise = rng.normal(0.0, noise_sigma, size=(len(kinds), w.size))
     values = []
-    for kind, eps in zip(kinds, noise):
-        noisy = observable(*s, kind) + eps
+    for kind, model, eps in zip(kinds, clean, noise):
+        noisy = model + eps
         values.append(np.clip(noisy, 0.0, 1.0) if kind in INTENSITY_KINDS
                       else wrap_phase(noisy))
     return SpectrumDataset(
@@ -127,15 +133,25 @@ def synth_dataset(p: ModelParams, bg: Background, grid, kinds,
 
 
 def _row_layout(data: SpectrumDataset):
-    """The distinct frequencies of data, sorted, and for each kind its rows
-    and their positions in that grid: the fit builds S on the grid alone.
-    A run of consecutive indices is kept as a slice, which indexes by view
-    (a `synth` dataset is one such run per kind, on the whole grid)."""
+    """The distinct frequencies of data, sorted, and its kinds grouped by
+    their positions in that grid: the fit builds S on the grid alone, and
+    the observables of a group in one `observables` call.  A group is
+    (positions, kinds, rows), with the rows of each kind; kinds in the order
+    they first appear.  A run of consecutive indices is kept as a slice,
+    which indexes by view (a `synth` dataset is one group, each kind a run
+    of rows, on the whole grid)."""
     grid, inverse = np.unique(data.omega, return_inverse=True)
-    kinds = np.array(data.kind)
-    rows = {k: np.flatnonzero(kinds == k) for k in dict.fromkeys(data.kind)}
-    return grid, [(k, _run_as_slice(idx), _run_as_slice(inverse[idx]))
-                  for k, idx in rows.items()]
+    code = data.kind_code
+    first = np.unique(code, return_index=True)[1]
+    groups = {}
+    for start in np.sort(first).tolist():
+        idx = np.flatnonzero(code == code[start])
+        pos = inverse[idx]
+        group = groups.setdefault(pos.tobytes(),
+                                  (_run_as_slice(pos), [], []))
+        group[1].append(KINDS[code[start]])
+        group[2].append(_run_as_slice(idx))
+    return grid, list(groups.values())
 
 
 def _run_as_slice(idx: np.ndarray):
@@ -149,20 +165,22 @@ def _residuals_and_jacobian(p: ModelParams, bg: Background,
                             data: SpectrumDataset, layout, free):
     """Weighted residuals (value - model) / sigma in dataset row order and
     their Jacobian -d model / d theta / sigma for the names in free, one row
-    per data point, from one S evaluation on the grid of `_row_layout`.
-    Each kind gathers its S elements once for both; dpsi residuals are
-    wrapped.  With free empty the Jacobian has no columns and no gradient
-    is formed."""
-    grid, kinds = layout
+    per data point, from one S evaluation on the grid of `_row_layout` and
+    one `observables` call per group of kinds.  dpsi residuals are wrapped.
+    With free empty the Jacobian has no columns and no derivative is
+    formed."""
+    grid, groups = layout
     s, du = _elements_and_grad(p, bg, grid, free)
     resid = np.empty(len(data))
     jac = np.empty((len(data), len(free)))
-    for kind, rows, pos in kinds:
-        e = [x[pos] for x in s]
-        r = data.value[rows] - observable(*e, kind)
-        resid[rows] = wrap_phase(r) if kind == "dpsi" else r
-        if free:
-            jac[rows] = observable_grad(*e, du[:, pos], kind).T
+    for pos, kinds, rows in groups:
+        values, grads = observables(*(x[pos] for x in s), kinds,
+                                    None if du is None else du[:, pos])
+        for i, (kind, r) in enumerate(zip(kinds, rows)):
+            res = data.value[r] - values[i]
+            resid[r] = wrap_phase(res) if kind == "dpsi" else res
+            if grads is not None:
+                jac[r] = grads[i].T
     return resid / data.sigma, -jac / data.sigma[:, None]
 
 
@@ -242,11 +260,12 @@ def _levenberg_marquardt(evaluate, x, lower):
         chi2, a, g = r @ r, jac.T @ jac, jac.T @ r
         d = np.maximum(d, np.sqrt(a.diagonal()))
         scale = np.where(d > 0, d, 1.0)
+        m, rhs = a + np.diag(lam * scale**2), -g
         held = (x <= lower) & (g > 0)
-        m = a + np.diag(lam * scale**2)
-        m[held], m[:, held], m[held, held] = 0.0, 0.0, 1.0
-        trial = np.maximum(x + np.linalg.solve(m, np.where(held, 0.0, -g)),
-                           lower)
+        if held.any():
+            m[held], m[:, held], m[held, held] = 0.0, 0.0, 1.0
+            rhs[held] = 0.0
+        trial = np.maximum(x + np.linalg.solve(m, rhs), lower)
         step = trial - x
         if np.linalg.norm(scale * step) <= _XTOL * (
                 _XTOL + np.linalg.norm(scale * x)):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .twoport import SMatrix2, observable
+from .twoport import SMatrix2, observables
 
 _INF = math.inf
 
@@ -220,30 +220,41 @@ def _defined_elements(p: ModelParams, bg: Background, omega):
 
 def _elements_and_grad(p: ModelParams, bg: Background, omega, free):
     """(s11, s12, s22) of `_defined_elements` and du, the rows du/dtheta of
-    the rank-1 increment u = K matter / D for the names in free, from one
-    `_response` call; K = d0^2 = gamma_r e^{i alpha}.  C does not depend on
-    the model, so du is the derivative of every S entry.  At Omega = 0 the
-    gamma_m and delta_m rows are exactly 0, as `_matter_rate` takes matter
-    out of S there."""
+    the rank-1 increment u = K matter / D for the names in free (None with
+    free empty), from one `_response` call; K = d0^2 = gamma_r e^{i alpha}.
+    C does not depend on the model, so du is the derivative of every S
+    entry.  At Omega = 0 the gamma_m and delta_m rows are exactly 0, as
+    `_matter_rate` takes matter out of S there.  Rates so large that u or
+    du overflows are a ValueError that names the overflow, with no numpy
+    warning."""
     w = np.asarray(omega, dtype=float)
     matter, den, bad = _response_at(p, w)
     _check_defined(w, bad)
     e_ia = bg.coupling(1.0) ** 2
     d0 = bg.coupling(p.gamma_r)
-    u = d0 * d0 * matter / den
+    try:
+        with np.errstate(over="raise"):
+            u = d0 * d0 * matter / den
+            du = _increment_rows(p, e_ia, matter, den, free) if free else None
+    except FloatingPointError:
+        raise ValueError("rates too large: the derivative of S overflows")
+    C = bg.matrix()
+    return (C[0, 0] + u, C[0, 1] + u, C[1, 1] + u), du
+
+
+def _increment_rows(p, e_ia, matter, den, free):
+    """The rows du/dtheta of `_elements_and_grad` for the names in free."""
     g = p.gamma_r * e_ia / den**2  # K / D^2
     rabi2, m2 = p.omega_rabi**2, matter**2
     rows = {
-        "omega0": -1j * g * (rabi2 - m2),
-        "gamma_r": e_ia * matter / den - g * m2,
-        "gamma_nr": -g * m2,
-        "gamma_m": g * rabi2,
-        "delta_m": -1j * g * rabi2,
-        "omega_rabi": -2 * p.omega_rabi * g * matter,
+        "omega0": lambda: -1j * g * (rabi2 - m2),
+        "gamma_r": lambda: e_ia * matter / den - g * m2,
+        "gamma_nr": lambda: -g * m2,
+        "gamma_m": lambda: g * rabi2,
+        "delta_m": lambda: -1j * g * rabi2,
+        "omega_rabi": lambda: -2 * p.omega_rabi * g * matter,
     }
-    C = bg.matrix()
-    du = np.array([rows[name] for name in free])
-    return (C[0, 0] + u, C[0, 1] + u, C[1, 1] + u), du
+    return np.array([rows[name]() for name in free])
 
 
 def scattering_matrix(p: ModelParams, bg: Background, omega: float) -> SMatrix2:
@@ -282,7 +293,8 @@ def single_beam_spectrum(p: ModelParams, bg: Background, grid) -> SpectrumTable:
         raise ValueError("grid must be strictly increasing")
 
     s11, s12, s22, bad = s_elements(p, bg, w)
-    kinds = {k: observable(s11, s12, s22, k) for k in ("R1", "R2", "T", "A1", "A2")}
+    names = ("R1", "R2", "T", "A1", "A2")
+    kinds = dict(zip(names, observables(s11, s12, s22, names)[0]))
     # |det S| from the pole-zero ratio, independent of the S entries
     abs_dets = np.abs(_det_s_grid(p, w)[0])
     return SpectrumTable(omega=w, **kinds, B=1.0 - abs_dets**2,

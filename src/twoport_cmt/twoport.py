@@ -127,18 +127,18 @@ def two_beam_outputs(s11, s12, s22, phi):
     return 1.0 - 0.5 * (out1 + out2), out1, out2
 
 
-def _avg_and_z(s11, s12, s22):
-    """a_avg and z: the total output over the input dephasing phi is
-    P0 + 2 Re(z e^{i phi}) with z = conj(s11) s12 + conj(s21) s22."""
-    T = np.abs(s12) ** 2
-    a_avg = 0.5 * ((1.0 - np.abs(s11) ** 2 - T) + (1.0 - np.abs(s22) ** 2 - T))
-    return a_avg, np.conj(s11) * s12 + np.conj(s12) * s22
+def _joint(a1, a2, s11, s12, s22):
+    """a_avg and z from the single-beam absorbances a1, a2: the total output
+    over the input dephasing phi is P0 + 2 Re(z e^{i phi}) with
+    z = conj(s11) s12 + conj(s21) s22."""
+    return 0.5 * (a1 + a2), np.conj(s11) * s12 + np.conj(s12) * s22
 
 
 def two_beam_extrema(s11, s12, s22) -> JointAbsorbanceExtrema:
     """Closed-form extrema of the joint absorbance over the input dephasing,
     as arrays: a_mod = |z| and the extremal phases follow from arg z."""
-    a_avg, z = _avg_and_z(s11, s12, s22)
+    a_avg, z = _joint(*observables(s11, s12, s22, ("A1", "A2"))[0],
+                      s11, s12, s22)
     a_mod, chi = np.abs(z), np.angle(z)
     flat = a_mod < _FLAT_MOD  # no modulation: any phase is extremal
     return JointAbsorbanceExtrema(
@@ -156,54 +156,79 @@ def output_dephasing(s11, s12, s22):
 
 def dephasing_defined(s11, s12, s22):
     """Where |s11|, |s22| and |s12| all reach the 1e-9 phase tolerance."""
-    return np.minimum(np.minimum(np.abs(s11), np.abs(s22)), np.abs(s12)) >= _PHASE_TOL
+    return _defined(np.abs(s11), np.abs(s12), np.abs(s22))
+
+
+def _defined(m11, m12, m22):
+    """`dephasing_defined` from the magnitudes |s11|, |s12|, |s22|."""
+    return np.minimum(np.minimum(m11, m22), m12) >= _PHASE_TOL
+
+
+def observables(s11, s12, s22, kinds, ds=None):
+    """The observables of kinds from the S elements, one array per kind in
+    the order of kinds, and with ds their derivatives when every S entry
+    moves by ds (the rank-1 increment of `model.s_elements`; ds broadcasts
+    against the S elements): (values, grads), grads None without ds.
+
+    Each term is formed once per call, and only if a kind needs it: |s11|,
+    |s12|, |s22|, their squares (R1, T, R2) and the derivatives of those,
+    the single-beam absorbances, a_avg and z of the joint kinds (`_joint`),
+    and dpsi's defined-mask from the same |s|.  |z| and dpsi have no
+    derivative where the joint absorbance is flat (`two_beam_extrema`) or
+    the dephasing is not defined (`dephasing_defined`); their terms are 0
+    there."""
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown observable kind {kind!r}")
+    want = set(kinds)
+    joint = not want.isdisjoint(("A_joint_max", "A_joint_min"))
+    # whether |s11|^2 (R1), |s22|^2 (R2) and |s12|^2 (T) enter the kinds
+    need = {"R1": joint or not want.isdisjoint(("R1", "A1")),
+            "R2": joint or not want.isdisjoint(("R2", "A2")),
+            "T": joint or not want.isdisjoint(("T", "A1", "A2"))}
+    s = {"R1": s11, "R2": s22, "T": s12}
+    mask = ds is not None and "dpsi" in want
+    mag = {k: np.abs(s[k]) for k in s if need[k] or mask}
+    val = {k: mag[k] ** 2 for k in s if need[k]}
+    for a, r in (("A1", "R1"), ("A2", "R2")):
+        if joint or a in want:
+            val[a] = 1.0 - val[r] - val["T"]
+    if joint:
+        a_avg, z = _joint(val["A1"], val["A2"], s11, s12, s22)
+        a_mod = np.abs(z)
+        val["A_joint_max"], val["A_joint_min"] = a_avg + a_mod, a_avg - a_mod
+    if "dpsi" in want:
+        val["dpsi"] = output_dephasing(s11, s12, s22)
+    values = [val[k] for k in kinds]
+    if ds is None:
+        return values, None
+
+    c = {k: np.conj(s[k]) for k in s if need[k]}
+    der = {k: 2 * np.real(c[k] * ds) for k in s if need[k]}  # d|s|^2
+    for a, r in (("A1", "R1"), ("A2", "R2")):
+        if a in want:
+            der[a] = -der[r] - der["T"]
+    if joint:
+        d_avg = -0.5 * (der["R1"] + der["R2"]) - der["T"]
+        flat = a_mod < _FLAT_MOD
+        dz = np.conj(ds) * (s12 + s22) + (c["R1"] + c["T"]) * ds
+        d_mod = np.where(flat, 0.0, np.real(np.conj(z) * dz)
+                         / np.where(flat, 1.0, a_mod))
+        der["A_joint_max"], der["A_joint_min"] = d_avg + d_mod, d_avg - d_mod
+    if "dpsi" in want:
+        # d arg s = Im(ds / s)
+        ok = _defined(mag["R1"], mag["T"], mag["R2"])
+
+        def inv(x):
+            return 1.0 / np.where(ok, x, 1.0)
+        der["dpsi"] = np.where(
+            ok, np.imag(ds * (inv(s11) + inv(s22) - 2 * inv(s12))), 0.0)
+    return values, [der[k] for k in kinds]
 
 
 def observable(s11, s12, s22, kind: str):
-    """One observable kind from the S elements; only that kind is formed."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown observable kind {kind!r}")
-    if kind == "dpsi":
-        return output_dephasing(s11, s12, s22)
-    if kind in ("A_joint_max", "A_joint_min"):
-        a_avg, z = _avg_and_z(s11, s12, s22)
-        return a_avg + np.abs(z) if kind == "A_joint_max" else a_avg - np.abs(z)
-    if kind in ("R1", "R2", "T"):
-        return np.abs({"R1": s11, "R2": s22, "T": s12}[kind]) ** 2
-    return 1.0 - np.abs(s11 if kind == "A1" else s22) ** 2 - np.abs(s12) ** 2
-
-
-def observable_grad(s11, s12, s22, ds, kind: str):
-    """Derivative of `observable` when every S entry moves by ds (the
-    rank-1 increment of `model.s_elements`); ds broadcasts against the S
-    elements.  |z| and dpsi have no derivative where the joint absorbance
-    is flat (`two_beam_extrema`) or the dephasing is not defined
-    (`dephasing_defined`); their terms are 0 there."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown observable kind {kind!r}")
-    if kind == "dpsi":
-        # d arg s = Im(ds / s)
-        ok = dephasing_defined(s11, s12, s22)
-
-        def inv(s):
-            return 1.0 / np.where(ok, s, 1.0)
-        return np.where(ok, np.imag(ds * (inv(s11) + inv(s22) - 2 * inv(s12))),
-                        0.0)
-
-    def d_abs2(s):
-        return 2 * np.real(np.conj(s) * ds)
-    if kind in ("A_joint_max", "A_joint_min"):
-        d_avg = -0.5 * (d_abs2(s11) + d_abs2(s22)) - d_abs2(s12)
-        z = _avg_and_z(s11, s12, s22)[1]
-        a_mod = np.abs(z)
-        flat = a_mod < _FLAT_MOD
-        dz = np.conj(ds) * (s12 + s22) + (np.conj(s11) + np.conj(s12)) * ds
-        d_mod = np.where(flat, 0.0, np.real(np.conj(z) * dz)
-                         / np.where(flat, 1.0, a_mod))
-        return d_avg + d_mod if kind == "A_joint_max" else d_avg - d_mod
-    if kind in ("R1", "R2", "T"):
-        return d_abs2({"R1": s11, "R2": s22, "T": s12}[kind])
-    return -d_abs2(s11 if kind == "A1" else s22) - d_abs2(s12)
+    """One observable kind from the S elements: `observables` of that kind."""
+    return observables(s11, s12, s22, (kind,))[0][0]
 
 
 def joint_absorbance(S: SMatrix2, phi: float):

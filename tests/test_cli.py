@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import twoport_cmt
-from twoport_cmt import ModelParams, critical_loci, fitting
+from twoport_cmt import ModelParams, cli, critical_loci, fitting
 from twoport_cmt.cli import (COMMANDS, DEFAULT_CONFIG, EXIT_CONFIG,
                              EXIT_NUMERICAL, EXIT_OK, HEADERS, build_parser,
                              load_config, main, write_output)
@@ -390,6 +390,68 @@ class TestWriter:
         assert values[:3] == [0.1, -0.0, 5e-324]
         assert math.copysign(1.0, values[1]) == -1.0
         assert math.isnan(values[3]) and values[4] == math.inf
+
+    @staticmethod
+    def cell_by_cell(*columns):
+        """The CSV body with every cell formatted on its own."""
+        cols = [np.asarray(c) for c in columns]
+        fmts = [{"i": "%d", "U": "%s"}.get(c.dtype.kind, "%.17g")
+                for c in cols]
+        return "".join(",".join(f % v for f, v in zip(fmts, row)) + "\n"
+                       for row in zip(*(c.tolist() for c in cols)))
+
+    @pytest.mark.parametrize("value, sigma", [
+        ([0.1, 0.2, 0.3], [0.005] * 3),                     # constant
+        ([0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]),               # 0 == -0
+        ([-0.0] * 3, [0.0] * 3),
+        ([math.nan] * 3, [math.inf] * 3),
+        ([-math.inf] * 3, [0.005, 0.005, 0.00500000001]),
+        ([5e-324] * 3, [1e300, 1e300, 1e300]),
+    ], ids=["constant", "signed zeros", "zeros", "nan and inf", "-inf",
+            "extremes"])
+    def test_constant_columns_match_cell_by_cell(self, tmp_path, monkeypatch,
+                                                 value, sigma):
+        # a float column of one bit pattern is formatted once: the bytes are
+        # those of formatting every cell, and 0.0 and -0.0 stay apart
+        columns = (np.array([4, 4, 4]), ("T", "T", "T"), np.array(value),
+                   np.array(sigma))
+        text = self.write(tmp_path, monkeypatch, "csv", *columns)
+        assert text == ("omega_meV,kind,value,sigma\n"
+                        + self.cell_by_cell(*columns))
+
+    def test_signed_zeros_not_merged(self, tmp_path, monkeypatch):
+        text = self.write(tmp_path, monkeypatch, "csv", np.array([1, 2, 3]),
+                          ("A1", "A1", "A1"), np.array([0.0, -0.0, 0.0]),
+                          np.array([-0.0, -0.0, -0.0]))
+        assert text.splitlines()[1:] == ["1,A1,0,-0", "2,A1,-0,-0",
+                                         "3,A1,0,-0"]
+
+    def test_one_row_table(self, tmp_path, monkeypatch):
+        # every float column is constant on one row
+        for columns in ((np.array([7]), ("dpsi",), np.array([-0.5]),
+                         np.array([0.005])),
+                        ([124.5], ("R1",), [math.nan], [1e-3])):
+            assert self.write(tmp_path, monkeypatch, "csv", *columns) == (
+                "omega_meV,kind,value,sigma\n" + self.cell_by_cell(*columns))
+        assert self.write(tmp_path, monkeypatch, "csv", [124.5], ("R1",),
+                          [0.25], [1e-3]).splitlines()[1] == "124.5,R1,0.25,0.001"
+
+    @pytest.mark.parametrize("cells, merged", [
+        ([0.005] * 4, True), ([math.nan] * 3, True), ([-0.0], True),
+        ([0.0, -0.0], False), ([-0.0, 0.0, -0.0], False),
+        ([0.005, 0.005, 0.0051], False), ([0.005, 0.0051, 0.005], False),
+        ([math.nan, 1.0, math.nan], False), ([math.inf, -math.inf], False)])
+    def test_one_bit_pattern(self, cells, merged):
+        c = np.array(cells)
+        assert cli._one_bit_pattern(c, c.tolist()) is merged
+
+    def test_constant_column_json_unchanged(self, tmp_path, monkeypatch):
+        doc = json.loads(self.write(tmp_path, monkeypatch, "json",
+                                    np.array([3, 3]), ("A1", "A1"),
+                                    np.array([-0.0, -0.0]),
+                                    np.array([0.005, 0.005])))
+        assert doc["rows"] == [[3.0, "A1", -0.0, 0.005]] * 2
+        assert all(math.copysign(1.0, r[2]) == -1.0 for r in doc["rows"])
 
 
 COMMON_FLAGS = [
@@ -974,6 +1036,25 @@ class TestSynthAndFit:
     def test_bad_kind_rejected(self, tmp_path, monkeypatch):
         assert run(tmp_path, monkeypatch,
                    ["synth", "--kinds", "bogus"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", ["--gamma-r", "--gamma-nr", "--gamma-m"])
+    def test_overflowing_jacobian_rejected(self, tmp_path, monkeypatch,
+                                           capsys, flag):
+        # D is finite, but K / D^2 or matter^2 overflows: exit 2 with one
+        # message that names the overflow, no warning and no fit.json
+        data = tmp_path / "data.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["synth", "--kinds", "A1", "R1", "T", "--grid-n", "201",
+                    "--output", str(data)]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "fit.json"
+        assert run(tmp_path, monkeypatch, ["fit", "--data", str(data), flag,
+                                           "1e200", "--output", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("config error: rates too large: the derivative of S "
+                       "overflows\n")
+        assert not out.exists()
 
 
 def test_readme_cli_block(tmp_path, monkeypatch):

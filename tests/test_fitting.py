@@ -18,10 +18,11 @@ from twoport_cmt import (
     single_beam_spectrum,
     synth_dataset,
 )
-from twoport_cmt import cli, fitting
+from twoport_cmt import cli, fitting, model
 from twoport_cmt.model import _defined_elements, _elements_and_grad
 from twoport_cmt.twoport import (INTENSITY_KINDS, KINDS, delta_psi,
-                                 joint_extrema, observable, wrap_phase)
+                                 joint_extrema, observable, observables,
+                                 wrap_phase)
 
 GRID = np.linspace(105.0, 145.0, 81)
 
@@ -322,10 +323,15 @@ class TestResiduals:
         data = synth_dataset(headline_params, default_bg, GRID, self.KINDS,
                              0.01, seed=5)
 
-        def refused(*args):
-            raise AssertionError("observable_grad called with free empty")
-        monkeypatch.setattr(fitting, "observable_grad", refused)
+        increments = []
+
+        def recorded(s11, s12, s22, kinds, ds=None):
+            increments.append(ds)
+            return observables(s11, s12, s22, kinds, ds)
+        monkeypatch.setattr(fitting, "observables", recorded)
         r, jac = _evaluate(self.TRIAL, default_bg, data)
+        assert increments == [None]
+        assert _elements_and_grad(self.TRIAL, default_bg, GRID, ())[1] is None
         assert jac.shape == (len(data), 0)
         assert np.array_equal(r, _reference_residuals(self.TRIAL, default_bg,
                                                       data))
@@ -360,8 +366,10 @@ class TestMixedLayout:
 
     def test_layout(self):
         data = self._data()
-        grid, kinds = fitting._row_layout(data)
+        grid, groups = fitting._row_layout(data)
         assert np.array_equal(grid, np.unique(data.omega))
+        kinds = [(k, rows, pos) for pos, ks, rs in groups
+                 for k, rows in zip(ks, rs)]
         assert sorted(k for k, _, _ in kinds) == sorted(set(data.kind))
         every = np.arange(len(data))
         covered = np.concatenate([every[rows] for _, rows, _ in kinds])
@@ -369,20 +377,22 @@ class TestMixedLayout:
         for kind, rows, pos in kinds:
             assert all(data.kind[i] == kind for i in every[rows])
             assert np.array_equal(grid[pos], data.omega[rows])
+        # one group per distinct set of positions
+        at = [np.arange(grid.size)[pos].tobytes() for pos, _, _ in groups]
+        assert len(set(at)) == len(at)
 
     def test_runs_index_by_slice(self, headline_params, default_bg):
-        # a synth dataset is one run per kind on the whole grid: slices,
-        # with the same rows as index arrays give
+        # a synth dataset is one group on the whole grid, one run per kind:
+        # slices, with the same rows as index arrays give
         data = synth_dataset(headline_params, default_bg, GRID,
                              ("R1", "dpsi"), 0.01, seed=4)
         layout = fitting._row_layout(data)
         n = GRID.size
-        assert [(k, rows, pos) for k, rows, pos in layout[1]] == [
-            ("R1", slice(0, n), slice(0, n)),
-            ("dpsi", slice(n, 2 * n), slice(0, n))]
-        as_arrays = (layout[0], [(k, np.arange(len(data))[rows],
-                                  np.arange(n)[pos])
-                                 for k, rows, pos in layout[1]])
+        assert layout[1] == [
+            (slice(0, n), ["R1", "dpsi"], [slice(0, n), slice(n, 2 * n)])]
+        as_arrays = (layout[0], [(np.arange(n)[pos], kinds,
+                                  [np.arange(len(data))[r] for r in rows])
+                                 for pos, kinds, rows in layout[1]])
         for got, want in zip(
                 fitting._residuals_and_jacobian(self.P, self.BG, data, layout,
                                                 fitting.FITTABLE),
@@ -407,6 +417,170 @@ class TestMixedLayout:
             assert r1[0] == pytest.approx(resid[i], rel=1e-13, abs=1e-12)
             assert np.abs(j1[0] - jac[i]).max() \
                 <= 1e-13 * max(1.0, np.abs(jac[i]).max())
+
+
+def _ref_abs2(s):
+    return np.abs(s) ** 2
+
+
+def _ref_observable(s11, s12, s22, kind):
+    """One kind from the S elements by its own formula, kind by kind."""
+    if kind == "dpsi":
+        return wrap_phase(np.angle(s11) + np.angle(s22) - 2 * np.angle(s12))
+    if kind in ("A_joint_max", "A_joint_min"):
+        t = _ref_abs2(s12)
+        a_avg = 0.5 * ((1.0 - _ref_abs2(s11) - t) + (1.0 - _ref_abs2(s22) - t))
+        z = np.conj(s11) * s12 + np.conj(s12) * s22
+        return a_avg + np.abs(z) if kind == "A_joint_max" \
+            else a_avg - np.abs(z)
+    if kind in ("R1", "R2", "T"):
+        return _ref_abs2({"R1": s11, "R2": s22, "T": s12}[kind])
+    return 1.0 - _ref_abs2(s11 if kind == "A1" else s22) - _ref_abs2(s12)
+
+
+def _ref_observable_grad(s11, s12, s22, ds, kind):
+    """The derivative of `_ref_observable` along ds, kind by kind."""
+    if kind == "dpsi":
+        ok = np.minimum(np.minimum(np.abs(s11), np.abs(s22)),
+                        np.abs(s12)) >= 1e-9
+
+        def inv(s):
+            return 1.0 / np.where(ok, s, 1.0)
+        return np.where(ok, np.imag(ds * (inv(s11) + inv(s22) - 2 * inv(s12))),
+                        0.0)
+
+    def d_abs2(s):
+        return 2 * np.real(np.conj(s) * ds)
+    if kind in ("A_joint_max", "A_joint_min"):
+        d_avg = -0.5 * (d_abs2(s11) + d_abs2(s22)) - d_abs2(s12)
+        z = np.conj(s11) * s12 + np.conj(s12) * s22
+        a_mod = np.abs(z)
+        flat = a_mod < 1e-15
+        dz = np.conj(ds) * (s12 + s22) + (np.conj(s11) + np.conj(s12)) * ds
+        d_mod = np.where(flat, 0.0, np.real(np.conj(z) * dz)
+                         / np.where(flat, 1.0, a_mod))
+        return d_avg + d_mod if kind == "A_joint_max" else d_avg - d_mod
+    if kind in ("R1", "R2", "T"):
+        return d_abs2({"R1": s11, "R2": s22, "T": s12}[kind])
+    return -d_abs2(s11 if kind == "A1" else s22) - d_abs2(s12)
+
+
+def _ref_elements_and_grad(p, bg, omega, free):
+    """S elements and all six rows du/dtheta, then the rows of free."""
+    matter, den, bad = model._response_at(p, omega)
+    assert not bad.any()
+    e_ia = bg.coupling(1.0) ** 2
+    d0 = bg.coupling(p.gamma_r)
+    u = d0 * d0 * matter / den
+    g = p.gamma_r * e_ia / den**2
+    rabi2, m2 = p.omega_rabi**2, matter**2
+    rows = {
+        "omega0": -1j * g * (rabi2 - m2),
+        "gamma_r": e_ia * matter / den - g * m2,
+        "gamma_nr": -g * m2,
+        "gamma_m": g * rabi2,
+        "delta_m": -1j * g * rabi2,
+        "omega_rabi": -2 * p.omega_rabi * g * matter,
+    }
+    C = bg.matrix()
+    return ((C[0, 0] + u, C[0, 1] + u, C[1, 1] + u),
+            np.array([rows[name] for name in free]))
+
+
+def _ref_residuals_and_jacobian(p, bg, data, free):
+    """Residuals and Jacobian with every kind evaluated on its own, its
+    rows and grid positions indexed as `_row_layout` indexes them."""
+    grid, inverse = np.unique(data.omega, return_inverse=True)
+    s, du = _ref_elements_and_grad(p, bg, grid, free)
+    kinds = np.array(data.kind)
+    resid = np.empty(len(data))
+    jac = np.empty((len(data), len(free)))
+    for kind in dict.fromkeys(data.kind):
+        idx = np.flatnonzero(kinds == kind)
+        rows = fitting._run_as_slice(idx)
+        pos = fitting._run_as_slice(inverse[idx])
+        e = [x[pos] for x in s]
+        r = data.value[rows] - _ref_observable(*e, kind)
+        resid[rows] = wrap_phase(r) if kind == "dpsi" else r
+        if free:
+            jac[rows] = _ref_observable_grad(*e, du[:, pos], kind).T
+    return resid / data.sigma, -jac / data.sigma[:, None]
+
+
+class TestBitIdenticalEvaluation:
+    """`_residuals_and_jacobian`, with its shared terms and free rows only,
+    is bit for bit the evaluation of each kind by its own formula."""
+
+    FREE_SETS = [fitting.FITTABLE, ("omega0", "gamma_r", "gamma_m",
+                                    "omega_rabi"),
+                 ("delta_m", "gamma_nr"), ("omega_rabi",), ()]
+    MODELS = {
+        "detuned": (ModelParams(124.5, 3.0, 0.7, 5.0, 8.0, delta_m=1.5),
+                    Background(0.8, 0.3)),
+        "headline": (ModelParams(124.5, 3.0, 0.0, 5.0, 8.0), Background()),
+        "no coupling": (ModelParams(124.5, 3.0, 0.7, 5.0, 0.0, delta_m=1.5),
+                        Background()),
+        "flat |z|": (ModelParams(124.5, 3.0, 0.0, 0.0, 8.0), Background()),
+        "dpsi undefined": (ModelParams(124.5, 0.0, 0.7, 5.0, 8.0),
+                           Background()),
+    }
+
+    @staticmethod
+    def _assert_identical(p, bg, data, free):
+        got = _evaluate(p, bg, data, free)
+        want = _ref_residuals_and_jacobian(p, bg, data, free)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].shape == want[1].shape
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("free", FREE_SETS)
+    @pytest.mark.parametrize("name", MODELS)
+    def test_synth_layout(self, name, free):
+        p, bg = self.MODELS[name]
+        grid = np.linspace(105.0, 145.0, 201)
+        s = _defined_elements(p, bg, grid)
+        # each model reaches the branch its name says (S = C at gamma_r = 0
+        # has no modulation either)
+        z = np.conj(s[0]) * s[1] + np.conj(s[1]) * s[2]
+        assert (np.abs(z).min() < 1e-15) \
+            == (name in ("flat |z|", "dpsi undefined"))
+        assert (np.min(np.abs(s), axis=0).min() < 1e-9) \
+            == (name == "dpsi undefined")
+        data = SpectrumDataset(np.tile(grid, len(KINDS)),
+                               tuple(k for k in KINDS for _ in grid),
+                               np.zeros(len(KINDS) * grid.size),
+                               np.full(len(KINDS) * grid.size, 0.01))
+        self._assert_identical(p, bg, data, free)
+        for kinds in (("A1", "R1", "T"), ("A_joint_max", "A_joint_min", "dpsi"),
+                      ("R1", "T", "dpsi"), ("A2",), ("A_joint_min",)):
+            clean = synth_dataset(p, bg, grid, kinds, 0.0, seed=0)
+            self._assert_identical(p, bg, clean, free)
+
+    def test_observables_on_unequal_entries(self):
+        # s11 != s22, as in no model here: each entry in its own place; the
+        # dpsi mask from |s22| where only s22 is tiny, and s12 = 0 (z = 0)
+        rng = np.random.default_rng(17)
+        s11, s12, s22 = (rng.normal(size=50) + 1j * rng.normal(size=50)
+                         for _ in range(3))
+        s22[:5] *= 1e-10
+        s12[5:8] = 0.0
+        ds = rng.normal(size=(3, 50)) + 1j * rng.normal(size=(3, 50))
+        for kinds in (KINDS, KINDS[::-1], ("A2", "dpsi"), ("R2", "R2"),
+                      ("A_joint_min",), ("T", "A1")):
+            values, grads = observables(s11, s12, s22, kinds, ds)
+            assert observables(s11, s12, s22, kinds)[1] is None
+            for kind, v, g in zip(kinds, values, grads):
+                assert np.array_equal(v, _ref_observable(s11, s12, s22, kind))
+                assert np.array_equal(
+                    g, _ref_observable_grad(s11, s12, s22, ds, kind))
+
+    @pytest.mark.parametrize("free", FREE_SETS)
+    def test_mixed_layout(self, free):
+        data = TestMixedLayout()._data()
+        for p, bg in (self.MODELS["detuned"], self.MODELS["no coupling"],
+                      (replace(TestMixedLayout.P, omega0=124.0),
+                       TestMixedLayout.BG)):
+            self._assert_identical(p, bg, data, free)
 
 
 class TestJacobian:
