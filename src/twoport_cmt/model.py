@@ -177,11 +177,19 @@ def s_elements(p: ModelParams, bg: Background, omega):
 
     Every S entry gets the same rank-1 increment u on top of the background
     (temporal coupled-mode theory: Fan, Suh and Joannopoulos, JOSA A 20, 569
-    (2003)). Degenerate points hold NaN.
+    (2003)). Degenerate points hold NaN. With gamma_r = Omega = 0 the cavity
+    is a line that nothing drives, like the matter line `_matter_rate` drops
+    at Omega = 0: K = d0^2 = 0, so u = 0 and S = C also where D = 0, which
+    is then not degenerate. (With Omega > 0 the real poles of a lossless
+    model stay degenerate.)
     """
     matter, den, bad = _response_at(p, omega)
     d0 = bg.coupling(p.gamma_r)
-    u = np.where(bad, np.nan, d0 * d0 * matter / np.where(bad, 1.0, den))
+    decoupled = p.gamma_r == 0 and p.omega_rabi == 0
+    u = np.where(bad, 0.0 if decoupled else np.nan,
+                 d0 * d0 * matter / np.where(bad, 1.0, den))
+    if decoupled:
+        bad = np.zeros_like(bad)
     C = bg.matrix()
     return C[0, 0] + u, C[0, 1] + u, C[1, 1] + u, bad
 
@@ -267,7 +275,7 @@ def det_s(p: ModelParams, omega: float) -> complex:
     """det S(omega) as the pole-zero ratio, up to the unimodular background
     phase factor e^{2 i theta_b} (r_b + i t_b)^2 which is stripped; |det_s|
     is the contract."""
-    val, bad = _det_s_grid(p, omega)
+    val, bad = _det_s_one(p, omega)
     _check_defined(omega, bad)
     return complex(val)
 
@@ -278,6 +286,15 @@ def _det_s_grid(p: ModelParams, omega):
     matter, den, bad = _response(p, np.asarray(omega, dtype=float) - p.omega0)
     num = den - 2 * p.gamma_r * matter
     return np.where(bad, np.nan + 0j, num / np.where(bad, 1.0, den)), bad
+
+
+def _det_s_one(p: ModelParams, omega):
+    """`_det_s_grid` for one model, degenerate where `s_elements` is: at
+    gamma_r = Omega = 0, N = D, and the ratio is 1 also where D = 0."""
+    val, bad = _det_s_grid(p, omega)
+    if p.gamma_r == 0 and p.omega_rabi == 0:
+        val, bad = np.where(bad, 1.0 + 0j, val), np.zeros_like(bad)
+    return val, bad
 
 
 def single_beam_spectrum(p: ModelParams, bg: Background, grid) -> SpectrumTable:
@@ -296,6 +313,6 @@ def single_beam_spectrum(p: ModelParams, bg: Background, grid) -> SpectrumTable:
     names = ("R1", "R2", "T", "A1", "A2")
     kinds = dict(zip(names, observables(s11, s12, s22, names)[0]))
     # |det S| from the pole-zero ratio, independent of the S entries
-    abs_dets = np.abs(_det_s_grid(p, w)[0])
+    abs_dets = np.abs(_det_s_one(p, w)[0])
     return SpectrumTable(omega=w, **kinds, B=1.0 - abs_dets**2,
                          abs_dets=abs_dets, degenerate=bad)

@@ -134,14 +134,18 @@ def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
     The ODE is linear, so one step is the 3x3 map T of (a, b, ph):
     (a, b) <- M (a, b) + v ph, then ph <- ph e^{i omega dt}. M and v are read
     off the stage formulas, which stay the one definition of the step, at the
-    unit inputs. With blk = isqrt(n) + 1, the powers T^0..T^blk are formed in
-    one pass over the seven entries of T^j that can be nonzero, as
+    unit inputs. With blk and sup from `_blocks`, the powers T^0..T^blk are
+    formed in one pass over the seven entries of T^j that can be nonzero, as
     T^(j + 1) = T T^j without the products with the two exact zeros of T^j's
-    last row, into one flat table. The block starts x_{m blk} = (T^blk)^m x_0
-    follow by repeated multiplication by T^blk, and every stored state as
-    x_{m blk + j} = T^j x_{m blk} in one array product: O(sqrt n)
-    Python-level steps, not n. Without b_states that product forms a for the
-    stored blocks and b for the last block only, which holds x_n, so the
+    last row, into one flat table, and U = (T^blk)^sup by repeated
+    multiplication by T^blk. Block m = s sup + r starts at
+    x_{m blk} = (T^blk)^r U^s x_0: the super-block starts follow by repeated
+    multiplication by U, so no block before the super-block of keep is
+    formed, and the other block starts by r steps of T^blk. Every stored
+    state is x_{m blk + j} = T^j x_{m blk}, in one array product: about
+    blk + 0.2 n / blk + 2 sqrt(0.8 n / blk) Python-level steps at the
+    oracle's keep = 0.8 n, not n. Without b_states that product forms a for
+    the stored blocks and b for the last block only, which holds x_n, so the
     values are those of the run with b_states. Each state is still T applied
     k times to the start state, grouped differently, so it differs from
     one-step-at-a-time iteration in rounding only. No eigendecomposition,
@@ -177,7 +181,7 @@ def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
                 b + h6 * (d1b + 2 * d2b + 2 * d3b + d4b))
 
     (m_aa, m_ba), (m_ab, m_bb), (v_a, v_b) = step(1, 0, 0), step(0, 1, 0), step(0, 0, 1)
-    blk = math.isqrt(n) + 1
+    blk, sup = _blocks(n)
     # T^j has the rows (p0 p1 p2), (p3 p4 p5), (0 0 p6); T^(j+1) = T T^j;
     # pows holds the seven entries of T^0, T^1, ... one after another
     p0, p1, p2, p3, p4, p5, p6 = 1 + 0j, 0j, 0j, 0j, 1 + 0j, 0j, 1 + 0j
@@ -189,17 +193,34 @@ def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
             m_ba * p0 + m_bb * p3, m_ba * p1 + m_bb * p4,
             m_ba * p2 + m_bb * p5 + v_b * p6, ef * p6)
         pows += entries
-    # x_{m blk} = (T^blk)^m x_0, T^blk being the last power formed
-    starts = [state]
-    for _ in range(n // blk):
-        a, b, ph = starts[-1]
-        starts.append((p0 * a + p1 * b + p2 * ph, p3 * a + p4 * b + p5 * ph, p6 * ph))
-    first = keep // blk
+    # U = (T^blk)^sup as U_(i+1) = T^blk U_i, T^blk being the last power formed
+    u0, u1, u2, u3, u4, u5, u6 = p0, p1, p2, p3, p4, p5, p6
+    for _ in range(sup - 1):
+        u0, u1, u2, u3, u4, u5, u6 = (
+            p0 * u0 + p1 * u3, p0 * u1 + p1 * u4, p0 * u2 + p1 * u5 + p2 * u6,
+            p3 * u0 + p4 * u3, p3 * u1 + p4 * u4, p3 * u2 + p4 * u5 + p5 * u6,
+            p6 * u6)
+    # block m = s sup + r starts at x_(m blk) = (T^blk)^r U^s x_0
+    first, last = keep // blk, n // blk
+    a, b, ph = state
+    for _ in range(first // sup):
+        a, b, ph = u0 * a + u1 * b + u2 * ph, u3 * a + u4 * b + u5 * ph, u6 * ph
+    starts = []
+    for s in range(first // sup, last // sup + 1):
+        if starts:
+            a, b, ph = u0 * a + u1 * b + u2 * ph, u3 * a + u4 * b + u5 * ph, u6 * ph
+        xa, xb, xp = a, b, ph
+        starts.append((xa, xb, xp))
+        for _ in range(min(sup, last + 1 - s * sup) - 1):
+            xa, xb, xp = (p0 * xa + p1 * xb + p2 * xp, p3 * xa + p4 * xb + p5 * xp,
+                          p6 * xp)
+            starts.append((xa, xb, xp))
+    del starts[:first % sup]
     # x_{m blk + j} = T^j x_{m blk} for the blocks m that meet keep..n; the
     # grid starts at the call's first step, so the states do not depend on keep
     # pw[e] = entry e of T^0..T^(blk-1)
     pw = np.fromiter(pows, complex, 7 * blk).reshape(blk, 7).T
-    xs = np.array(starts[first:], dtype=complex)[:, :, None]
+    xs = np.array(starts, dtype=complex)[:, :, None]
     lo, hi = keep - first * blk, n + 1 - first * blk
 
     def row(r, x):  # component r // 3 of the states of the blocks x
@@ -212,6 +233,16 @@ def _iterate(p: ModelParams, drive: DriveSpec, dt: float, state: tuple,
     ph = pows[7 * (n % blk) + 6] * starts[-1][2]  # the phasor of x_n
     end = (complex(a_t[-1]), complex(b_t[n % blk - blk]), ph)
     return a_t, (b_t[lo:hi] if b_states else None), end
+
+
+def _blocks(n: int) -> tuple[int, int]:
+    """Block length blk and blocks per super-block sup of an n-step
+    `_iterate` run: functions of n alone, so that the states a run stores
+    do not depend on how many it stores. blk = isqrt(n // 2) + 1 keeps the
+    table of powers at about sqrt(n / 2) entries, and sup = isqrt(n // blk)
+    balances forming U = (T^blk)^sup against stepping by it."""
+    blk = math.isqrt(n // 2) + 1
+    return blk, max(1, math.isqrt(n // blk))
 
 
 def _tail_start(n_states: int) -> int:
@@ -299,6 +330,7 @@ def oracle_scattering(p: ModelParams, bg: Background,
             f"the horizon and its extensions take {n + _MAX_EXTENSIONS * chunk:.3g} "
             f"steps, more than the budget of {_MAX_STEPS:.0e}")
     k0 = _tail_start(n + 1)
+    grid = _blocks(n)
     a_t, _, state = _iterate(p, drive, dt, (0j, 0j, _drive_phasor(p, bg, drive)),
                              n, k0, b_states=False)
     extensions = 0
@@ -313,8 +345,9 @@ def oracle_scattering(p: ModelParams, bg: Background,
         n += chunk
         extensions += 1
     _log.debug("oracle omega=%.9g phi=%.6g: dt=%.6g t_end=%.6g steps=%d "
-               "extensions=%d drift=%.3g (tol %.0e)", drive.omega, drive.phi,
-               dt, n * dt, n, extensions, drift, _DRIFT_TOL)
+               "block=%d super=%d extensions=%d drift=%.3g (tol %.0e)",
+               drive.omega, drive.phi, dt, n * dt, n, *grid, extensions, drift,
+               _DRIFT_TOL)
     if drift > _DRIFT_TOL:
         raise SteadyStateNotConvergedError(
             f"demodulated drift {drift:.2e} exceeds {_DRIFT_TOL:.0e} after "

@@ -84,6 +84,25 @@ class TestSpectrum:
         got = np.array([float(r[4]) for r in rows])
         assert np.array_equal(got, t.A1)
 
+    def test_undriven_cavity_row_finite(self, tmp_path, monkeypatch):
+        # gamma_r = gamma_nr = Omega = 0 leaves S = C on the whole grid, also
+        # at the cavity's real pole 124.5
+        out = tmp_path / "spec.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["spectrum", "--output", str(out), "--gamma-r", "0",
+                    "--gamma-nr", "0", "--omega-rabi", "0", "--grid-min", "120",
+                    "--grid-max", "129", "--grid-n", "3"]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["120", "124.5", "129"]
+        assert rows[1] == ["124.5", "1", "1", "0", "0", "0", "0", "1"]
+        joint = tmp_path / "joint.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["joint", "--output", str(joint), "--gamma-r", "0",
+                    "--gamma-nr", "0", "--omega-rabi", "0", "--grid-min", "120",
+                    "--grid-max", "129", "--grid-n", "3"]) == EXIT_OK
+        _, rows = read_csv(joint)
+        assert [r[5] for r in rows] == ["1", "1", "1"]
+
     def test_outdir_env(self, tmp_path, monkeypatch):
         code = run(tmp_path, monkeypatch,
                    ["spectrum", "--output", "rel.csv", "--grid-n", "51"],

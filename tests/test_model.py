@@ -179,6 +179,19 @@ class TestSElements:
         assert (complex(s11), complex(s12), complex(s22)) == (S.s11, S.s12, S.s22)
         assert not bad
 
+    def test_undriven_cavity_line_is_background(self):
+        # gamma_r = Omega = 0: no port and no matter line couple to the
+        # lossless cavity, so S = C exactly, also on its real pole omega0
+        p = ModelParams(124.5, 0.0, 0.0, 5.0, 0.0)
+        bg = Background(0.6, 0.3)
+        C = bg.matrix()
+        s11, s12, s22, bad = s_elements(p, bg, np.array([120.0, 124.5, 129.0]))
+        assert bad.tolist() == [False, False, False]
+        for s, c in ((s11, C[0, 0]), (s12, C[0, 1]), (s22, C[1, 1])):
+            assert np.array_equal(s, np.full(3, c))
+        assert np.array_equal(scattering_matrix(p, bg, 124.5).as_array(), C)
+        assert det_s(p, 124.5) == 1.0
+
     def test_degenerate_point_is_nan(self, default_bg):
         p = ModelParams(100.0, 0.0, 0.0, 0.0, 8.0)
         s11, s12, s22, bad = s_elements(p, default_bg, np.array([90.0, 108.0]))
@@ -312,6 +325,15 @@ class TestSingleBeamSpectrum:
         assert bool(t.degenerate[1])
         assert np.isnan(t.B[1])
         assert not t.degenerate[0] and not t.degenerate[2]
+
+    def test_undriven_cavity_row_defined(self, default_bg):
+        # gamma_r = gamma_nr = Omega = 0: the real pole at omega0 is a line
+        # that nothing drives, so its row is S = C, not NaN
+        p = ModelParams(124.5, 0.0, 0.0, 5.0, 0.0)
+        t = single_beam_spectrum(p, default_bg, [120.0, 124.5, 129.0])
+        assert not t.degenerate.any()
+        assert (t.R1[1], t.R2[1], t.T[1], t.A1[1], t.A2[1], t.B[1],
+                t.abs_dets[1]) == (1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
     def test_undamped_decoupled_matter_row(self, default_bg):
         # Omega = 0: the undriven matter line at omega_m = omega0 drops out

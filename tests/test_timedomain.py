@@ -29,21 +29,17 @@ EP_MODEL = ModelParams(130.16644050918734, 5.780390043643968, 5.197049892380149,
                        0.7789030528133366, 5.09926844160539)
 
 
-def _stage_rk4(p, bg, drive, t_end, dt, a0, b0):
-    """Reference: classical RK4 evaluated stage by stage at every step."""
-    n = int(math.ceil(t_end / dt - 1e-9))
+def _stage_step(p, drive, dt):
+    """The classical RK4 step (a, b, ph) -> (a, b, ph e^{i omega dt}),
+    evaluated stage by stage."""
     maa = 1j * p.omega0 - p.gamma_c
     mbb = 1j * p.omega_m - p.gamma_m
     mc = 1j * p.omega_rabi
     eh = cmath.exp(1j * drive.omega * dt / 2)
     ef = eh * eh
-    ph = bg.coupling(p.gamma_r) * (drive.amp1 + drive.amp2 * cmath.exp(1j * drive.phi))
-    a, b = complex(a0), complex(b0)
-    a_arr = np.empty(n + 1, dtype=complex)
-    b_arr = np.empty(n + 1, dtype=complex)
     h2, h6 = 0.5 * dt, dt / 6.0
-    for k in range(n):
-        a_arr[k], b_arr[k] = a, b
+
+    def step(a, b, ph):
         d1a = maa * a + mc * b + ph
         d1b = mbb * b + mc * a
         ph_h = ph * eh
@@ -57,9 +53,22 @@ def _stage_rk4(p, bg, drive, t_end, dt, a0, b0):
         a4, b4 = a + dt * d3a, b + dt * d3b
         d4a = maa * a4 + mc * b4 + ph_f
         d4b = mbb * b4 + mc * a4
-        a = a + h6 * (d1a + 2 * d2a + 2 * d3a + d4a)
-        b = b + h6 * (d1b + 2 * d2b + 2 * d3b + d4b)
-        ph = ph_f
+        return (a + h6 * (d1a + 2 * d2a + 2 * d3a + d4a),
+                b + h6 * (d1b + 2 * d2b + 2 * d3b + d4b), ph_f)
+    return step
+
+
+def _stage_rk4(p, bg, drive, t_end, dt, a0, b0):
+    """Reference: classical RK4 evaluated stage by stage at every step."""
+    n = int(math.ceil(t_end / dt - 1e-9))
+    step = _stage_step(p, drive, dt)
+    ph = bg.coupling(p.gamma_r) * (drive.amp1 + drive.amp2 * cmath.exp(1j * drive.phi))
+    a, b = complex(a0), complex(b0)
+    a_arr = np.empty(n + 1, dtype=complex)
+    b_arr = np.empty(n + 1, dtype=complex)
+    for k in range(n):
+        a_arr[k], b_arr[k] = a, b
+        a, b, ph = step(a, b, ph)
     a_arr[n], b_arr[n] = a, b
     return a_arr, b_arr
 
@@ -240,10 +249,14 @@ class TestIterate:
     DRIVE = DriveSpec(omega=121.0, phi=0.9)
     START = (0.4 - 0.2j, -0.1 + 0.3j, 0.7 + 0.2j)
 
-    # n = 1600 steps go in blocks of isqrt(1600) + 1 = 41: 1234 is inside
-    # block 30, 1230 starts it
-    @pytest.mark.parametrize("keep", [1234, 1230, 1600])
+    # n = 1600 steps go in blocks of 29 steps and super-blocks of 7 blocks,
+    # 203 steps (`_blocks`): 1230 and 1234 are inside block 42, the first of
+    # super-block 6, which starts at 1218; 1 to 202 are inside the first
+    # super-block, 203 and 1421 (the last, blocks 49..55) start one
+    @pytest.mark.parametrize("keep", [1234, 1230, 1600, 1, 30, 100, 202, 203,
+                                      204, 1420, 1421, 1422])
     def test_keep_is_tail(self, keep):
+        assert timedomain._blocks(1600) == (29, 7)
         dt = suggested_time_step(self.P, self.DRIVE)
         a, b, end = timedomain._iterate(self.P, self.DRIVE, dt, self.START, 1600, 0)
         a_k, b_k, end_k = timedomain._iterate(self.P, self.DRIVE, dt, self.START,
@@ -251,9 +264,14 @@ class TestIterate:
         assert np.array_equal(a_k, a[keep:]) and np.array_equal(b_k, b[keep:])
         assert end_k == end
 
-    # blk = isqrt(n) + 1, so the last state x_n is the last of its block for
-    # n = k^2 - 1, the second or third for k^2 and k^2 + 1, and the first for 2
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 15, 16, 17, 99, 100, 101])
+    # with blk and sup from `_blocks`, the last state x_n is the first of its
+    # block for n = 1, 2, 9 and 15, the second for 3, 10 and 16 and the last
+    # for 8 and 17; n = 99..101 take 13 blocks of 8 in super-blocks of 3.
+    # x_n starts super-block 8 for n = 1624 = 8 x (29 x 7) and is one state
+    # from it for 1623 and 1625; n = 11 is the longest run with sup = 1, and
+    # 12 the shortest with sup = 2, x_12 starting super-block 2
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 15, 16, 17, 99, 100, 101,
+                                   11, 12, 1623, 1624, 1625])
     def test_block_edges(self, n):
         bg = Background(0.8, 0.4)
         dt = suggested_time_step(self.P, self.DRIVE)
@@ -263,10 +281,47 @@ class TestIterate:
         for got, ref in ((a, ref_a), (b, ref_b)):
             assert got.size == n + 1
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        for keep in (0, 1, n // 2, n):
+        blk, sup = timedomain._blocks(n)
+        # keep on, and one state either side of, the first and last
+        # super-block starts
+        span = blk * sup
+        edges = {k for s0 in (span, n - n % span) for k in (s0 - 1, s0, s0 + 1)}
+        for keep in (0, 1, n // 2, n, *sorted(k for k in edges if 0 <= k <= n)):
             a_k, b_k, end_k = timedomain._iterate(self.P, self.DRIVE, dt, start, n, keep)
             assert np.array_equal(a_k, a[keep:]) and np.array_equal(b_k, b[keep:])
             assert end_k == end
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="long double is not an extended format here")
+    def test_window_near_extended_precision_run(self):
+        # the float64 map T, read off the stage formulas as `_iterate` reads
+        # it, iterated one step at a time in long double (eps 1.1e-19 on
+        # x86-64) is exact to about n x 1e-19 on these runs: the block
+        # products' window is within 1e-12 of it relative to the window's
+        # largest state (worst 1.7e-13 here)
+        rng = np.random.default_rng(2911)
+        for _ in range(12):
+            p = random_passive_params(rng)
+            drive = DriveSpec(omega=p.omega0 + float(rng.uniform(-10.0, 10.0)),
+                              phi=float(rng.uniform(-3.0, 3.0)))
+            dt = suggested_time_step(p, drive)
+            n = int(rng.integers(2000, 40_001))
+            keep = timedomain._tail_start(n + 1)
+            start = tuple(complex(*rng.normal(size=2)) for _ in range(3))
+            a_t, b_t, _ = timedomain._iterate(p, drive, dt, start, n, keep)
+            step = _stage_step(p, drive, dt)
+            (t0, t3, _), (t1, t4, _), (t2, t5, t6) = (
+                [np.clongdouble(z) for z in step(*unit)]
+                for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+            a, b, ph = (np.clongdouble(z) for z in start)
+            ref = []
+            for k in range(n + 1):
+                if k >= keep:
+                    ref.append((a, b))
+                a, b, ph = t0 * a + t1 * b + t2 * ph, t3 * a + t4 * b + t5 * ph, t6 * ph
+            ref = np.array(ref)
+            err = max(np.abs(a_t - ref[:, 0]).max(), np.abs(b_t - ref[:, 1]).max())
+            assert err <= 1e-12 * np.abs(ref).max()
 
     def test_continuation(self):
         # the oracle extends its horizon by stepping on from the final state,
@@ -296,7 +351,7 @@ class TestIterate:
                 p = replace(p, delta_m=float(rng.uniform(-20.0, 20.0)))
             drive = DriveSpec(omega=p.omega0 + float(rng.uniform(-10.0, 10.0)))
             dt = suggested_time_step(p, drive)
-            # blk = isqrt(n) + 1 = B: x_n last, first or second of its block
+            # x_n anywhere in its block: n = 1, 2, 3, about a square, random
             root = int(rng.integers(2, 60))
             n = (1, 2, 3, root * root - 1, root * root, root * root + 1,
                  int(rng.integers(1, 5000)))[i % 7]
@@ -442,6 +497,8 @@ class TestOracleHorizon:
         assert float(log["dt"]) == pytest.approx(dt, rel=1e-5)
         assert float(log["t_end"]) == pytest.approx(traj.times[-1], rel=1e-5)
         assert float(log["drift"]) <= 1e-6
+        assert (int(log["block"]), int(log["super"])) == timedomain._blocks(
+            traj.times.size - 1)
 
     def test_exceptional_point_extends_horizon(self, default_bg, caplog):
         # at the exceptional point the transient decays like t e^{-gamma t};
