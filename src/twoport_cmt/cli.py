@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fitting, regimes, timedomain
 from .model import (Background, DegenerateResponseError, ModelParams,
-                    _defined_elements, _det_s_one, single_beam_spectrum)
+                    _defined_elements, _det_s_grid, single_beam_spectrum)
 from .timedomain import DriveSpec, SteadyStateNotConvergedError
 from .twoport import (_joint, _port_intensities, dephasing_defined,
                       dets_from_observables, observables, output_dephasing,
@@ -280,7 +280,7 @@ def cmd_joint(cfg: dict, p: ModelParams, bg: Background) -> int:
     return write_output(
         cfg, "joint", grid, a_avg - a_mod, a_avg + a_mod, a_avg,
         np.where(defined, output_dephasing(s11, s12, s22), math.nan),
-        np.abs(_det_s_one(p, grid)[0]), np.where(defined, recon, math.nan))
+        np.abs(_det_s_grid(p, grid)[0]), np.where(defined, recon, math.nan))
 
 
 def cmd_phase_diagram(cfg: dict, p: ModelParams, bg: Background) -> int:

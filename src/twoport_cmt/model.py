@@ -157,17 +157,25 @@ def _response(p, u):
 
 
 def _response_at(p, omega):
-    """`_response` at the frequencies omega, as the S-matrix builders take
-    it: values so large that D overflows at a frequency that is not NaN are
-    a ValueError that names the overflow, with no numpy warning, not NaN in
-    S. (`regimes` calls `_response` itself: it rejects rates that overflow
-    G, and its offsets are bounded by the roots of G.)"""
+    """`_response` at the frequencies omega, with the one rule of where the
+    response is defined that every S, steady-state and |det S| builder
+    takes; p may be a batch of models, as for `_response`. Values so large
+    that D overflows at a frequency that is not NaN are a ValueError that
+    names the overflow, with no numpy warning. D is returned as 1 at a
+    degenerate point, so that builders divide by it freely. Where gamma_r =
+    Omega = 0 no point is flagged: the cavity is then a line that nothing
+    drives, like the matter line `_matter_rate` drops at Omega = 0, so
+    K = d0^2 = 0, N = D, and S = C and N/D = 1 also where D = 0. (With
+    Omega > 0 the real poles of a lossless model stay degenerate.)"""
     u = np.asarray(omega, dtype=float) - p.omega0
     with np.errstate(over="ignore", invalid="ignore"):
         matter, den, bad = _response(p, u)
-    if not (cmath.isfinite(den.sum())
-            or np.all(np.isfinite(den) | np.isnan(u))):
-        raise ValueError("rates too large: the pole quadratic D overflows")
+        if not (cmath.isfinite(den.sum())
+                or np.all(np.isfinite(den) | np.isnan(u))):
+            raise ValueError("rates too large: the pole quadratic D overflows")
+    if bad.any():
+        den = np.where(bad, 1.0, den)
+        bad = bad & ((p.gamma_r != 0) | (p.omega_rabi != 0))
     return matter, den, bad
 
 
@@ -177,19 +185,11 @@ def s_elements(p: ModelParams, bg: Background, omega):
 
     Every S entry gets the same rank-1 increment u on top of the background
     (temporal coupled-mode theory: Fan, Suh and Joannopoulos, JOSA A 20, 569
-    (2003)). Degenerate points hold NaN. With gamma_r = Omega = 0 the cavity
-    is a line that nothing drives, like the matter line `_matter_rate` drops
-    at Omega = 0: K = d0^2 = 0, so u = 0 and S = C also where D = 0, which
-    is then not degenerate. (With Omega > 0 the real poles of a lossless
-    model stay degenerate.)
+    (2003)). Degenerate points (`_response_at`) hold NaN.
     """
     matter, den, bad = _response_at(p, omega)
     d0 = bg.coupling(p.gamma_r)
-    decoupled = p.gamma_r == 0 and p.omega_rabi == 0
-    u = np.where(bad, 0.0 if decoupled else np.nan,
-                 d0 * d0 * matter / np.where(bad, 1.0, den))
-    if decoupled:
-        bad = np.zeros_like(bad)
+    u = np.where(bad, np.nan, d0 * d0 * matter / den)
     C = bg.matrix()
     return C[0, 0] + u, C[0, 1] + u, C[1, 1] + u, bad
 
@@ -201,7 +201,7 @@ def steady_state_response(p, bg, omega, s_plus):
     s_minus = C s_plus + a |d>. Eliminating b from the 2x2 system gives
     a = drive matter / den and b = i Omega drive / den (see `_response`).
     """
-    matter, den, bad = _response(p, omega - p.omega0)
+    matter, den, bad = _response_at(p, omega)
     _check_defined(omega, bad)
     d0 = bg.coupling(p.gamma_r)
     drive = d0 * (s_plus[0] + s_plus[1])
@@ -229,14 +229,19 @@ def _defined_elements(p: ModelParams, bg: Background, omega):
 def _elements_and_grad(p: ModelParams, bg: Background, omega, free):
     """(s11, s12, s22) of `_defined_elements` and du, the rows du/dtheta of
     the rank-1 increment u = K matter / D for the names in free (None with
-    free empty), from one `_response` call; K = d0^2 = gamma_r e^{i alpha}.
+    free empty), from one `_response_at` call; K = d0^2 = gamma_r e^{i alpha}.
     C does not depend on the model, so du is the derivative of every S
     entry.  At Omega = 0 the gamma_m and delta_m rows are exactly 0, as
-    `_matter_rate` takes matter out of S there.  Rates so large that u or
-    du overflows are a ValueError that names the overflow, with no numpy
-    warning."""
+    `_matter_rate` takes matter out of S there; at gamma_r = 0 every row
+    but gamma_r is, as u = 0 for every gamma_r = 0 model.  That row,
+    e^{i alpha} matter / D there, has no value where D = 0, so with gamma_r
+    free such a point is degenerate also where `_response_at` defines S.
+    Rates so large that u or du overflows are a ValueError that names the
+    overflow, with no numpy warning."""
     w = np.asarray(omega, dtype=float)
     matter, den, bad = _response_at(p, w)
+    if "gamma_r" in free and p.gamma_r == 0:
+        bad = _response(p, w - p.omega0)[2]
     _check_defined(w, bad)
     e_ia = bg.coupling(1.0) ** 2
     d0 = bg.coupling(p.gamma_r)
@@ -275,26 +280,17 @@ def det_s(p: ModelParams, omega: float) -> complex:
     """det S(omega) as the pole-zero ratio, up to the unimodular background
     phase factor e^{2 i theta_b} (r_b + i t_b)^2 which is stripped; |det_s|
     is the contract."""
-    val, bad = _det_s_one(p, omega)
+    val, bad = _det_s_grid(p, omega)
     _check_defined(omega, bad)
     return complex(val)
 
 
 def _det_s_grid(p: ModelParams, omega):
-    """Vectorized pole-zero ratio N/D from `_response`; returns (values,
+    """Vectorized pole-zero ratio N/D from `_response_at`; returns (values,
     degenerate mask), NaN at degenerate points."""
-    matter, den, bad = _response(p, np.asarray(omega, dtype=float) - p.omega0)
+    matter, den, bad = _response_at(p, omega)
     num = den - 2 * p.gamma_r * matter
-    return np.where(bad, np.nan + 0j, num / np.where(bad, 1.0, den)), bad
-
-
-def _det_s_one(p: ModelParams, omega):
-    """`_det_s_grid` for one model, degenerate where `s_elements` is: at
-    gamma_r = Omega = 0, N = D, and the ratio is 1 also where D = 0."""
-    val, bad = _det_s_grid(p, omega)
-    if p.gamma_r == 0 and p.omega_rabi == 0:
-        val, bad = np.where(bad, 1.0 + 0j, val), np.zeros_like(bad)
-    return val, bad
+    return np.where(bad, np.nan + 0j, num / den), bad
 
 
 def single_beam_spectrum(p: ModelParams, bg: Background, grid) -> SpectrumTable:
@@ -313,6 +309,6 @@ def single_beam_spectrum(p: ModelParams, bg: Background, grid) -> SpectrumTable:
     names = ("R1", "R2", "T", "A1", "A2")
     kinds = dict(zip(names, observables(s11, s12, s22, names)[0]))
     # |det S| from the pole-zero ratio, independent of the S entries
-    abs_dets = np.abs(_det_s_one(p, w)[0])
+    abs_dets = np.abs(_det_s_grid(p, w)[0])
     return SpectrumTable(omega=w, **kinds, B=1.0 - abs_dets**2,
                          abs_dets=abs_dets, degenerate=bad)

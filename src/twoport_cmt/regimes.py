@@ -4,7 +4,8 @@ and coherent-perfect-absorption frequencies.
 On the real axis |det S|^2 = A(u) / B(u) with u = omega - omega0, A = |N|^2
 and B = |D|^2 for the zero and pole quadratics N, D, so every extremum of
 |det S| is a real root of the polynomial F = A'B - AB' (degree <= 5).
-N, D and the Omega = 0 rule come from `model._response`.
+N, D and the Omega = 0 rule come from `model._response`; |det S| at given
+frequencies from `model._det_s_grid`, with the rule of where it is defined.
 """
 from __future__ import annotations
 

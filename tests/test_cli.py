@@ -103,6 +103,21 @@ class TestSpectrum:
         _, rows = read_csv(joint)
         assert [r[5] for r in rows] == ["1", "1", "1"]
 
+    def test_undriven_cavity_fit_round_trip(self, tmp_path, monkeypatch):
+        # `fit` takes the rule of `synth`: the row on the cavity's real pole
+        # 124.5 is S = C for both, so the fit of that file exits 0
+        undriven = ["--gamma-r", "0", "--gamma-nr", "0", "--omega-rabi", "0",
+                    "--grid-min", "120", "--grid-max", "129", "--grid-n", "3"]
+        data = tmp_path / "data.csv"
+        assert run(tmp_path, monkeypatch,
+                   ["synth", "--output", str(data), "--kinds", "R1",
+                    *undriven]) == EXIT_OK
+        result = tmp_path / "fit.json"
+        assert run(tmp_path, monkeypatch,
+                   ["fit", "--data", str(data), "--output", str(result),
+                    "--free", "omega0", *undriven]) == EXIT_OK
+        assert json.loads(result.read_text())["converged"] is True
+
     def test_outdir_env(self, tmp_path, monkeypatch):
         code = run(tmp_path, monkeypatch,
                    ["spectrum", "--output", "rel.csv", "--grid-n", "51"],

@@ -1,6 +1,7 @@
 """Core model: parameters, background, steady state, S-matrix, poles/zeros."""
 import cmath
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,16 @@ from twoport_cmt import (
     single_beam_spectrum,
     steady_state_response,
 )
+from twoport_cmt.fitting import FITTABLE
+from twoport_cmt.model import _det_s_grid, _elements_and_grad
+from twoport_cmt.regimes import _cells
 from conftest import random_passive_params
+
+# gamma_r = gamma_nr = Omega = 0: a lossless cavity that nothing drives,
+# with a real pole at omega0; and a lossless coupled model with real
+# poles at 100 -+ 8, which stay degenerate
+UNDRIVEN = ModelParams(124.5, 0.0, 0.0, 5.0, 0.0)
+LOSSLESS = ModelParams(100.0, 0.0, 0.0, 0.0, 8.0)
 
 
 class TestModelParams:
@@ -199,6 +209,100 @@ class TestSElements:
         assert all(np.isnan(s[1]) and np.isfinite(s[0]) for s in (s11, s12, s22))
         with pytest.raises(DegenerateResponseError):
             scattering_matrix(p, default_bg, 108.0)
+
+
+class TestDefinedRule:
+    """Every S, steady-state and |det S| builder takes `_response_at`: one
+    rule of where the response is defined, the same at every entry point."""
+
+    BUILDERS = ["s_elements", "scattering_matrix", "_elements_and_grad",
+                "_elements_and_grad omega0", "steady_state_response",
+                "det_s", "single_beam_spectrum"]
+    S_PLUS = (1.0, 0.5j)
+
+    def _at(self, name, p, bg, w):
+        """What builder name gives at the one frequency w: S = (s11, s12,
+        s22), |det S|, du, (a, b) or s_minus, or None for a NaN row."""
+        if name == "s_elements":
+            *s, bad = s_elements(p, bg, w)
+            assert bool(bad) == all(np.isnan(x) for x in s)
+            return None if bad else {"S": s}
+        if name == "scattering_matrix":
+            S = scattering_matrix(p, bg, w)
+            return {"S": (S.s11, S.s12, S.s22)}
+        if name.startswith("_elements_and_grad"):
+            free = tuple(name.split()[1:])
+            s, du = _elements_and_grad(p, bg, np.array([w]), free)
+            return {"S": [x[0] for x in s], "du": du}
+        if name == "steady_state_response":
+            a, b, s_minus = steady_state_response(p, bg, w, self.S_PLUS)
+            return {"ab": (a, b), "s_minus": s_minus}
+        if name == "det_s":
+            return {"dets": abs(det_s(p, w))}
+        t = single_beam_spectrum(p, bg, [w, w + 1.0])
+        row = [getattr(t, k)[0] for k in ("R1", "T", "A1", "B", "abs_dets")]
+        assert bool(t.degenerate[0]) == all(np.isnan(row))
+        return None if t.degenerate[0] else {"row": row}
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_undriven_cavity_pole_defined(self, name):
+        bg = Background(0.6, 0.3)
+        C = bg.matrix()
+        got = self._at(name, UNDRIVEN, bg, 124.5)
+        want = {"S": [C[0, 0], C[0, 1], C[1, 1]], "dets": 1.0, "ab": (0, 0),
+                "s_minus": tuple(C @ np.array(self.S_PLUS))}
+        for key, value in got.items():
+            if key == "du":
+                assert value is None if name == "_elements_and_grad" \
+                    else np.array_equal(value, np.zeros((1, 1)))
+            elif key == "row":
+                r1, t, a1, b, dets = value
+                assert (a1, b, dets) == (0.0, 0.0, 1.0)
+                assert (r1, t) == pytest.approx((0.36, 0.64), abs=1e-15)
+            else:
+                assert np.array_equal(value, want[key]), key
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_lossless_pole_degenerate(self, name):
+        try:
+            got = self._at(name, LOSSLESS, Background(), 108.0)
+        except DegenerateResponseError:
+            return
+        assert got is None
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(124.5, 3.0, 0.0, 5.0, 1e200),
+        ModelParams(1e200, 3.0, 0.0, 5.0, 8.0)], ids=["rabi", "omega0"])
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_overflow_named(self, name, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                self._at(name, p, Background(), 124.5)
+
+    def test_free_gamma_r_on_undriven_pole(self):
+        # as gamma_r leaves 0, u jumps from 0 to e^{i alpha} where D = 0,
+        # so du/dgamma_r has no value there; u = 0 for every gamma_r = 0
+        # model, so the other rows are exactly 0
+        bg = Background(0.6, 0.3)
+        w = np.array([120.0, 124.5, 129.0])
+        with pytest.raises(DegenerateResponseError, match="124.5"):
+            _elements_and_grad(UNDRIVEN, bg, w, ("gamma_r",))
+        others = tuple(n for n in FITTABLE if n != "gamma_r")
+        s, du = _elements_and_grad(UNDRIVEN, bg, w, others)
+        assert np.array_equal(du, np.zeros((5, 3)))
+        assert all(np.array_equal(x, np.full(3, c))
+                   for x, c in zip(s, bg.matrix()[[0, 0, 1], [0, 1, 1]]))
+        du = _elements_and_grad(UNDRIVEN, bg, w[::2], ("gamma_r",))[1]
+        assert np.all(np.isfinite(du) & (du != 0))
+
+    def test_cell_batch(self):
+        # the rule broadcasts over a batch of models, as `regimes` passes
+        c = _cells(UNDRIVEN, 2, gamma_m=np.array([5.0, 0.0]),
+                   omega_rabi=np.array([0.0, 8.0]))
+        val, bad = _det_s_grid(c, np.array([[124.5, 132.5]]))
+        assert bad.tolist() == [[False, True]]
+        assert val[0, 0] == 1.0 and np.isnan(val[0, 1])
 
 
 class TestPolesZeros:

@@ -209,15 +209,19 @@ class TestCriticalLoci:
         ("gamma_r", "gamma_nr", ModelParams(124.5, 3.0, 1.5, 0.0, 8.0)),
         ("gamma_r", "gamma_m", ModelParams(124.5, 3.0, 0.0, 5.0, 8.0, delta_m=3.0)),
         ("omega_rabi", "gamma_nr", ModelParams(124.5, 2.0, 1.5, 0.5, 8.0, delta_m=-4.0)),
+        ("gamma_r", "omega_rabi", ModelParams(124.5, 3.0, 0.0, 5.0, 8.0)),
     ])
     def test_n_peaks_is_count_peaks(self, x_param, y_param, base):
-        # random axes plus 0, so the sweeps hold gamma_r = 0, lossless and
-        # gamma_m = Omega = 0 cells
+        # random axes plus 0, so the sweeps hold gamma_r = 0, lossless,
+        # gamma_m = Omega = 0 and gamma_r = Omega = 0 cells
         rng = np.random.default_rng(31)
         xs = np.r_[0.0, rng.uniform(0.0, 10.0, 5)]
         ys = np.r_[0.0, rng.uniform(0.0, 10.0, 4)]
         m = critical_loci(base, x_param, xs, y_param, ys)
         assert m.n_peaks.shape == (ys.size, xs.size)
+        if {x_param, y_param} == {"gamma_r", "omega_rabi"}:
+            # the undriven lossless cavity: |det S| = 1 on the whole axis
+            assert m.n_peaks[0, 0] == 0 and m.min_abs_dets[0, 0] == 1.0
         for j, y in enumerate(ys):
             for i, x in enumerate(xs):
                 cell = ModelParams(**{**vars(base), x_param: x, y_param: y})
@@ -799,6 +803,15 @@ class TestOverflow:
             m = critical_loci(ModelParams(124.5, 0.0, 1.0, 5.0, 8.0), "gamma_m",
                               [1.0, 1e100], "omega_rabi", [1.0, 2.0])
         assert (m.min_abs_dets == 1.0).all() and (m.n_peaks == 0).all()
+
+    def test_pole_quadratic_overflow_named(self):
+        # gamma_r = 0 leaves G = 0, but D overflows on the peak grid of the
+        # Omega = 1e200 cells: `_det_s_grid` names it, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="D overflows"):
+                critical_loci(ModelParams(124.5, 0.0, 1.0, 5.0, 8.0),
+                              "omega_rabi", [1.0, 1e200], "gamma_m", [1.0, 2.0])
 
 
 class TestDebugLine:
