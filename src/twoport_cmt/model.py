@@ -235,14 +235,20 @@ def _elements_and_grad(p: ModelParams, bg: Background, omega, free):
     `_matter_rate` takes matter out of S there; at gamma_r = 0 every row
     but gamma_r is, as u = 0 for every gamma_r = 0 model.  That row,
     e^{i alpha} matter / D there, has no value where D = 0, so with gamma_r
-    free such a point is degenerate also where `_response_at` defines S.
+    free such a point raises a DegenerateResponseError that names dS/dgamma_r,
+    also where `_response_at` defines S.
     Rates so large that u or du overflows are a ValueError that names the
     overflow, with no numpy warning."""
     w = np.asarray(omega, dtype=float)
     matter, den, bad = _response_at(p, w)
-    if "gamma_r" in free and p.gamma_r == 0:
-        bad = _response(p, w - p.omega0)[2]
     _check_defined(w, bad)
+    if "gamma_r" in free and p.gamma_r == 0:
+        jump = _response(p, w - p.omega0)[2]
+        if jump.any():
+            raise DegenerateResponseError(
+                f"dS/dgamma_r undefined at omega={w[jump].flat[0]}: S is "
+                "defined there, but jumps as gamma_r leaves 0 (real pole of "
+                "the lossless model)")
     e_ia = bg.coupling(1.0) ** 2
     d0 = bg.coupling(p.gamma_r)
     try:

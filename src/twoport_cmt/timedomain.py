@@ -81,8 +81,13 @@ def suggested_time_step(p: ModelParams, drive: DriveSpec) -> float:
 
 
 def settling_time(p: ModelParams) -> float:
-    """Integration horizon based on the slowest modal decay rate Im(pole)."""
-    ims = [z.imag for z in poles_zeros(p).poles if z.imag > 1e-12]
+    """Integration horizon based on the slowest modal decay rate Im(pole).
+    A pole is damped where Im(pole) exceeds 1e-12 of the model's rate scale,
+    its largest rate or |delta_m|: the poles' imaginary parts are formed
+    from those alone (omega0 only shifts their real parts), so the test
+    holds for a model with every rate scaled alike."""
+    scale = max(p.gamma_r, p.gamma_nr, p.gamma_m, p.omega_rabi, abs(p.delta_m))
+    ims = [z.imag for z in poles_zeros(p).poles if z.imag > 1e-12 * scale]
     if not ims:
         raise ValueError("no positive damping rate; steady state undefined")
     return _SETTLING_FACTOR / min(ims)

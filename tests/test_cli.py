@@ -3,16 +3,21 @@ import argparse
 import cmath
 import csv
 import dataclasses
+import itertools
 import json
+import logging
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twoport_cmt
 from twoport_cmt import ModelParams, cli, critical_loci, fitting
@@ -470,14 +475,104 @@ class TestWriter:
         assert self.write(tmp_path, monkeypatch, "csv", [124.5], ("R1",),
                           [0.25], [1e-3]).splitlines()[1] == "124.5,R1,0.25,0.001"
 
-    @pytest.mark.parametrize("cells, merged", [
-        ([0.005] * 4, True), ([math.nan] * 3, True), ([-0.0], True),
-        ([0.0, -0.0], False), ([-0.0, 0.0, -0.0], False),
-        ([0.005, 0.005, 0.0051], False), ([0.005, 0.0051, 0.005], False),
-        ([math.nan, 1.0, math.nan], False), ([math.inf, -math.inf], False)])
-    def test_one_bit_pattern(self, cells, merged):
-        c = np.array(cells)
-        assert cli._one_bit_pattern(c, c.tolist()) is merged
+    @staticmethod
+    def text(*columns):
+        """The CSV that write_output makes of the columns (a synth table)."""
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.csv")
+            cfg = {**DEFAULT_CONFIG, "output": {"path": path, "format": "csv"}}
+            assert write_output(cfg, "synth", *columns) == EXIT_OK
+            with open(path, newline="") as fh:
+                return fh.read()
+
+    def assert_cell_by_cell(self, *columns):
+        # on both sides of the size rule: all rows, and the first few
+        small = [np.asarray(c)[:3] for c in columns]
+        for cols in (columns, small):
+            assert self.text(*cols) == ("omega_meV,kind,value,sigma\n"
+                                        + self.cell_by_cell(*cols))
+
+    @staticmethod
+    def float_table(values):
+        """values as a table of four float columns, of at least
+        _KERNEL_MIN_CELLS cells, so that the kernel writes it."""
+        v = np.asarray(values, dtype=float)
+        v = np.resize(v, max(v.size, -(-cli._KERNEL_MIN_CELLS // 4)))
+        return v, -v[::-1], np.roll(v, 1), v * 1e-20
+
+    @given(st.lists(st.floats(), min_size=1, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_floats_match_cell_by_cell(self, values):
+        # any float64: subnormals, NaN, +-inf and -0 among them
+        self.assert_cell_by_cell(*self.float_table(values))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_patterns_match_cell_by_cell(self, seed):
+        # raw 64-bit patterns over all exponents; 1000 rows take several
+        # kernel passes
+        bits = np.random.default_rng(seed).integers(
+            0, 2 ** 64, (1000, 4), dtype=np.uint64, endpoint=False)
+        self.assert_cell_by_cell(*bits.view(np.float64).T)
+
+    def test_powers_of_ten_match_cell_by_cell(self):
+        # every decade's 10^k and both of its neighbours, of either sign
+        p = np.array([float(f"1e{k}") for k in range(-330, 310)])
+        v = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+        self.assert_cell_by_cell(*self.float_table(np.concatenate([v, -v])))
+
+    def test_halfway_values_match_cell_by_cell(self):
+        # (k + 1/2) 10^(E - 16), 17-digit k, and the doubles on either side:
+        # round-half-even at the 17th digit
+        rng = np.random.default_rng(7)
+        h = np.array([float(f"{k}5e{e - 17}") for k, e in zip(
+            rng.integers(10 ** 16, 10 ** 17, 400).tolist(),
+            rng.integers(-35, 25, 400).tolist())])
+        self.assert_cell_by_cell(*self.float_table(np.concatenate(
+            [h, np.nextafter(h, 0), np.nextafter(h, np.inf)])))
+
+    def test_near_ties_past_the_exact_product_match_cell_by_cell(self):
+        # below 1e-6 the kernel's x 10^s is exact only to about 3e-15; each
+        # x = m 2^q here has x 10^s = (odd / 2) -+ 2^-j exactly, s > 22
+        v = []
+        for s, j, sign in itertools.product(range(23, 45),
+                                            (49, 50, 51, 52, 55, 60), (1, -1)):
+            odd = -sign * pow(2 ** j, -1, 5 ** s) % 5 ** s
+            odd += 5 ** s * (1 - odd % 2)  # odd 2^j + sign = 0 mod 5^s
+            m = (odd * 2 ** j + sign) // 5 ** s
+            if m < 2 ** 53:
+                v.append(math.ldexp(m, -j - 1 - s))
+        assert len(v) >= 10
+        self.assert_cell_by_cell(*self.float_table(v + [-x for x in v]))
+
+    def test_range_edges_match_cell_by_cell(self):
+        # each side of the kernel's range and of the %g layout changes
+        edges = np.array([1e-28, 1e-6, 1e-4, 1.0, 1e16, 1e17])
+        below, above = np.nextafter(edges, 0), np.nextafter(edges, np.inf)
+        v = np.concatenate([edges, below, np.nextafter(below, 0), above,
+                            np.nextafter(above, np.inf)])
+        self.assert_cell_by_cell(*self.float_table(np.concatenate([v, -v])))
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, "below", "at", 1000])
+    def test_mixed_table_matches_cell_by_cell(self, rows, caplog):
+        # int, str and float columns, on both sides of the size rule; the
+        # DEBUG line counts the cells each way wrote
+        rows = {"below": cli._KERNEL_MIN_CELLS // 4 - 1,
+                "at": -(-cli._KERNEL_MIN_CELLS // 4)}.get(rows, rows)
+        rng = np.random.default_rng(rows)
+        ints = rng.integers(-10 ** 18, 10 ** 18, rows)
+        kinds = rng.choice(["A1", "dpsi", "a,b", "100%", "\u00c4", ""], rows)
+        values = rng.choice([0.5, -0.0, math.nan, 1e-300, 2.5e-7, 124.5], rows)
+        sigma = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        with caplog.at_level(logging.DEBUG, logger="twoport_cmt.cli"):
+            text = self.text(ints, kinds, values, sigma)
+        assert text == ("omega_meV,kind,value,sigma\n"
+                        + self.cell_by_cell(ints, kinds, values, sigma))
+        line, = [r.getMessage() for r in caplog.records]
+        counts = dict(f.split("=") for f in line.split(": ")[1].split())
+        kernel = int(counts["kernel_cells"])
+        assert counts["rows"] == str(rows)
+        assert kernel + int(counts["percent_cells"]) == 4 * rows
+        assert (kernel > 0) == (4 * rows >= cli._KERNEL_MIN_CELLS)
 
     def test_constant_column_json_unchanged(self, tmp_path, monkeypatch):
         doc = json.loads(self.write(tmp_path, monkeypatch, "json",
@@ -972,6 +1067,26 @@ class TestOracleCheck:
             assert closed == pytest.approx(
                 1 - 0.5 * (abs(S.s11 + S.s12 * e) ** 2
                            + abs(S.s21 + S.s22 * e) ** 2), abs=1e-12)
+
+
+    def test_scaled_model_matches_headline(self, tmp_path, monkeypatch):
+        # the headline model with every rate, omega0 and the grid scaled by
+        # 1e-13 draws the same drives and agrees with the closed form
+        rows = {}
+        for lam in (1.0, 1e-13):
+            out = tmp_path / f"oc{lam}.csv"
+            scaled = [f"--{k}={v * lam!r}" for k, v in (
+                ("omega0", 124.5), ("gamma-r", 3.0), ("gamma-nr", 0.0),
+                ("gamma-m", 5.0), ("omega-rabi", 8.0), ("grid-min", 114.5),
+                ("grid-max", 134.5))]
+            assert run(tmp_path, monkeypatch, ["oracle-check", "--output",
+                                               str(out), *scaled]) == EXIT_OK
+            rows[lam] = np.array(read_csv(out)[1], dtype=float)
+        assert np.all(rows[1e-13][:, 4] < 1e-6)
+        np.testing.assert_allclose(rows[1e-13][:, 0], rows[1.0][:, 0] * 1e-13,
+                                   rtol=1e-15)
+        np.testing.assert_allclose(rows[1e-13][:, 1:4], rows[1.0][:, 1:4],
+                                   rtol=0, atol=1e-13)
 
 
 class TestSynthAndFit:

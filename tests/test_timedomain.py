@@ -116,6 +116,14 @@ class TestSetupHelpers:
         with pytest.raises(ValueError):
             settling_time(p)
 
+    @pytest.mark.parametrize("lam", [1e-13, 1e-100, 1e100])
+    def test_settling_time_scales_with_the_rates(self, headline_params, lam):
+        # every rate and omega0 scaled by lam: the poles scale by lam, and the
+        # damping test is relative to the rates, not absolute
+        p = ModelParams(124.5 * lam, 3.0 * lam, 0.0, 5.0 * lam, 8.0 * lam)
+        assert settling_time(p) == pytest.approx(
+            settling_time(headline_params) / lam, rel=1e-12)
+
 
 class TestDriveSpec:
     @pytest.mark.parametrize("kwargs", [
