@@ -14,6 +14,7 @@ import numpy as np
 from .twoport import SMatrix2, observables
 
 _INF = math.inf
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 class DegenerateResponseError(ArithmeticError):
@@ -139,6 +140,13 @@ def _matter_rate(p):
     return np.where(p.omega_rabi == 0, 1.0, p.gamma_m)
 
 
+def _rate_scale(p):
+    """|delta_m| + rates: the model's rate scale, the unit in which the
+    minima of |det S| are found and told apart. p is a `ModelParams` or a
+    batch of models."""
+    return np.abs(p.delta_m) + p.gamma_r + p.gamma_nr + p.gamma_m + p.omega_rabi
+
+
 def _response(p, u):
     """Matter factor, pole quadratic D = (i u + gamma_c) matter + Omega^2 and
     degenerate mask (real pole of a lossless model) at u = omega - omega0,
@@ -166,7 +174,9 @@ def _response_at(p, omega):
     Omega = 0 no point is flagged: the cavity is then a line that nothing
     drives, like the matter line `_matter_rate` drops at Omega = 0, so
     K = d0^2 = 0, N = D, and S = C and N/D = 1 also where D = 0. (With
-    Omega > 0 the real poles of a lossless model stay degenerate.)"""
+    Omega > 0 the real poles of a lossless model stay degenerate.) A
+    flagged point where both terms of D lie below the normal range is no
+    pole but an underflow, a ValueError that names it."""
     u = np.asarray(omega, dtype=float) - p.omega0
     with np.errstate(over="ignore", invalid="ignore"):
         matter, den, bad = _response(p, u)
@@ -176,6 +186,9 @@ def _response_at(p, omega):
     if bad.any():
         den = np.where(bad, 1.0, den)
         bad = bad & ((p.gamma_r != 0) | (p.omega_rabi != 0))
+        product = np.abs((1j * u + p.gamma_r + p.gamma_nr) * matter)
+        if np.any(bad & (product < _TINY) & (p.omega_rabi * p.omega_rabi < _TINY)):
+            raise ValueError("rates too small: the pole quadratic D underflows")
     return matter, den, bad
 
 

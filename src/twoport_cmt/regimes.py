@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model import (Background, ModelParams, _det_s_grid, _matter_rate,
-                    _response, s_elements)
+                    _rate_scale, _response, s_elements)
 from .twoport import two_beam_extrema
 
 _log = logging.getLogger(__name__)
@@ -27,7 +27,8 @@ _PEAK_FLOOR = 1e-9  # minimum absorbance for a countable peak
 _CPA_TOL = 1e-6  # |det S| below which `classify_regime` reports a CPA frequency
 _PEAK_GRID = 601  # points of the `count_peaks` grid, also in every `critical_loci` cell
 _NEWTON_STEPS = 40  # a simple root needs 2-3; a near-double one halves its error per step
-_EPS = np.finfo(float).eps
+_RESOLVE_ULPS = 2.0**10  # least rate scale `_solve` resolves, in ulp of omega0
+_SCALE_MIN = np.finfo(float).tiny ** (1 / 6)  # about 5e-52: G's s^6 terms underflow below
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,6 @@ def _resonant_minima(c):
     return _at_offsets(c, np.stack([np.where(split, -u, single), u]))
 
 
-def _rate_scale(c):
-    """|delta_m| + rates, which with |u| sizes the terms of G: Newton on G
-    cannot place u more finely than their rounding, 4 eps (|u| + this)."""
-    return np.abs(c.delta_m) + c.gamma_r + c.gamma_nr + c.gamma_m + c.omega_rabi
-
-
 def _minima(c, tol: float, roots: np.ndarray):
     """Local minima of |det S| on the real axis of detuned cells (cells along
     the last axis), by Newton on G from the roots of G,
@@ -197,33 +192,33 @@ def _minima(c, tol: float, roots: np.ndarray):
     real root can come out of `_roots` as a complex pair) and, for a root
     with 0 < |Im| < 1e-4 (1 + |Re|), also from Re + Im, so that a conjugate
     pair seeds Re +- |Im| (a maximum and a minimum of |det S| a few 1e-4 meV
-    apart come out as one such pair). A step within 4 eps (|u| + |delta_m| +
-    rates), the rounding of the terms of G, counts as 0: at large rates tol
-    lies below the spacing of u, and Newton cycles a few ulp apart. A seed
-    is dropped once its step stops shrinking short of tol (it cycles) or it
-    lands further from omega0 than twice the largest |real part| of a root
-    of G plus 1 meV (Newton on the degree-5 G only creeps back from there,
-    and every real root of G is a seed of its own); a cell stops, taking
-    zero steps, once all its seeds are within tol. A point is a minimum where G' > 0 or |det S| < 1e-12:
-    where the zeros of det S meet, G' = 0 to rounding."""
+    apart come out as one such pair). A seed has converged once its step is
+    within t = max(min(tol, 1e-10 s), 1e-13 s), s = `_rate_scale`, so the
+    rule holds in units of the model's rates. A seed is dropped once its
+    step stops shrinking short of t (it cycles) or it lands further from
+    omega0 than twice the largest |real part| of a root of G plus 1 meV
+    (Newton on the degree-5 G only creeps back from there, and every real
+    root of G is a seed of its own); a cell stops, taking zero steps, once
+    all its seeds are within t. A point is a minimum where G' > 0 or
+    |det S| < 1e-12: where the zeros of det S meet, G' = 0 to rounding."""
     re, im = roots.real.T, roots.imag.T
     near = (im != 0) & (np.abs(im) < 1e-4 * (1 + np.abs(re)))
     u = np.concatenate([re, np.where(near, re + im, np.nan)[near.any(axis=1)]])
     reach = 2 * np.fmax.reduce(np.abs(re), axis=0) + 1.0
     scale = _rate_scale(c)
+    t = np.fmax(np.fmin(tol, 1e-10 * scale), 1e-13 * scale)
     size, dg, run, steps = np.inf, 0.0, np.full(re.shape[1], True), 0
     while run.any() and steps < _NEWTON_STEPS:
         g, d = _stationary_value(c, u)
         step = np.divide(g, d, out=np.zeros_like(g), where=run & (d != 0))
         new, moved = u - step, np.abs(step)
-        moved[moved <= 4 * _EPS * (np.abs(u) + scale)] = 0.0
-        keep = ((moved <= tol) | (moved < size)) & (np.abs(new) <= reach)
+        keep = ((moved <= t) | (moved < size)) & (np.abs(new) <= reach)
         u, size = np.where(keep, new, np.nan), np.where(keep, moved, np.nan)
         dg = np.where(run, d, dg)
-        run = np.any(size > tol, axis=0)
+        run = np.any(size > t, axis=0)
         steps += 1
     omega, dets = _at_offsets(c, u)
-    ok = (size <= tol) & ~np.isnan(u) & ((dg > 0) | (dets < 1e-12))
+    ok = (size <= t) & ~np.isnan(u) & ((dg > 0) | (dets < 1e-12))
     return np.where(ok, omega, np.nan), np.where(ok, dets, np.nan), steps
 
 
@@ -238,7 +233,22 @@ def _solve(c, tol: float):
     frequencies; a detuned one takes `_roots` and `_minima`, and the real
     part of every root of G. Logs one DEBUG line: the cells, how many took
     the closed form and how many `eigvals`, the Newton steps and the minima
-    found."""
+    found.
+
+    A minimum is reported as omega0 + u, so a cell with gamma_r > 0 whose
+    rate scale s = `_rate_scale` is at most _RESOLVE_ULPS ulp of omega0, or
+    so small that s^6 underflows (_SCALE_MIN), is a ValueError; at gamma_r
+    = 0 (so at s = 0), |det S| = 1 and G = 0, and there is nothing to
+    resolve."""
+    scale = _rate_scale(c)
+    least = np.fmax(_SCALE_MIN, _RESOLVE_ULPS * np.spacing(c.omega0))
+    if ((c.gamma_r > 0) & (scale <= least)).any():
+        if np.any((c.gamma_r > 0) & (scale <= _SCALE_MIN)):
+            raise ValueError("rates too small: the coefficients of the polynomial "
+                             "whose roots are the extrema of |det S| underflow")
+        raise ValueError("rates too small for omega0: |delta_m| + rates must "
+                         "exceed 2^10 ulp(omega0) for the minima of |det S| "
+                         "to be resolved")
     if np.all(c.delta_m == 0):
         omega, dets = _resonant_minima(c)
         centres, closed, eig, steps = omega, omega.shape[1], 0, 0
@@ -257,21 +267,17 @@ def _solve(c, tol: float):
 
 def _cell_minima(p: ModelParams, tol: float):
     """The minima of |det S| of one model (`_solve`), ascending. Of
-    neighbours closer than tol or than 16 eps (|u| + `_rate_scale`) at the
-    further one (below), or with |det S| < 1e-12 at both and midway (one
-    zero of det S, where G is flat: a g1 that rounds below 0 splits it into
+    neighbours closer than max(min(tol, 1e-10 s), 4e-13 s), s =
+    `_rate_scale`, or with |det S| < 1e-12 at both and midway (one zero of
+    det S, where G is flat: a g1 that rounds below 0 splits it into
     +-sqrt(v+), and Newton scatters it, by about 1e-7 meV), the first is
     kept."""
     omega, dets = (a[:, 0] for a in _solve(_cells(p), tol)[:2])
     order = np.argsort(omega)[:np.count_nonzero(~np.isnan(omega))]
     omega, dets = omega[order], dets[order]
     between = np.abs(_det_s_grid(p, 0.5 * (omega[:-1] + omega[1:]))[0])
-    # `_minima` takes a point once its step is within 4 eps (|u| + rates),
-    # so the points of one minimum scatter over a few such windows (up to
-    # 9 eps on 2,000 random models scaled to 1e15); four windows merge them
-    far = np.abs(omega - p.omega0)
-    gap = np.fmax(tol, 16 * _EPS * (np.fmax(far[:-1], far[1:])
-                                     + _rate_scale(p)))
+    scale = _rate_scale(p)
+    gap = max(min(tol, 1e-10 * scale), 4e-13 * scale)
     same = ((np.diff(omega) <= gap)
             | (np.max([dets[:-1], dets[1:], between], axis=0) < 1e-12))
     keep = np.r_[True, ~same][:omega.size]

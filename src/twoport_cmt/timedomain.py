@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Background, ModelParams, poles_zeros
+from .model import Background, ModelParams, _rate_scale, poles_zeros
 
 _SETTLING_FACTOR = 20.0  # horizon in units of the slowest decay time 1 / Im(pole)
 _STEP = 0.04  # suggested step, in units of 1 / the largest frequency scale
@@ -82,12 +82,11 @@ def suggested_time_step(p: ModelParams, drive: DriveSpec) -> float:
 
 def settling_time(p: ModelParams) -> float:
     """Integration horizon based on the slowest modal decay rate Im(pole).
-    A pole is damped where Im(pole) exceeds 1e-12 of the model's rate scale,
-    its largest rate or |delta_m|: the poles' imaginary parts are formed
-    from those alone (omega0 only shifts their real parts), so the test
-    holds for a model with every rate scaled alike."""
-    scale = max(p.gamma_r, p.gamma_nr, p.gamma_m, p.omega_rabi, abs(p.delta_m))
-    ims = [z.imag for z in poles_zeros(p).poles if z.imag > 1e-12 * scale]
+    A pole is damped where Im(pole) exceeds 1e-12 of `_rate_scale`: the
+    poles' imaginary parts are formed from the rates and delta_m alone
+    (omega0 only shifts their real parts), so the test holds for a model
+    with every rate scaled alike."""
+    ims = [z.imag for z in poles_zeros(p).poles if z.imag > 1e-12 * _rate_scale(p)]
     if not ims:
         raise ValueError("no positive damping rate; steady state undefined")
     return _SETTLING_FACTOR / min(ims)

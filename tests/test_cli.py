@@ -32,6 +32,15 @@ ALT_MODEL = ["--gamma-nr", "0.5", "--delta-m", "1.5", "--r-b", "0.7",
 ALT_PARAMS = ModelParams(124.5, 3.0, 0.5, 5.0, 8.0, delta_m=1.5)
 
 
+def scaled_model(lam, omega0=124.5):
+    """Flags of the model (3, 1, 5, 8, delta_m 1.5) with every rate and
+    delta_m scaled by lam."""
+    return ["--omega0", repr(omega0), *itertools.chain.from_iterable(
+        (flag, repr(lam * x)) for flag, x in (
+            ("--gamma-r", 3.0), ("--gamma-nr", 1.0), ("--gamma-m", 5.0),
+            ("--omega-rabi", 8.0), ("--delta-m", 1.5)))]
+
+
 def run(tmp_path, monkeypatch, argv, outdir=None):
     if outdir is not None:
         monkeypatch.setenv("TWOPORT_CMT_OUTDIR", str(outdir))
@@ -384,6 +393,33 @@ class TestConfigHandling:
         assert err.startswith("config error: rates too large")
         assert "overflow" in err and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ov.json"]
+
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["cpa", "--omega0", "1e200"], "rates too small for omega0"),
+        (["phase-diagram", "--omega0", "1e200"], "rates too small for omega0"),
+        (["cpa", *scaled_model(1e-16)], "rates too small for omega0"),
+        (["cpa", *scaled_model(1e-200)], "underflow"),
+        (["phase-diagram", *scaled_model(1e-200)], "underflow"),
+        *(([cmd, *scaled_model(1e-200)], "D underflows") for cmd in
+          ("spectrum", "joint", "synth")),
+        (["oracle-check", *scaled_model(1e-200, omega0=1.245e-198),
+          "--grid-min", "1.145e-198", "--grid-max", "1.345e-198"], "D underflows"),
+    ], ids=["cpa omega0", "phase-diagram omega0", "cpa 1e-16", "cpa 1e-200",
+            "phase-diagram 1e-200", "spectrum 1e-200", "joint 1e-200",
+            "synth 1e-200", "oracle-check 1e-200"])
+    def test_unresolvable_rates_rejected(self, tmp_path, monkeypatch, capsys,
+                                         argv, cause):
+        # rates below 2^10 ulp of omega0, or so small that G or D underflows:
+        # exit 2 with one message that names the cause, no warning and no
+        # output file
+        monkeypatch.chdir(tmp_path)
+        assert run(tmp_path, monkeypatch, argv + ["--output", "out.csv"]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rates too small")
+        assert cause in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriter:

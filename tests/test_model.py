@@ -280,6 +280,16 @@ class TestDefinedRule:
             with pytest.raises(ValueError, match="overflow"):
                 self._at(name, p, Background(), 124.5)
 
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_underflow_named(self, name):
+        # rates of 1e-200 meV: both terms of D underflow to 0 at omega0,
+        # which is no real pole of this damped model
+        p = ModelParams(124.5, 3e-200, 1e-200, 5e-200, 8e-200, delta_m=1.5e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="D underflows"):
+                self._at(name, p, Background(), 124.5)
+
     def test_free_gamma_r_on_undriven_pole(self):
         # as gamma_r leaves 0, u jumps from 0 to e^{i alpha} where D = 0,
         # so du/dgamma_r has no value there; u = 0 for every gamma_r = 0

@@ -921,33 +921,77 @@ class TestScaleFreeThresholds:
             want[0].omega - 124.5, rel=1e-9)
         assert got[0].dets_min == pytest.approx(want[0].dets_min, rel=1e-12)
 
-    @pytest.mark.parametrize("lam", [1e3, 1e6, 1e12])
-    def test_scaled_detuned_models_match_unit_scale(self, lam):
-        # the minima of |det S| at omega0 + lam u are those at omega0 + u:
-        # no minimum is reported twice, and each one reported is one of
-        # unit scale, its offset / lam equal to 1e-12 of the model's size
+    @staticmethod
+    def _random_models(lam, mirror=1.0):
+        # 60 random detuned models with every rate and delta_m scaled by lam,
+        # each with its unit-scale shape and size |delta_m| + rates
         rng = np.random.default_rng(4)
         for _ in range(60):
             shape = rng.uniform(0.0, 10.0, 4)
             delta = float(rng.uniform(-10.0, 10.0))
-            unit = ModelParams(124.5, *shape, delta_m=delta)
-            scaled = ModelParams(124.5, *(lam * shape), delta_m=lam * delta)
-            size = abs(delta) + shape.sum()
+            yield (ModelParams(124.5, *shape, delta_m=delta),
+                   ModelParams(124.5, *(lam * shape), delta_m=mirror * lam * delta),
+                   abs(delta) + shape.sum())
+
+    @pytest.mark.parametrize("lam", [1e-9, 1e-6, 1e3, 1e6, 1e12])
+    def test_scaled_detuned_models_match_unit_scale(self, lam):
+        # the minima of |det S| at omega0 + lam u are those at omega0 + u:
+        # as many as at unit scale, their offsets / lam equal to 1e-12 of the
+        # model's size. Below lam = 1 an offset is rounded to the float
+        # spacing of omega0, 1.4e-14 meV or 1.4e-5 / lam = 1e9 (4.0e-7 of
+        # the size measured), and |det S| near a minimum by that squared
+        # (2.3e-11 measured)
+        off_tol, dets_tol = (1e-12, {"rel": 1e-9}) if lam > 1 else (1e-6, {"abs": 1e-9})
+        for unit, scaled, size in self._random_models(lam):
             want = [(q.omega - 124.5, q.dets_min) for q in find_cpa(unit)]
             got = find_cpa(scaled)
-            assert len(got) <= len(want)
-            for q in got:
-                u = (q.omega - 124.5) / lam
-                w, dets = min(want, key=lambda m: abs(m[0] - u))
-                assert abs(u - w) <= 1e-12 * (abs(w) + size)
-                assert q.dets_min == pytest.approx(dets, rel=1e-9)
+            assert len(got) == len(want)
+            for q, (w, dets) in zip(got, want):
+                assert abs((q.omega - 124.5) / lam - w) <= off_tol * (abs(w) + size)
+                assert q.dets_min == pytest.approx(dets, **dets_tol)
+            assert min_abs_dets(scaled) == pytest.approx(min_abs_dets(unit), **dets_tol)
             assert (classify_regime(scaled).n_peaks
-                    <= classify_regime(unit).n_peaks)
+                    == classify_regime(unit).n_peaks)
 
-    @pytest.mark.xfail(strict=True, reason="Newton drops a simple minimum "
-                       "of G at large rates (its steps stay above the "
-                       "4 eps window, so the seed counts as cycling)")
+    @pytest.mark.parametrize("lam", [1e-9, 1.0, 1e6])
+    def test_mirrored_detuning(self, lam):
+        # delta_m -> -delta_m conjugates the matter factor, so it maps
+        # |det S|(omega0 + u) to |det S|(omega0 - u): the same minima
+        # mirrored about omega0
+        for _, p, size in self._random_models(lam):
+            q = ModelParams(**{**vars(p), "delta_m": -p.delta_m})
+            got, mirrored = find_cpa(p), find_cpa(q)[::-1]
+            assert len(got) == len(mirrored)
+            for a, b in zip(got, mirrored):
+                assert abs((a.omega - 124.5) + (b.omega - 124.5)) <= 1e-12 * lam * size
+                assert a.dets_min == pytest.approx(b.dets_min, rel=1e-9)
+            assert min_abs_dets(p) == pytest.approx(min_abs_dets(q), rel=1e-9)
+
+    def test_narrow_model_keeps_both_minima(self):
+        # rates of 1e-11 meV, 1300 ulp of omega0: both minima, each within
+        # one float spacing of omega0 (1.4e-14 meV) of lam times a unit-scale
+        # offset
+        lam = 1e-12
+        got, want = find_cpa(self._scaled(lam)), find_cpa(self._scaled(1.0))
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert abs((g.omega - 124.5) - lam * (w.omega - 124.5)) <= np.spacing(124.5)
+            assert g.dets_min == pytest.approx(w.dets_min, abs=1e-5)
+        assert [round(g.dets_min, 4) for g in got] == [0.2304, 0.3674]
+
+    @pytest.mark.parametrize("p", NARROW_PAIR_MODELS)
+    def test_narrow_pair_scaled_down(self, p):
+        # the pair of lines about 2e-4 meV wide, scaled to 2e-13 meV: still
+        # two minima, as at unit scale, and no third
+        lam = 1e-9
+        rates = lam * np.array([p.gamma_r, p.gamma_nr, p.gamma_m, p.omega_rabi])
+        scaled = ModelParams(p.omega0, *rates, delta_m=lam * p.delta_m)
+        assert len(find_cpa(scaled)) == len(find_cpa(p)) == 2
+
     def test_scaled_model_keeps_every_minimum(self):
+        # the seed of the minimum at omega0 + 0.478e6 takes Newton steps that
+        # shrink slowly, a few ulp of u above the stop rule of a 1e-10 tol
+        # in meV: the rule in units of the rate scale keeps it
         shape = np.array([0.27122094524571705, 9.748166908535595,
                           0.30357964641581914, 0.518069464734765])
         delta = -0.8296280257159978
@@ -955,3 +999,59 @@ class TestScaleFreeThresholds:
         got = find_cpa(ModelParams(124.5, *(1e6 * shape), delta_m=1e6 * delta))
         assert len(want) == 2
         assert len(got) == len(want)
+
+
+class TestUnresolvable:
+    """Rates that `_solve` cannot resolve at omega0, and rates so small that
+    the terms of G or D underflow, are a ValueError that names the cause,
+    with no RuntimeWarning; rates of 0 stay valid."""
+
+    SHAPE = TestScaleFreeThresholds.SHAPE
+
+    def _scaled(self, lam, omega0=124.5):
+        return ModelParams(omega0, *(lam * self.SHAPE), delta_m=1.5 * lam)
+
+    def _runs(self, p):
+        return (lambda: find_cpa(p), lambda: min_abs_dets(p),
+                lambda: classify_regime(p), lambda: count_peaks(p),
+                lambda: critical_loci(p, "gamma_m", [p.gamma_m, 1.0],
+                                      "gamma_r", [p.gamma_r]))
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(1e200, 3.0, 1.0, 5.0, 8.0),
+        ModelParams(1e200, 3.0, 1.0, 5.0, 8.0, delta_m=1.5),
+        ModelParams(124.5, 3e-16, 1e-16, 5e-16, 8e-16, delta_m=1.5e-16),
+    ], ids=["resonant omega0", "detuned omega0", "narrow"])
+    def test_below_float_spacing(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in self._runs(p):
+                with pytest.raises(ValueError, match="rates too small for omega0"):
+                    run()
+
+    @pytest.mark.parametrize("omega0", [124.5, 1e-190])
+    def test_underflow(self, omega0):
+        p = self._scaled(1e-200, omega0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in self._runs(p):
+                with pytest.raises(ValueError, match="underflow"):
+                    run()
+
+    def test_threshold(self):
+        # 2^10 ulp(124.5) = 1.46e-11 meV: a scale of 1.85e-11 passes
+        p = self._scaled(1e-12)
+        assert regimes._rate_scale(p) > 2**10 * np.spacing(124.5)
+        assert len(find_cpa(p)) == 2
+        assert regimes._rate_scale(self._scaled(7e-13)) < 2**10 * np.spacing(124.5)
+        with pytest.raises(ValueError, match="rates too small"):
+            find_cpa(self._scaled(7e-13))
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(124.5, 0.0, 0.0, 0.0, 0.0),
+        ModelParams(124.5, 0.0, 1e-16, 1e-16, 1e-16, delta_m=1e-16)],
+        ids=["zero", "gamma_r = 0, narrow"])
+    def test_unit_determinant_valid(self, p):
+        # gamma_r = 0: |det S| = 1 everywhere, with no minimum to resolve
+        assert find_cpa(p) == [] and min_abs_dets(p) == 1.0
+        assert count_peaks(p) == 0 and classify_regime(p).n_peaks == 0
