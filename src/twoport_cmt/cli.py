@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -103,6 +104,62 @@ def _command_flags(command: str) -> dict:
     return {**COMMON_FLAGS, **COMMAND_FLAGS.get(command, {})}
 
 
+@functools.cache
+def _flag_table(command: str) -> dict:
+    """flag -> (argparse dest, value type, takes a list, config path as a
+    tuple of keys) for every flag of the subcommand: --config first (no
+    config path), then `_command_flags` in --help order. The type is that
+    of the path's default in DEFAULT_CONFIG, str for a list and --config.
+    `build_parser`, `_plain_args` and `load_config` all read it."""
+    table = {"--config": ("config", str, False, None)}
+    for flag, path in _command_flags(command).items():
+        keys = tuple(path.split("."))
+        default = functools.reduce(dict.__getitem__, keys, DEFAULT_CONFIG)
+        many = isinstance(default, list)
+        table[flag] = (flag[2:].replace("-", "_"),
+                       str if many else type(default), many, keys)
+    return table
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's pattern
+
+
+def _plain_args(argv):
+    """The namespace that `build_parser().parse_args(argv)` returns, read in
+    one pass over `_flag_table`, where argv is plain: a subcommand, then
+    only exact flags of it, each followed by one value (the list flags
+    --kinds and --free: their values up to the next option-like token),
+    each value converted by the type argparse uses. A value starts with
+    "-" only as a negative number by argparse's own pattern. For any other
+    argv (help, abbreviations, --flag=value, --, unknown flags, missing or
+    bad values) None: argparse then reads it, with its own messages and
+    exit 2."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    table = _flag_table(argv[0])
+    values = {row[0]: None for row in table.values()}
+    i, n = 1, len(argv)
+    while i < n:
+        row = table.get(argv[i])
+        if row is None:
+            return None
+        dest, kind, many, _ = row
+        start = i = i + 1
+        while i < n and (argv[i][:1] != "-"
+                         or _NEGATIVE_NUMBER.match(argv[i])):
+            i += 1
+            if not many:
+                break
+        if i == start:  # no value
+            return None
+        try:
+            values[dest] = ([kind(token) for token in argv[start:i]] if many
+                            else kind(argv[start]))
+        except ValueError:
+            return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 class ConfigError(ValueError):
     pass
 
@@ -132,7 +189,15 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 def load_config(args) -> dict:
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    """The config of a parsed argv: a copy of DEFAULT_CONFIG, merged
+    with the `--config` file if one is given and then with the flags that
+    were given (each at its `_flag_table` path), every value checked by
+    `_merge`. args is a namespace of `build_parser` or `_plain_args`."""
+    # the defaults hold values and sections of values, no deeper dicts
+    cfg = {key: {k: list(v) if type(v) is list else v
+                 for k, v in section.items()}
+           if type(section) is dict else section
+           for key, section in DEFAULT_CONFIG.items()}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -147,12 +212,14 @@ def load_config(args) -> dict:
         cfg = _merge(cfg, user)
     # the flags that were given, as an override nested like the config
     flags: dict = {}
-    for flag, path in _command_flags(args.command).items():
-        v = getattr(args, flag[2:].replace("-", "_"))
-        if v is not None:
-            *parents, key = path.split(".")
-            functools.reduce(lambda d, k: d.setdefault(k, {}), parents,
-                             flags)[key] = v
+    for dest, _, _, path in _flag_table(args.command).values():
+        v = getattr(args, dest)
+        if v is not None and path:
+            *parents, key = path
+            node = flags
+            for parent in parents:
+                node = node.setdefault(parent, {})
+            node[key] = v
     return _merge(cfg, flags)
 
 
@@ -588,7 +655,9 @@ COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (do not modify it)."""
+    """The argument parser, built once per process from `_flag_table` (do
+    not modify it). `main` uses it for every argv that `_plain_args` does
+    not read: it gives --help and every argv error its message and exit 2."""
     parser = argparse.ArgumentParser(
         prog="twoport-cmt",
         description="Two-port coupled-oscillator scattering toolkit",
@@ -596,17 +665,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--config", help="JSON config file")
-        for flag, path in _command_flags(name).items():
-            default = functools.reduce(dict.__getitem__, path.split("."),
-                                       DEFAULT_CONFIG)
-            sp.add_argument(flag, **({"nargs": "+"} if isinstance(default, list)
-                                     else {"type": type(default)}))
+        for flag, (_, kind, many, _) in _flag_table(name).items():
+            text = "JSON config file" if flag == "--config" else None
+            sp.add_argument(flag, type=kind, nargs="+" if many else None,
+                            help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    route = "plain pass"
+    if args is None:
+        args, route = build_parser().parse_args(argv), "argparse"
+    _log.debug("argv %s: read by the %s", args.command, route)
     try:
         cfg = load_config(args)
         # every subcommand validates the model and the background

@@ -174,18 +174,24 @@ def _response_at(p, omega):
     Omega = 0 no point is flagged: the cavity is then a line that nothing
     drives, like the matter line `_matter_rate` drops at Omega = 0, so
     K = d0^2 = 0, N = D, and S = C and N/D = 1 also where D = 0. (With
-    Omega > 0 the real poles of a lossless model stay degenerate.) A
-    flagged point where both terms of D lie below the normal range is no
-    pole but an underflow, a ValueError that names it."""
+    Omega > 0 the real poles of a lossless model stay degenerate.) Where
+    the model is driven, D below the normal range is no pole but an
+    underflow, a ValueError that names it: at a flagged point where both
+    terms of D lie below that range, and at any other point that is not
+    NaN."""
     u = np.asarray(omega, dtype=float) - p.omega0
     with np.errstate(over="ignore", invalid="ignore"):
         matter, den, bad = _response(p, u)
         if not (cmath.isfinite(den.sum())
                 or np.all(np.isfinite(den) | np.isnan(u))):
             raise ValueError("rates too large: the pole quadratic D overflows")
+    driven = (p.gamma_r != 0) | (p.omega_rabi != 0)
+    small = np.abs(den) < _TINY
+    if small.any() and np.any(driven & small & ~bad):
+        raise ValueError("rates too small: the pole quadratic D underflows")
     if bad.any():
         den = np.where(bad, 1.0, den)
-        bad = bad & ((p.gamma_r != 0) | (p.omega_rabi != 0))
+        bad = bad & driven
         product = np.abs((1j * u + p.gamma_r + p.gamma_nr) * matter)
         if np.any(bad & (product < _TINY) & (p.omega_rabi * p.omega_rabi < _TINY)):
             raise ValueError("rates too small: the pole quadratic D underflows")

@@ -405,9 +405,15 @@ class TestConfigHandling:
           ("spectrum", "joint", "synth")),
         (["oracle-check", *scaled_model(1e-200, omega0=1.245e-198),
           "--grid-min", "1.145e-198", "--grid-max", "1.345e-198"], "D underflows"),
+        # D subnormal at 124.5 but not flagged as a pole
+        *(([cmd, *scaled_model(1e-160)], "D underflows") for cmd in
+          ("spectrum", "joint", "synth")),
+        (["oracle-check", *scaled_model(1e-160, omega0=1.245e-158),
+          "--grid-min", "1.145e-158", "--grid-max", "1.345e-158"], "D underflows"),
     ], ids=["cpa omega0", "phase-diagram omega0", "cpa 1e-16", "cpa 1e-200",
             "phase-diagram 1e-200", "spectrum 1e-200", "joint 1e-200",
-            "synth 1e-200", "oracle-check 1e-200"])
+            "synth 1e-200", "oracle-check 1e-200", "spectrum 1e-160",
+            "joint 1e-160", "synth 1e-160", "oracle-check 1e-160"])
     def test_unresolvable_rates_rejected(self, tmp_path, monkeypatch, capsys,
                                          argv, cause):
         # rates below 2^10 ulp of omega0, or so small that G or D underflows:
@@ -420,6 +426,22 @@ class TestConfigHandling:
         assert err.startswith("config error: rates too small")
         assert cause in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        *([cmd, *scaled_model(1e-150)] for cmd in ("spectrum", "joint", "synth")),
+        ["oracle-check", *scaled_model(1e-150, omega0=1.245e-148),
+         "--grid-min", "1.145e-148", "--grid-max", "1.345e-148"],
+    ], ids=["spectrum", "joint", "synth", "oracle-check"])
+    def test_small_resolvable_rates_accepted(self, tmp_path, monkeypatch, argv):
+        # rates of 1e-150 meV keep D in the normal range: exit 0 and a table
+        # without an infinite field
+        out = tmp_path / "out.csv"
+        assert run(tmp_path, monkeypatch, argv + ["--output", str(out)]) \
+            == EXIT_OK
+        header, rows = read_csv(out)
+        numeric = [i for i, name in enumerate(header) if name != "kind"]
+        assert rows and not any(math.isinf(float(r[i])) for r in rows
+                                for i in numeric)
 
 
 class TestWriter:
@@ -695,6 +717,148 @@ class TestFlagTable:
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
+
+
+def assert_same_namespace(got, want):
+    # the same fields in the same order, each of the same type and value
+    # (NaN equal to NaN)
+    got, want = vars(got), vars(want)
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert type(got[key]) is type(value), key
+        assert got[key] == value or (
+            isinstance(value, float) and math.isnan(value)
+            and math.isnan(got[key])), key
+
+
+ALL_FLAGS = sorted(set(COMMON_FLAGS).union(*EXTRA_FLAGS.values()))
+# mostly numbers (every flag takes an integer), and the tokens that argparse
+# reads apart: negative numbers, option-like values, words, kinds and names
+VALUE_TOKENS = st.one_of(
+    st.integers(-9, 99).map(str), st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["-4", "-.5", "-0", "5.7", "0", "12", "1e400", "nan",
+                     "inf", "-inf"]),
+    st.sampled_from(["-1e-3", "-", "--", "-x y", "--grid-n=5", "", "A1",
+                     "R1", "T", "dpsi", "omega0", "gamma_m", "word",
+                     "out.csv"]))
+
+
+class TestPlainArgs:
+    """`_plain_args` against argparse, its reference."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_matches_argparse(self, data):
+        # wherever the plain pass reads an argv, it gives argparse's namespace
+        command = data.draw(st.sampled_from([*EXTRA_FLAGS, "nope"]))
+        own = COMMON_FLAGS + 4 * EXTRA_FLAGS.get(command, [])
+        flags = st.sampled_from(
+            3 * own + ALL_FLAGS + ["-h", "--help", "--grid-m", "--bogus"])
+        values = st.one_of(VALUE_TOKENS.map(lambda token: [token]),
+                           st.lists(VALUE_TOKENS, min_size=2, max_size=4),
+                           st.just([]))
+        items = data.draw(st.lists(st.tuples(flags, values), max_size=6))
+        argv = [command, *(t for flag, values in items for t in (flag, *values))]
+        got = cli._plain_args(argv)
+        if got is not None:
+            assert_same_namespace(got, build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "-h"], ["-h"], ["spectrum", "--grid-n=5"],
+        ["spectrum", "--grid-mi", "120"], ["spectrum", "--grid-m", "120"],
+        ["spectrum", "--delta-m", "-1e-3"], ["spectrum", "--output", "-"],
+        ["spectrum", "--bogus", "1"], ["spectrum", "--kinds", "A1"],
+        ["spectrum", "--output"], ["spectrum", "--grid-n", "5.7"], [],
+        ["nope"],
+    ], ids=["help", "top-level help", "flag=value", "abbreviation",
+            "ambiguous abbreviation", "-1e-3", "dash value", "unknown flag",
+            "other command's flag", "missing value", "bad value", "empty",
+            "unknown command"])
+    def test_other_forms_go_to_argparse(self, tmp_path, monkeypatch, capsys,
+                                        caplog, argv):
+        # not plain: main reads the argv with argparse, so it exits as
+        # argparse does, with the same code and output, or runs the command
+        assert cli._plain_args(argv) is None
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code, out = exc.code, capsys.readouterr()
+            with pytest.raises(SystemExit) as got:
+                run(tmp_path, monkeypatch, argv)
+            assert got.value.code == code
+            assert capsys.readouterr() == out
+        else:
+            argv = argv + ["--output", str(tmp_path / "out.csv")]
+            assert cli._plain_args(argv) is None
+            with caplog.at_level(logging.DEBUG, logger="twoport_cmt.cli"):
+                assert run(tmp_path, monkeypatch, argv) == EXIT_OK
+            assert "argv spectrum: read by the argparse" in caplog.messages
+
+    def test_readme_and_workload_shapes_are_plain(self):
+        # README's CLI examples and the argvs of the benchmark's four
+        # workloads (phase_diagram; oracle; fit: synth then fit; two_beam:
+        # spectrum, joint, cpa) take the plain pass
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI")[1].split("```sh\n")[1].split("```")[0]
+        examples = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("twoport-cmt ")]
+        model = ["--omega0", "131.25", "--gamma-r", "2.3456789012345678",
+                 "--gamma-nr", "0.75", "--gamma-m", "5.5", "--omega-rabi",
+                 "4.125"]
+        window = ["--grid-min", "105.0", "--grid-max", "145.0"]
+        shapes = [
+            ["phase-diagram", "--config", "pd_config.json", "--output",
+             "pd.csv"],
+            ["oracle-check", *model, "--grid-min", "121.25", "--grid-max",
+             "141.25", "--n-samples", "4", "--seed", "1234567", "--output",
+             "oracle.csv"],
+            ["synth", *model, *window, "--grid-n", "201", "--noise-sigma",
+             "0.005", "--seed", "42", "--kinds", "A_joint_max", "A_joint_min",
+             "dpsi", "--output", "synth.csv"],
+            ["fit", "--data", "synth.csv", *model, "--free", "omega0",
+             "gamma_r", "gamma_m", "omega_rabi", "--output", "fit.json"],
+            ["spectrum", *model, *window, "--grid-n", "801", "--output",
+             "spectrum.csv"],
+            ["joint", *model, *window, "--grid-n", "401", "--n-phi", "64",
+             "--output", "joint.csv"],
+            ["cpa", *model, "--tol", "1e-10", "--output", "cpa.csv"],
+        ]
+        assert len(examples) == len(COMMANDS)
+        for argv in examples + shapes:
+            got = cli._plain_args(argv)
+            assert got is not None, argv
+            assert_same_namespace(got, build_parser().parse_args(argv))
+
+    def test_both_routes_write_the_same_bytes(self, tmp_path, monkeypatch,
+                                              caplog):
+        # one DEBUG line per call names the route; the table is the same
+        grid = {"plain pass": ["--grid-n", "41", "--grid-min", "120",
+                               "--grid-max", "129"],
+                "argparse": ["--grid-n=41", "--grid-mi", "120", "--grid-max",
+                             "129"]}
+        tables = {}
+        for route, flags in grid.items():
+            out = tmp_path / f"{route}.csv"
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="twoport_cmt.cli"):
+                assert run(tmp_path, monkeypatch, ["spectrum", *flags,
+                                                   "--output", str(out)]) \
+                    == EXIT_OK
+            assert [m for m in caplog.messages if m.startswith("argv")] == [
+                f"argv spectrum: read by the {route}"]
+            tables[route] = out.read_bytes()
+        assert tables["plain pass"] == tables["argparse"]
+
+    def test_config_is_a_fresh_copy(self):
+        # load_config shares no section or list with DEFAULT_CONFIG
+        before = json.loads(json.dumps(DEFAULT_CONFIG))
+        cfg = load_config(cli._plain_args(["synth"]))
+        assert cfg == DEFAULT_CONFIG
+        cfg["synth"]["kinds"].append("R1")
+        cfg["fit"]["free"].clear()
+        cfg["model"]["omega0"] = 1.0
+        assert DEFAULT_CONFIG == before
 
 
 class TestNumericalExit:
