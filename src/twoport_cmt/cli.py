@@ -24,7 +24,7 @@ from . import fitting, regimes, timedomain
 from .model import (Background, DegenerateResponseError, ModelParams,
                     _defined_elements, _det_s_grid, single_beam_spectrum)
 from .timedomain import DriveSpec, SteadyStateNotConvergedError
-from .twoport import (_joint, _port_intensities, dephasing_defined,
+from .twoport import (KINDS, _joint, _port_intensities, dephasing_defined,
                       dets_from_observables, observables, output_dephasing,
                       two_beam_outputs)
 
@@ -446,12 +446,24 @@ def _texts(texts: list) -> tuple:
 
 
 def _csv_lines(cols: list, fmts: list) -> tuple:
-    """The CSV lines of the equal-length 1-D columns cols, each cell as
-    `fmts[j] % v`, and how many cells `_g17` formatted: float64 cells by
-    `_g17` where it covers them, the others by `%`, placed into one byte
-    buffer per chunk of rows."""
+    """The CSV lines of the equal-length 1-D columns cols, float64, int or
+    str, each cell as `fmts[j] % v`, and how many cells `_g17` formatted and
+    how many were gathered: float64 cells by `_g17` where it covers them and
+    by `%` one by one where not; an int or str column by `%` once per
+    distinct value, its cells gathered from those texts.  The cells are
+    placed into one byte buffer per chunk of rows."""
     n_rows, n_cols = len(cols[0]), len(cols)
     floats = [j for j, c in enumerate(cols) if c.dtype.char == "d"]
+    # per other column, the texts of its distinct values, their lengths and
+    # each row's value; np.unique would merge 0.0 and -0.0, so no float
+    # column goes this way
+    distinct = {}
+    for j, c in enumerate(cols):
+        if c.dtype.char != "d":
+            values, inverse = np.unique(c, return_inverse=True)
+            distinct[j] = (*_texts([fmts[j] % v for v in values.tolist()]),
+                           inverse)
+    min_width = max([_FIELD] + [t.shape[1] + 1 for t, _, _ in distinct.values()])
     passes = max(1, -(-n_rows * max(1, len(floats)) // _CHUNK))
     step = -(-n_rows // passes)  # rows per pass, as even as they go
     seps = np.full((step, n_cols), ord(","), np.uint8)
@@ -459,42 +471,42 @@ def _csv_lines(cols: list, fmts: list) -> tuple:
     seps = seps.ravel()
     lines, kernel = [], 0
     for r0 in range(0, n_rows, step):
-        block = [c[r0:r0 + step] for c in cols]
-        rows = len(block[0])
-        texts, where = [], []  # the cells `%` formats, and their flat index
+        rows = min(step, n_rows - r0)
+        texts = []  # the float cells `_g17` leaves, formatted one by one
         if floats:
-            x = np.stack([block[j] for j in floats], axis=1).ravel()
+            x = np.stack([cols[j][r0:r0 + step] for j in floats],
+                         axis=1).ravel()
             fields, flen, done = _g17(x)
             left = np.flatnonzero(~done)
-            texts += map("%.17g".__mod__, x[left].tolist())
-            where.append(left // len(floats) * n_cols
-                         + np.take(floats, left % len(floats)))
+            texts = list(map("%.17g".__mod__, x[left].tolist()))
             kernel += x.size - left.size
-        for j, c in enumerate(block):
-            if c.dtype.char != "d":
-                texts += map(fmts[j].__mod__, c.tolist())
-                where.append(np.arange(j, rows * n_cols, n_cols))
         if len(floats) == n_cols and not texts:
             buf, length = fields, flen
         else:
             trows, tlen = _texts(texts)
-            where = np.concatenate(where)
-            buf = np.zeros((rows, n_cols, max(_FIELD, trows.shape[1] + 1)),
+            buf = np.zeros((rows, n_cols, max(min_width, trows.shape[1] + 1)),
                            np.uint8)
             length = np.zeros((rows, n_cols), np.intp)
             if floats:
                 buf[:, floats, :_FIELD] = fields.reshape(rows, -1, _FIELD)
                 length[:, floats] = flen.reshape(rows, -1)
+            for j, (vrows, vlen, inverse) in distinct.items():
+                value = inverse[r0:r0 + step]
+                buf[:, j, :vrows.shape[1]] = vrows[value]
+                length[:, j] = vlen[value]
             buf = buf.reshape(rows * n_cols, -1)
             length = length.ravel()
-            buf[where, :trows.shape[1]] = trows
-            length[where] = tlen
+            if texts:
+                where = (left // len(floats) * n_cols
+                         + np.take(floats, left % len(floats)))
+                buf[where, :trows.shape[1]] = trows
+                length[where] = tlen
         width = buf.shape[1]
         buf.reshape(-1)[np.arange(0, buf.size, width) + length] = seps[
             :len(buf)]
         prefix = np.arange(width) <= np.arange(width)[:, None]  # row L: j <= L
         lines.append(buf[prefix.take(length, axis=0)].tobytes())
-    return b"".join(lines).decode(), kernel
+    return b"".join(lines).decode(), kernel, n_rows * len(distinct)
 
 
 def write_output(cfg: dict, command: str, *columns, **extra_meta) -> int:
@@ -502,9 +514,11 @@ def write_output(cfg: dict, command: str, *columns, **extra_meta) -> int:
     provenance; returns EXIT_OK.  A CSV cell is written `%d`, `%s` or `%.17g`
     by its column's dtype kind.  Tables of _KERNEL_MIN_CELLS cells or more
     go through `_csv_lines`, which writes the same bytes: `_g17` formats
-    float64 cells with 1e-28 <= |x| < 1e17, `%` the rest; smaller tables
-    are formatted row by row.  One DEBUG line per CSV table counts the cells
-    each way wrote.  A JSON cell is a float unless it is a string."""
+    float64 cells with 1e-28 <= |x| < 1e17, `%` the other float cells, and
+    an int or str column is formatted once per distinct value; smaller
+    tables are formatted row by row.  One DEBUG line per CSV table counts
+    the cells each way wrote.  A JSON cell is a float unless it is a
+    string."""
     header = HEADERS[command]
     path = _resolve_output(cfg)
     meta = _meta(cfg, command, **extra_meta)
@@ -513,14 +527,16 @@ def write_output(cfg: dict, command: str, *columns, **extra_meta) -> int:
         fmts = [{"i": "%d", "u": "%d", "U": "%s"}.get(c.dtype.kind, "%.17g")
                 for c in cols]
         n_rows = min(map(len, cols))
-        cells, kernel = n_rows * len(cols), 0
+        cells, kernel, gathered = n_rows * len(cols), 0, 0
         if cells >= _KERNEL_MIN_CELLS:
-            body, kernel = _csv_lines([c[:n_rows] for c in cols], fmts)
+            body, kernel, gathered = _csv_lines([c[:n_rows] for c in cols],
+                                                fmts)
         else:
             line = ",".join(fmts) + "\n"
             body = "".join(line % r for r in zip(*(c.tolist() for c in cols)))
-        _log.debug("csv %s: rows=%d kernel_cells=%d percent_cells=%d", command,
-                   n_rows, kernel, cells - kernel)
+        _log.debug("csv %s: rows=%d kernel_cells=%d distinct_cells=%d "
+                   "percent_cells=%d", command, n_rows, kernel, gathered,
+                   cells - kernel - gathered)
         with _open_output(path) as fh:
             fh.write(",".join(header) + "\n")
             fh.write(body)
@@ -607,11 +623,15 @@ def cmd_oracle_check(cfg: dict, p: ModelParams, bg: Background) -> int:
                         np.abs(closed - oracle))
 
 
+_KIND_NAMES = np.array(KINDS)  # a dataset's kind column from its kind_code
+
+
 def cmd_synth(cfg: dict, p: ModelParams, bg: Background) -> int:
     block = cfg["synth"]
     ds = fitting.synth_dataset(p, bg, _build_grid(cfg), block["kinds"],
                                block["noise_sigma"], cfg["seed"])
-    return write_output(cfg, "synth", ds.omega, ds.kind, ds.value, ds.sigma)
+    return write_output(cfg, "synth", ds.omega, _KIND_NAMES[ds.kind_code],
+                        ds.value, ds.sigma)
 
 
 def cmd_fit(cfg: dict, p: ModelParams, bg: Background) -> int:

@@ -7,6 +7,7 @@ least squares on the weighted residual vector, with positive rates.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -65,25 +66,50 @@ class SpectrumDataset:
     @classmethod
     def from_csv(cls, path) -> "SpectrumDataset":
         """Read the `synth` CSV format; a row without 4 fields is named by
-        its line number, a field that is not a number is a ValueError."""
+        its line number, a field that is not a number is a ValueError.
+
+        The file is read once.  A text with no quote, CR or NUL, the exact
+        header and 3 commas on every line is split on newlines and commas;
+        any other text goes to the `csv` module, which reads quoted fields
+        and CR line ends and names a bad row by its line."""
         with open(path, newline="") as fh:
-            rd = csv.reader(fh)
-            header = next(rd, None)
-            if header != ["omega_meV", "kind", "value", "sigma"]:
-                raise ValueError(f"unexpected dataset header {header}")
-            rows = list(rd)
-            if set(map(len, rows)) - {4}:
-                # read again for the line number: a quoted field may span lines
-                fh.seek(0)
-                rd = csv.reader(fh)
-                next(rd)
-                for row in rd:
-                    if len(row) != 4:
-                        raise ValueError(f"dataset row {rd.line_num} has "
-                                         f"{len(row)} fields, expected 4")
-        omega, kind, value, sigma = zip(*rows) if rows else ((),) * 4
-        return cls(np.array(omega, dtype=float), kind,
+            text = fh.read()
+        ended = text if text.endswith("\n") else text + "\n"
+        if (ended.startswith(_HEADER_LINE + "\n")
+                and not ('"' in text or "\r" in text or "\0" in text)
+                and (seps := ended.encode().translate(None, _NOT_SEPARATORS))
+                == b",,,\n" * (len(seps) // 4)):
+            cells = ended[len(_HEADER_LINE) + 1:].replace("\n", ",").split(",")
+            # each column leaves out the empty cell after the last newline
+            omega, kind, value, sigma = (cells[i:-1:4] for i in range(4))
+        else:
+            omega, kind, value, sigma = _csv_columns(text)
+        return cls(np.array(omega, dtype=float), tuple(kind),
                    np.array(value, dtype=float), np.array(sigma, dtype=float))
+
+
+_HEADER = ["omega_meV", "kind", "value", "sigma"]
+_HEADER_LINE = ",".join(_HEADER)
+# every byte but comma and newline; UTF-8 codes no other character with them
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _csv_columns(text: str) -> tuple:
+    """The four columns of the dataset text, read by the `csv` module."""
+    rd = csv.reader(io.StringIO(text, newline=""))
+    header = next(rd, None)
+    if header != _HEADER:
+        raise ValueError(f"unexpected dataset header {header}")
+    rows = list(rd)
+    if set(map(len, rows)) - {4}:
+        # read again for the line number: a quoted field may span lines
+        rd = csv.reader(io.StringIO(text, newline=""))
+        next(rd)
+        for row in rd:
+            if len(row) != 4:
+                raise ValueError(f"dataset row {rd.line_num} has "
+                                 f"{len(row)} fields, expected 4")
+    return zip(*rows) if rows else ((),) * 4
 
 
 @dataclass(frozen=True)

@@ -508,8 +508,8 @@ class TestWriter:
             "extremes"])
     def test_constant_columns_match_cell_by_cell(self, tmp_path, monkeypatch,
                                                  value, sigma):
-        # a float column of one bit pattern is formatted once: the bytes are
-        # those of formatting every cell, and 0.0 and -0.0 stay apart
+        # a float column of one bit pattern: the bytes are those of
+        # formatting every cell, and 0.0 and -0.0 stay apart
         columns = (np.array([4, 4, 4]), ("T", "T", "T"), np.array(value),
                    np.array(sigma))
         text = self.write(tmp_path, monkeypatch, "csv", *columns)
@@ -612,25 +612,34 @@ class TestWriter:
 
     @pytest.mark.parametrize("rows", [0, 1, 7, "below", "at", 1000])
     def test_mixed_table_matches_cell_by_cell(self, rows, caplog):
-        # int, str and float columns, on both sides of the size rule; the
-        # DEBUG line counts the cells each way wrote
-        rows = {"below": cli._KERNEL_MIN_CELLS // 4 - 1,
-                "at": -(-cli._KERNEL_MIN_CELLS // 4)}.get(rows, rows)
+        # int, str and float columns, on both sides of the size rule, among
+        # them an int and a str column of few distinct values (as n_peaks
+        # and a dataset's kind); the DEBUG line counts the cells each way
+        # wrote
+        rows = {"below": cli._KERNEL_MIN_CELLS // 6 - 1,
+                "at": -(-cli._KERNEL_MIN_CELLS // 6)}.get(rows, rows)
         rng = np.random.default_rng(rows)
         ints = rng.integers(-10 ** 18, 10 ** 18, rows)
-        kinds = rng.choice(["A1", "dpsi", "a,b", "100%", "\u00c4", ""], rows)
+        kinds = rng.choice(["A1", "dpsi", "a,b", "100%", "\u00c4", "", "x" * 30],
+                           rows)
         values = rng.choice([0.5, -0.0, math.nan, 1e-300, 2.5e-7, 124.5], rows)
         sigma = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        peaks = rng.integers(0, 3, rows)
+        kind = rng.choice(["A_joint_max", "A_joint_min", "dpsi"], rows)
+        columns = (ints, kinds, values, sigma, peaks, kind)
         with caplog.at_level(logging.DEBUG, logger="twoport_cmt.cli"):
-            text = self.text(ints, kinds, values, sigma)
+            text = self.text(*columns)
         assert text == ("omega_meV,kind,value,sigma\n"
-                        + self.cell_by_cell(ints, kinds, values, sigma))
+                        + self.cell_by_cell(*columns))
         line, = [r.getMessage() for r in caplog.records]
         counts = dict(f.split("=") for f in line.split(": ")[1].split())
         kernel = int(counts["kernel_cells"])
+        distinct = int(counts["distinct_cells"])
+        whole = 6 * rows >= cli._KERNEL_MIN_CELLS
         assert counts["rows"] == str(rows)
-        assert kernel + int(counts["percent_cells"]) == 4 * rows
-        assert (kernel > 0) == (4 * rows >= cli._KERNEL_MIN_CELLS)
+        assert kernel + distinct + int(counts["percent_cells"]) == 6 * rows
+        assert (kernel > 0) == whole
+        assert distinct == (4 * rows if whole else 0)
 
     def test_constant_column_json_unchanged(self, tmp_path, monkeypatch):
         doc = json.loads(self.write(tmp_path, monkeypatch, "json",

@@ -154,13 +154,43 @@ class TestSynthDataset:
 class TestFromCsv:
     HEADER = "omega_meV,kind,value,sigma\n"
 
+    # each body is written with LF, CRLF and LF without the final newline:
+    # the split pass reads the first and last, the csv module CRLF and any
+    # text with a quote
+    LINE_ENDS = (lambda t: t, lambda t: t.replace("\n", "\r\n"),
+                 lambda t: t[:-1])
+
+    @staticmethod
+    def _outcome(path):
+        try:
+            return SpectrumDataset.from_csv(path)
+        except ValueError as exc:
+            return exc
+
     def _read(self, tmp_path, body):
+        """from_csv of the header and body, written with each of LINE_ENDS:
+        every variant gives the same columns or the same error, which is
+        returned or raised."""
         path = tmp_path / "data.csv"
-        path.write_text(self.HEADER + body)
-        return SpectrumDataset.from_csv(path)
+        outcomes = []
+        for end in self.LINE_ENDS:
+            path.write_bytes(end(self.HEADER + body).encode())
+            outcomes.append(self._outcome(path))
+        first = outcomes[0]
+        for other in outcomes[1:]:
+            assert type(other) is type(first)
+            if isinstance(first, ValueError):
+                assert str(other) == str(first)
+            else:
+                assert_same_dataset(other, first)
+        if isinstance(first, ValueError):
+            raise first
+        return first
 
     @pytest.mark.parametrize("bad,n", [("122,R1,0.4", 3),
-                                       ("122,R1,0.4,0.01,7", 5)])
+                                       ("122,R1,0.4,0.01,7", 5),
+                                       # as many commas as 4 fields a line
+                                       ("122,R1,0.4\n122.5,R1,0.4,0.01,7", 3)])
     def test_field_count_names_its_row(self, tmp_path, bad, n):
         body = f"120,R1,0.5,0.01\n121,T,0.5,0.01\n{bad}\n123,R1,0.4,0.01\n"
         with pytest.raises(ValueError,
@@ -192,6 +222,49 @@ class TestFromCsv:
                           (d.sigma, [0.01, 1.0])):
             assert col.dtype == np.float64
             assert np.array_equal(col, want)
+
+    @pytest.mark.parametrize("kinds", [("A1", "R1", "T"),
+                                       ("A_joint_max", "A_joint_min", "dpsi"),
+                                       ("R1", "T", "dpsi")])
+    def test_synth_file_round_trip(self, tmp_path, monkeypatch, kinds,
+                                   headline_params, default_bg):
+        # the fit workload's synth files, read as written (the split pass),
+        # as a CRLF copy and with every kind quoted (the csv module): each
+        # gives synth_dataset's arrays bit for bit
+        monkeypatch.delenv("TWOPORT_CMT_OUTDIR", raising=False)
+        path = tmp_path / "synth.csv"
+        assert cli.main(["synth", "--grid-min", "105.0", "--grid-max", "145.0",
+                         "--grid-n", "201", "--noise-sigma", "0.005",
+                         "--seed", "35", "--kinds", *kinds,
+                         "--output", str(path)]) == 0
+        want = synth_dataset(headline_params, default_bg,
+                             np.linspace(105.0, 145.0, 201), kinds, 0.005, 35)
+        text = path.read_bytes()
+        crlf, quoted = tmp_path / "crlf.csv", tmp_path / "quoted.csv"
+        crlf.write_bytes(text.replace(b"\n", b"\r\n"))
+        quoted.write_bytes(re.sub(rb"(?m)^([^,]*),([^,]*),",
+                                  rb'\1,"\2",', text))
+        assert quoted.read_bytes().count(b'"') == 2 * (len(want) + 1)
+        csv_columns, by_csv = fitting._csv_columns, []
+
+        def counted(text):
+            by_csv.append(text)
+            return csv_columns(text)
+
+        monkeypatch.setattr(fitting, "_csv_columns", counted)
+        for p, routed in ((path, False), (crlf, True), (quoted, True)):
+            assert_same_dataset(SpectrumDataset.from_csv(p), want)
+            assert len(by_csv) == routed
+            by_csv.clear()
+
+
+def assert_same_dataset(got, want):
+    """got and want hold the same kinds and the same float64 bits."""
+    assert got.kind == want.kind
+    for name in ("omega", "value", "sigma"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
 
 
 class TestFitParams:
